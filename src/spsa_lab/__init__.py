@@ -22,6 +22,7 @@ from .ensemble import (
     batch_means_cross_covariance,
     delta_decompose,
     run_ensemble_cell,
+    run_ensemble_matrix,
     scaled_covariance,
     scaling_fit,
     target_bias,
@@ -94,6 +95,7 @@ __all__ = [
     "run",
     "run_batch",
     "run_ensemble_cell",
+    "run_ensemble_matrix",
     "scaled_covariance",
     "scaling_fit",
     "step_1spsa",

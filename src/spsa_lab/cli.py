@@ -9,6 +9,11 @@ bit-identically.
 
 Exit codes: 0 success, 2 invalid configuration, 3 divergence-guard trip,
 4 solver non-convergence.
+
+``experiment`` runs the whole matrix as lane batches in one thread.  The
+``--workers`` option, the ``SPSA_LAB_WORKERS`` variable and the ``workers``
+config key are still accepted and validated (a bad value exits 2), but
+they no longer change how the ensemble runs.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +41,7 @@ from .config import (
     validate_config,
 )
 from .core import DivergenceGuard, run, sample_theta0
-from .ensemble import run_ensemble_cell, scaling_fit
+from .ensemble import run_ensemble_matrix, scaling_fit
 from .exploration import ProbeGenerator, derive_seed, regeneration_test
 from .meanflow import MeanFieldEvaluator, SolverError, bias_sweep, find_equilibrium, integrate_flow
 from .objectives import bisect_root
@@ -84,9 +88,12 @@ def _write_manifest(out: Path, command: str, cfg: dict, outputs: list[str], seed
     )
 
 
-def _resolve_workers(args, cfg: dict) -> int:
+def _check_workers(args) -> None:
+    """Validate --workers, or else SPSA_LAB_WORKERS; the ``workers`` key is checked with the config."""
     if args.workers is not None:
-        return args.workers
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        return
     env = os.environ.get("SPSA_LAB_WORKERS")
     if env is not None:
         try:
@@ -95,8 +102,6 @@ def _resolve_workers(args, cfg: dict) -> int:
             raise ConfigError(f"SPSA_LAB_WORKERS must be an integer, got {env!r}") from exc
         if n < 1:
             raise ConfigError(f"SPSA_LAB_WORKERS must be >= 1, got {n}")
-        return n
-    return cfg.get("workers", 4)
 
 
 def _prepare(args, command: str):
@@ -176,48 +181,35 @@ def cmd_experiment(args) -> int:
     algorithm = cfg.get("run.algorithm", "1spsa")
     eps_grid = [float(e) for e in cfg["ensemble.eps_grid"]]
     master = cfg["seed.master"]
-    workers = _resolve_workers(args, cfg)
+    _check_workers(args)
 
-    def make_statistic(mode: str, eps: float):
-        gain = build_gain(cfg, objective, eps_bullet=eps)
+    method = _deterministic_method(cfg)
+
+    def statistic(mode: str, lane_gain):
         if cfg["ensemble.statistic"] == "grad":
-            return gain, objective.grad_batch
+            return objective.grad_batch
         evaluator = MeanFieldEvaluator(
-            objective=objective,
-            gain=gain,
-            base=base,
-            mode=mode,
-            varsigma=varsigma,
-            method=_deterministic_method(cfg),
+            objective=objective, gain=lane_gain, base=base, mode=mode, varsigma=varsigma, method=method
         )
-        return gain, evaluator.value_batch
+        return evaluator.value_batch
 
-    def run_cell(task):
-        mode, eps_index = task
-        eps = eps_grid[eps_index]
-        gain, stat = make_statistic(mode, eps)
-        return run_ensemble_cell(
-            objective,
-            schedule,
-            base,
-            mode,
-            varsigma,
-            gain,
-            eps,
-            cfg["ensemble.M"],
-            cfg["ensemble.N"],
-            cfg["ensemble.N0"],
-            cfg["ensemble.theta0_box"],
-            stat,
-            master,
-            eps_index=eps_index,
-            guard=guard,
-            algorithm=algorithm,
-        )
-
-    tasks = [(mode, i) for mode in MODES for i in range(len(eps_grid))]
-    with ThreadPoolExecutor(max_workers=max(1, min(workers, len(tasks)))) as pool:
-        cells = dict(zip(tasks, pool.map(run_cell, tasks)))
+    cells = run_ensemble_matrix(
+        objective,
+        schedule,
+        base,
+        MODES,
+        varsigma,
+        build_gain(cfg, objective, eps_bullet=eps_grid[0]),
+        eps_grid,
+        cfg["ensemble.M"],
+        cfg["ensemble.N"],
+        cfg["ensemble.N0"],
+        cfg["ensemble.theta0_box"],
+        statistic,
+        master,
+        guard=guard,
+        algorithm=algorithm,
+    )
 
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -409,7 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a flat dotted-key JSON config")
         p.add_argument("--out", default=None, help="output directory (default: output.dir or spsa_lab_out)")
         p.add_argument("--seed", type=int, default=None, help="override seed.master")
-        p.add_argument("--workers", type=int, default=None, help="worker pool size (env SPSA_LAB_WORKERS)")
+        p.add_argument(
+            "--workers",
+            type=int,
+            default=None,
+            help="accepted and validated (env SPSA_LAB_WORKERS); has no effect on how experiment runs",
+        )
         p.set_defaults(fn=fn)
     return parser
 

@@ -34,7 +34,9 @@ __all__ = [
 ]
 
 DEFAULT_GUARD_THRESHOLD = 1e6
-ENGINE_CHUNK = 8192
+# steps of probes drawn per lane at a time; a batch holds m * ENGINE_CHUNK * d
+# doubles of probes
+ENGINE_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -232,14 +234,17 @@ def run_batch(
     Each run owns its probe generator; probe draws are chunked per run,
     which reproduces the per-step stream exactly.  When the guard fires
     for a run its iterate freezes and no further updates, records, or
-    statistic contributions are made for that lane.  With ``stride`` > 0
-    the iterate at every stride-th index (plus index 0 and the final
-    index) is stored.
+    statistic contributions are made for that lane, and its window
+    statistics are NaN.  With ``stride`` > 0 the iterate at every
+    stride-th index (plus index 0 and the final index) is stored.
+    ``gain`` may carry one scale per lane (``eps_bullet`` of shape (m,)).
     """
     if algorithm not in ("1spsa", "2spsa"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be positive, got {chunk}")
     theta = np.atleast_2d(np.asarray(theta0, dtype=float)).copy()
     m, d = theta.shape
     if len(probes) != m:
@@ -263,40 +268,43 @@ def run_batch(
                 stat_sums[s.name] += np.where(active[:, None], vals, 0.0)
                 stat_counts[s.name] += 1
 
+    def lane_gains(current: np.ndarray, n_index: int) -> np.ndarray:
+        return np.broadcast_to(np.asarray(gain.value(current, n_index), dtype=float), (m,))
+
     rec_rows: list[np.ndarray] = []
     rec_idx: list[int] = []
     rec_obj: list[np.ndarray] = []
     rec_alpha: list[float] = []
     rec_gain: list[np.ndarray] = []
-    rec_valid: list[np.ndarray] = []
 
-    def record(n_index: int, current: np.ndarray):
+    def record(n_index: int, current: np.ndarray, alpha: float, eps: np.ndarray):
         rec_rows.append(current.copy())
         rec_idx.append(n_index)
-        rec_valid.append(active.copy())
-        rec_alpha.append(float(schedule(n_index)))
-        g = np.asarray(gain.value(current, n_index), dtype=float)
-        rec_gain.append(np.broadcast_to(g, (m,)).copy())
+        rec_alpha.append(float(alpha))
+        rec_gain.append(eps)
         if record_objective:
             rec_obj.append(objective.value_batch(current))
 
+    # eps always holds the gain at the current iterate: it drives the next
+    # step and is what a record at the current index stores
+    eps = lane_gains(theta, 0)
     if stride > 0:
-        record(0, theta)
+        record(0, theta, schedule(0), eps)
     accumulate(0, theta)
 
     norm_ax = None if d == 1 else 1
+    # one chunk of probes, drawn lane by lane into the same buffer
+    xi_buf = np.empty((m, min(chunk, n_steps), d))
     with np.errstate(over="ignore", invalid="ignore"):
         n = 0
         while n < n_steps and active.any():
             width = min(chunk, n_steps - n)
-            xi_chunk = np.stack([g.take(width) for g in probes])  # (m, width, d)
+            for i, g in enumerate(probes):
+                xi_buf[i, :width] = g.take(width)
             alphas = schedule(np.arange(n + 1, n + width + 1))
             for j in range(width):
                 k = n + j + 1  # index of the iterate produced this step
-                xi = xi_chunk[:, j, :]
-                eps = np.broadcast_to(
-                    np.asarray(gain.value(theta, k - 1), dtype=float), (m,)
-                )
+                xi = xi_buf[:, j, :]
                 if algorithm == "1spsa":
                     y = objective.value_batch(theta + eps[:, None] * xi)
                     incr = -(alphas[j] / eps)[:, None] * xi * y[:, None]
@@ -314,8 +322,11 @@ def run_batch(
                     diverged_at[newly] = k
                     active &= ~newly
                 accumulate(k, theta)
-                if stride > 0 and (k % stride == 0 or k == n_steps):
-                    record(k, theta)
+                recorded = stride > 0 and (k % stride == 0 or k == n_steps)
+                if k < n_steps or recorded:
+                    eps = lane_gains(theta, k)
+                if recorded:
+                    record(k, theta, alphas[j], eps)
             n += width
 
     result = BatchRunResult(
@@ -333,11 +344,13 @@ def run_batch(
             result.objective_trace = np.stack(rec_obj, axis=1)
     for s in statistics:
         sums = stat_sums[s.name]
-        count = stat_counts[s.name]
         if sums is None:
-            result.statistics[s.name] = np.full((m, 1), np.nan)
+            mean = np.full((m, 1), np.nan)
         else:
-            result.statistics[s.name] = sums / max(count, 1)
+            mean = sums / max(stat_counts[s.name], 1)
+        # a frozen lane's window is cut short, so it has no window average
+        mean[result.diverged] = np.nan
+        result.statistics[s.name] = mean
     return result
 
 

@@ -9,6 +9,7 @@ estimation of asymptotic covariances.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -31,7 +32,13 @@ __all__ = [
     "lag_autocovariance",
     "EnsembleCell",
     "run_ensemble_cell",
+    "run_ensemble_matrix",
 ]
+
+# lanes per run_batch call in run_ensemble_matrix: large enough that the
+# engine's fixed per-step cost is shared by many cells, small enough that a
+# block's streams and probe chunk stay bounded
+LANE_BLOCK = 4096
 
 
 def target_bias(record: RunRecord, g: Callable[[np.ndarray], np.ndarray], n0: int) -> np.ndarray:
@@ -241,6 +248,105 @@ class EnsembleCell:
         return float(np.linalg.norm(self.mean_bias))
 
 
+def run_ensemble_matrix(
+    objective: Objective,
+    schedule: StepSizeSchedule,
+    base: BaseNoise,
+    modes: Sequence[str],
+    varsigma: float,
+    gain: ExplorationGain,
+    eps_grid: Sequence[float],
+    m_runs: int,
+    n_steps: int,
+    n_burn: int,
+    theta0_box,
+    statistic: Callable[[str, ExplorationGain], Callable[[np.ndarray], np.ndarray]],
+    master_seed: int,
+    eps_indices: Sequence[int] | None = None,
+    guard: DivergenceGuard | None = None,
+    algorithm: str = "1spsa",
+) -> dict[tuple[str, int], EnsembleCell]:
+    """Run every (probe mode, gain scale) cell with ``m_runs`` runs each.
+
+    Cells are keyed by (mode, gain index); the gain indices default to the
+    grid positions.  Run i of a cell draws from a stream keyed by (master
+    seed, mode, gain index, i), so results are identical however runs are
+    batched.  The lanes, ordered (mode, gain index, run), advance in
+    contiguous blocks of at most ``LANE_BLOCK``, one ``run_batch`` per
+    block: every block pays the engine's per-step cost once for all its
+    cells, and builds its streams just before it runs.  Each lane runs
+    ``gain`` at its cell's scale.  ``statistic(mode, lane_gain)`` returns
+    the row function averaged over iterate indices in [n_burn, n_steps]
+    for the lanes of ``mode``, where ``lane_gain`` holds one scale per
+    such lane of the block.
+    """
+    if m_runs < 2:
+        raise ValueError(f"ensemble needs at least 2 runs, got {m_runs}")
+    if n_burn >= n_steps:
+        raise ValueError(f"burn-in {n_burn} must be below horizon {n_steps}")
+    indices = range(len(eps_grid)) if eps_indices is None else eps_indices
+    if len(indices) != len(eps_grid):
+        raise ValueError(f"need one gain index per grid value: {len(indices)} != {len(eps_grid)}")
+    cells = [(mode, k, float(eps)) for mode in modes for k, eps in zip(indices, eps_grid)]
+    if not cells:
+        raise ValueError("ensemble needs at least one mode and one gain value")
+    lane_mode = [mode for mode, _, _ in cells for _ in range(m_runs)]
+    lane_eps = np.repeat([eps for _, _, eps in cells], m_runs)
+    seeds = [derive_seed(master_seed, mode, k, i) for mode, k, _ in cells for i in range(m_runs)]
+    bias_blocks, diverged_blocks = [], []
+    for lo in range(0, len(seeds), LANE_BLOCK):
+        block = slice(lo, lo + LANE_BLOCK)
+        theta0 = np.empty((len(seeds[block]), objective.dim))
+        probes: list[ProbeGenerator] = []
+        for row, (seed, mode) in enumerate(zip(seeds[block], lane_mode[block])):
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            theta0[row] = sample_theta0(theta0_box, rng, objective.dim)
+            probes.append(ProbeGenerator(base, mode=mode, varsigma=varsigma, seed=seed, rng=rng))
+        block_gain = gain.scaled(lane_eps[block])
+        # the statistic of each mode's rows, which are contiguous in the block
+        parts, start = [], 0
+        for mode, group in itertools.groupby(lane_mode[block]):
+            seg = slice(start, start + len(list(group)))
+            parts.append((seg, statistic(mode, gain.scaled(block_gain.eps_bullet[seg]))))
+            start = seg.stop
+
+        def block_statistic(theta: np.ndarray) -> np.ndarray:
+            rows = [np.asarray(fn(theta[seg]), dtype=float) for seg, fn in parts]
+            return np.concatenate([r.reshape(r.shape[0], -1) for r in rows])
+
+        result = run_batch(
+            objective,
+            schedule,
+            block_gain,
+            probes,
+            theta0,
+            n_steps,
+            algorithm=algorithm,
+            guard=guard,
+            stride=0,
+            statistics=[WindowStatistic("bias", n_burn, block_statistic)],
+        )
+        bias_blocks.append(result.statistics["bias"])
+        diverged_blocks.append(result.diverged)
+    # a block whose lanes all diverged before the window has a single NaN column
+    p = max(b.shape[1] for b in bias_blocks)
+    values = np.concatenate([np.broadcast_to(b, (b.shape[0], p)) for b in bias_blocks])
+    diverged = np.concatenate(diverged_blocks)
+    out = {}
+    for c, (mode, k, eps) in enumerate(cells):
+        rows = slice(c * m_runs, (c + 1) * m_runs)
+        out[(mode, k)] = EnsembleCell(
+            mode=mode,
+            eps_bullet=eps,
+            bias_values=values[rows],
+            diverged=diverged[rows],
+            m_total=m_runs,
+            window=n_steps - n_burn,
+            seeds=seeds[rows],
+        )
+    return out
+
+
 def run_ensemble_cell(
     objective: Objective,
     schedule: StepSizeSchedule,
@@ -259,42 +365,28 @@ def run_ensemble_cell(
     guard: DivergenceGuard | None = None,
     algorithm: str = "1spsa",
 ) -> EnsembleCell:
-    """Run ``m_runs`` independent trajectories and collect window averages.
+    """One cell of ``run_ensemble_matrix``: ``m_runs`` runs of ``gain`` at scale ``eps_bullet``.
 
-    Per-run streams are keyed by (master seed, mode, gain index, run
-    index), so results are identical however runs are scheduled.  The
-    window average of ``statistic_fn`` over iterate indices in
-    [n_burn, n_steps] is accumulated on the fly.
+    The window average of ``statistic_fn`` over iterate indices in
+    [n_burn, n_steps] is collected per run; streams are keyed by (master
+    seed, mode, ``eps_index``, run index).
     """
-    if m_runs < 2:
-        raise ValueError(f"ensemble needs at least 2 runs, got {m_runs}")
-    if n_burn >= n_steps:
-        raise ValueError(f"burn-in {n_burn} must be below horizon {n_steps}")
-    seeds = [derive_seed(master_seed, mode, eps_index, i) for i in range(m_runs)]
-    theta0 = np.empty((m_runs, objective.dim))
-    probes: list[ProbeGenerator] = []
-    for i, seed in enumerate(seeds):
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        theta0[i] = sample_theta0(theta0_box, rng, objective.dim)
-        probes.append(ProbeGenerator(base, mode=mode, varsigma=varsigma, seed=seed, rng=rng))
-    result = run_batch(
+    cells = run_ensemble_matrix(
         objective,
         schedule,
+        base,
+        [mode],
+        varsigma,
         gain,
-        probes,
-        theta0,
+        [eps_bullet],
+        m_runs,
         n_steps,
-        algorithm=algorithm,
+        n_burn,
+        theta0_box,
+        lambda mode, lane_gain: statistic_fn,
+        master_seed,
+        eps_indices=[eps_index],
         guard=guard,
-        stride=0,
-        statistics=[WindowStatistic("bias", n_burn, statistic_fn)],
+        algorithm=algorithm,
     )
-    return EnsembleCell(
-        mode=mode,
-        eps_bullet=eps_bullet,
-        bias_values=result.statistics["bias"],
-        diverged=result.diverged,
-        m_total=m_runs,
-        window=n_steps - n_burn,
-        seeds=seeds,
-    )
+    return cells[(mode, eps_index)]

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "BaseNoise",
@@ -219,6 +218,8 @@ def regeneration_test(
         w0 = np.asarray(init, dtype=float).reshape(gen.base.dim)
         prev = w[:, step - 2, :] if step >= 2 else np.broadcast_to(w0, (n_samples, gen.base.dim))
         return gen.varsigma * (w[:, step - 1, :] - prev)
+
+    from scipy import stats  # imported here: it takes longer to load than the rest of the package
 
     xi_a = sample_probe(init_a, "a")
     xi_b = sample_probe(init_b, "b")

@@ -8,7 +8,8 @@ which is the stabilization mechanism).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,12 +61,21 @@ def _squared_norms(theta: np.ndarray) -> np.ndarray:
     return np.sum(theta * theta, axis=-1)
 
 
+def _check_scale(gain) -> None:
+    """Validate ``gain.eps_bullet``: a positive scalar, or an (m,) array of positive per-row scales."""
+    if np.ndim(gain.eps_bullet) > 0:
+        object.__setattr__(gain, "eps_bullet", np.asarray(gain.eps_bullet, dtype=float))
+    if not np.all(np.asarray(gain.eps_bullet) > 0):
+        raise ValueError(f"eps_bullet must be positive, got {gain.eps_bullet}")
+
+
 class ExplorationGain:
     """Base class for exploration-gain schedules.
 
     Subclasses implement ``value(theta, n)``; ``theta`` may be a single
     vector of shape (d,) or a batch of shape (m, d), in which case a
-    vector of per-row gains is returned.
+    vector of per-row gains is returned.  ``eps_bullet`` is one scale for
+    every row or an (m,) array holding one scale per row of the batch.
     """
 
     eps_bullet: float
@@ -76,6 +86,10 @@ class ExplorationGain:
     def __call__(self, theta, n: int = 0):
         return self.value(theta, n)
 
+    def scaled(self, eps_bullet) -> "ExplorationGain":
+        """The same gain at scale ``eps_bullet`` (a scalar or one scale per row)."""
+        return dataclasses.replace(self, eps_bullet=eps_bullet)
+
 
 @dataclass(frozen=True)
 class ConstantGain(ExplorationGain):
@@ -84,8 +98,7 @@ class ConstantGain(ExplorationGain):
     eps_bullet: float
 
     def __post_init__(self):
-        if not self.eps_bullet > 0:
-            raise ValueError(f"eps_bullet must be positive, got {self.eps_bullet}")
+        _check_scale(self)
 
     def value(self, theta, n: int = 0):
         theta = np.asarray(theta, dtype=float)
@@ -102,8 +115,7 @@ class DecayingGain(ExplorationGain):
     kappa: float
 
     def __post_init__(self):
-        if not self.eps_bullet > 0:
-            raise ValueError(f"eps_bullet must be positive, got {self.eps_bullet}")
+        _check_scale(self)
         if self.kappa < 0:
             raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
 
@@ -129,8 +141,7 @@ class CenterActiveGain(ExplorationGain):
     sigma_p: float = 1.0
 
     def __post_init__(self):
-        if not self.eps_bullet > 0:
-            raise ValueError(f"eps_bullet must be positive, got {self.eps_bullet}")
+        _check_scale(self)
         if not self.sigma_p > 0:
             raise ValueError(f"sigma_p must be positive, got {self.sigma_p}")
         object.__setattr__(self, "center", np.atleast_1d(np.asarray(self.center, dtype=float)))
@@ -155,8 +166,7 @@ class ObjectiveActiveGain(ExplorationGain):
     floor: float
 
     def __post_init__(self):
-        if not self.eps_bullet > 0:
-            raise ValueError(f"eps_bullet must be positive, got {self.eps_bullet}")
+        _check_scale(self)
 
     def value(self, theta, n: int = 0):
         theta = np.asarray(theta, dtype=float)

@@ -46,7 +46,7 @@ from spsa_lab import (
     integrate_flow,
     quadratic_1d,
     run_batch,
-    run_ensemble_cell,
+    run_ensemble_matrix,
     scaling_fit,
     trig_quadratic_1d,
 )
@@ -127,26 +127,22 @@ def test_criterion_3_variance_scaling_exponents():
     trig = trig_quadratic_1d()
     base = BaseNoise("uniform", 1, 1.0)
     eps_grid = [0.05, 0.1, 0.2]
-    cells = {}
-    for mode in ("iid", "zigzag"):
-        for k, eb in enumerate(eps_grid):
-            cells[(mode, k)] = run_ensemble_cell(
-                trig,
-                SCALING_SCHEDULE,
-                base,
-                mode,
-                VS,
-                CenterActiveGain(eb, np.array([0.0]), 1.0),
-                eb,
-                50,
-                200_000,
-                60_000,
-                [-10.0, 10.0],
-                trig.grad_batch,
-                MASTER,
-                eps_index=k,
-                guard=GUARD,
-            )
+    cells = run_ensemble_matrix(
+        trig,
+        SCALING_SCHEDULE,
+        base,
+        ("iid", "zigzag"),
+        VS,
+        CenterActiveGain(eps_grid[0], np.array([0.0]), 1.0),
+        eps_grid,
+        50,
+        200_000,
+        60_000,
+        [-10.0, 10.0],
+        lambda mode, gain: trig.grad_batch,
+        MASTER,
+        guard=GUARD,
+    )
     complete = all(c.m_effective == c.m_total for c in cells.values())
     iid_vars = [cells[("iid", k)].scaled_var_trace for k in range(3)]
     zz_vars = [cells[("zigzag", k)].scaled_var_trace for k in range(3)]

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +226,27 @@ def test_cli_experiment_env_workers(tmp_path, monkeypatch):
     assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 0
     monkeypatch.setenv("SPSA_LAB_WORKERS", "zero")
     assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "bad")]) == 2
+
+
+def test_cli_experiment_rejects_bad_worker_counts(tmp_path, capsys):
+    # the worker count no longer changes how the ensemble runs, but a bad one is still an error
+    cfg_path = write_cfg(tmp_path, experiment_cfg())
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "w0"), "--workers", "0"]) == 2
+    assert "--workers" in capsys.readouterr().err
+    cfg_path = write_cfg(tmp_path, experiment_cfg(workers=0), name="w.json")
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "k0")]) == 2
+    assert "'workers'" in capsys.readouterr().err
+    assert not (tmp_path / "w0").exists() and not (tmp_path / "k0").exists()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is loaded by probe-check's regeneration test only; the
+    # other commands do not pay for its import
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = "import sys, spsa_lab.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_experiment_rerun_is_bit_identical(tmp_path):

@@ -296,3 +296,78 @@ def test_window_statistic_accumulates_expected_mean():
     )
     expected = result.thetas[0, 100:, 0].mean()
     assert result.statistics["mean_theta"][0, 0] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_run_batch_is_independent_of_chunk_width(chunk):
+    # zigzag probes carry their differencing memory across chunk
+    # boundaries; three of the four lanes trip the guard
+    from spsa_lab.core import ENGINE_CHUNK, WindowStatistic
+
+    obj = quadratic_1d()
+    base = BaseNoise("uniform", 1)
+    theta0 = np.array([[8.0], [0.001], [0.5], [-0.3]])
+
+    def go(width):
+        return run_batch(
+            obj,
+            StepSizeSchedule(1.0, 0.6),
+            ConstantGain(0.1),
+            [ProbeGenerator(base, "zigzag", seed=s) for s in range(4)],
+            theta0,
+            3000,
+            guard=DivergenceGuard(1e6),
+            stride=1,
+            record_objective=True,
+            statistics=[WindowStatistic("mean_theta", 1000, lambda th: th)],
+            chunk=width,
+        )
+
+    ref, got = go(ENGINE_CHUNK), go(chunk)
+    assert ENGINE_CHUNK < 3000  # the reference run crosses a chunk boundary too
+    assert list(ref.diverged) == [True, False, True, True]
+    assert np.array_equal(got.theta_final, ref.theta_final)
+    assert np.array_equal(got.diverged_at, ref.diverged_at)
+    assert np.array_equal(got.statistics["mean_theta"], ref.statistics["mean_theta"], equal_nan=True)
+    for name in ("record_indices", "thetas", "alpha_trace", "gain_trace", "objective_trace"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
+def test_window_statistic_is_nan_for_diverged_lanes():
+    from spsa_lab.core import WindowStatistic
+
+    obj = quadratic_1d()
+    base = BaseNoise("rademacher", 1)
+    result = run_batch(
+        obj,
+        StepSizeSchedule(1.0, 0.6),
+        ConstantGain(0.1),
+        [ProbeGenerator(base, "iid", seed=s) for s in (1, 2)],
+        np.array([[8.0], [0.001]]),
+        2000,
+        guard=DivergenceGuard(1e6),
+        statistics=[WindowStatistic("mean_theta", 1000, lambda th: th)],
+    )
+    assert list(result.diverged) == [True, False]
+    assert np.isnan(result.statistics["mean_theta"][0, 0])
+    assert np.isfinite(result.statistics["mean_theta"][1, 0])
+
+
+def test_run_batch_records_alpha_and_gain_per_index():
+    # the recorded step size is alpha(n) and the recorded gain is the gain
+    # at the recorded iterate, one gain evaluation per step
+    calls = {"n": 0}
+
+    class CountingGain(CenterActiveGain):
+        def value(self, theta, n=0):
+            calls["n"] += 1
+            return super().value(theta, n)
+
+    sched = StepSizeSchedule(0.1, 0.6)
+    gain = CountingGain(0.1, np.array([0.0]), 1.0)
+    probe = ProbeGenerator(BaseNoise("rademacher", 1), "iid", seed=5)
+    record = run(quadratic_1d(), sched, gain, probe, [2.0], 300, stride=7)
+    assert calls["n"] == 301
+    assert np.array_equal(record.alpha_trace, [sched(int(k)) for k in record.record_indices])
+    want = [CenterActiveGain(0.1, np.array([0.0]), 1.0).value(t) for t in record.thetas]
+    assert np.array_equal(record.gain_trace, want)

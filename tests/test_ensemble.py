@@ -5,6 +5,8 @@ from spsa_lab import (
     BaseNoise,
     CenterActiveGain,
     ConstantGain,
+    DivergenceGuard,
+    MeanFieldEvaluator,
     ProbeGenerator,
     RunRecord,
     StepSizeSchedule,
@@ -13,11 +15,13 @@ from spsa_lab import (
     delta_decompose,
     quadratic_1d,
     run_ensemble_cell,
+    run_ensemble_matrix,
     scaled_covariance,
     scaling_fit,
     target_bias,
     trig_quadratic_1d,
 )
+from spsa_lab import ensemble
 from spsa_lab.ensemble import lag_autocovariance
 
 VS = 1.0 / np.sqrt(2.0)
@@ -277,3 +281,54 @@ def test_target_bias_matches_engine_window_statistic():
         record = run(obj, sched, gain, probe, theta0, 400, stride=1)
         expected = target_bias(record, obj.grad_batch, 100)
         assert np.allclose(cell.bias_values[i], expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("statistic", ["grad", "fbar"])
+def test_ensemble_matrix_cells_equal_single_cells(monkeypatch, statistic):
+    # five-lane blocks straddle cells and modes; the guard (1e3) trips on
+    # every lane of one cell (so the first block ends early) and on some
+    # lanes of two others, with a live lane on each side of the mode change
+    obj = trig_quadratic_1d()
+    base = BaseNoise("uniform", 1)
+    sched = StepSizeSchedule(0.2, 0.6)
+    guard = DivergenceGuard(1e3)
+    grid = [0.05, 0.1, 0.2]
+
+    def stat_for(mode, gain):
+        if statistic == "grad":
+            return obj.grad_batch
+        return MeanFieldEvaluator(obj, gain, base, mode=mode, varsigma=VS, method="quadrature").value_batch
+
+    def gain_at(eps):
+        return CenterActiveGain(eps, np.array([0.0]), 1.0)
+
+    monkeypatch.setattr(ensemble, "LANE_BLOCK", 5)
+    cells = run_ensemble_matrix(
+        obj, sched, base, ("iid", "zigzag"), VS, gain_at(1.0), grid, 6, 600, 200, [-10, 10], stat_for, 3, guard=guard
+    )
+    assert sorted(cells) == [(mode, k) for mode in ("iid", "zigzag") for k in range(3)]
+    assert [int(cells[key].diverged.sum()) for key in sorted(cells)] == [6, 1, 0, 3, 0, 0]
+    assert not cells[("iid", 2)].diverged[-1] and not cells[("zigzag", 0)].diverged[1]
+    monkeypatch.undo()  # each single cell runs as one block
+    for (mode, k), got in cells.items():
+        want = run_ensemble_cell(
+            obj, sched, base, mode, VS, gain_at(grid[k]), grid[k], 6, 600, 200, [-10, 10],
+            stat_for(mode, gain_at(grid[k])), 3, eps_index=k, guard=guard,
+        )
+        assert got.eps_bullet == want.eps_bullet and got.m_total == want.m_total and got.window == want.window
+        assert np.array_equal(got.bias_values, want.bias_values, equal_nan=True)
+        assert np.array_equal(got.diverged, want.diverged)
+        assert got.seeds == want.seeds
+        assert np.isnan(got.bias_values[got.diverged]).all()
+        assert np.isfinite(got.bias_values[~got.diverged]).all()
+
+
+def test_ensemble_matrix_validation():
+    obj = quadratic_1d()
+    args = (obj, StepSizeSchedule(0.1, 0.6), BaseNoise("rademacher", 1))
+    with pytest.raises(ValueError):
+        run_ensemble_matrix(*args, ["iid"], VS, ConstantGain(0.1), [0.1, 0.2], 4, 100, 50, [-1, 1],
+                            lambda mode, gain: obj.grad_batch, 0, eps_indices=[0])
+    with pytest.raises(ValueError):
+        run_ensemble_matrix(*args, [], VS, ConstantGain(0.1), [0.1], 4, 100, 50, [-1, 1],
+                            lambda mode, gain: obj.grad_batch, 0)

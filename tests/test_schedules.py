@@ -134,3 +134,30 @@ def test_objective_active_gain_floor_violation_identifies_theta():
 def test_gain_rejects_bad_parameters(make):
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda eps: ConstantGain(eps),
+        lambda eps: DecayingGain(eps, 0.5),
+        lambda eps: CenterActiveGain(eps, np.array([1.0]), 2.0),
+        lambda eps: ObjectiveActiveGain(eps, quadratic_1d(), 0.0),
+    ],
+)
+def test_per_row_gain_scale_matches_scalar_gains(make):
+    # a gain carrying one scale per row equals, row by row, the gain at that scale
+    scales = np.array([0.05, 0.1, 0.2, 0.1])
+    thetas = np.array([[-3.0], [0.5], [2.0], [7.0]])
+    got = make(scales).value(thetas, 9)
+    want = [make(float(e)).value(thetas[i : i + 1], 9)[0] for i, e in enumerate(scales)]
+    assert np.array_equal(got, want)
+    assert np.array_equal(make(0.1).scaled(scales).value(thetas, 9), got)
+
+
+@pytest.mark.parametrize("scales", [[0.1, 0.0], [0.1, -0.2], [np.nan, 0.1]])
+def test_gain_rejects_nonpositive_row_scales(scales):
+    with pytest.raises(ValueError):
+        CenterActiveGain(np.array(scales), np.array([0.0]))
+    with pytest.raises(ValueError):
+        ConstantGain(0.1).scaled(np.array(scales))
