@@ -11,9 +11,8 @@ Exit codes: 0 success, 2 invalid configuration, 3 divergence-guard trip,
 4 solver non-convergence.
 
 ``experiment`` runs the whole matrix as lane batches in one thread.  The
-``--workers`` option, the ``SPSA_LAB_WORKERS`` variable and the ``workers``
-config key are still accepted and validated (a bad value exits 2), but
-they no longer change how the ensemble runs.
+``--workers`` option is still parsed and must be at least 1 (else exit 2),
+but it is ignored; there is no worker environment variable or config key.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -34,14 +32,15 @@ from .config import (
     build_gain,
     build_objective,
     build_schedule,
+    build_theta0_box,
     canonical_json,
     config_hash,
     get_varsigma,
     load_config,
     validate_config,
 )
-from .core import DivergenceGuard, run, sample_theta0
-from .ensemble import run_ensemble_matrix, scaling_fit
+from .core import DivergenceGuard, run
+from .ensemble import lane_stream, run_ensemble_matrix, scaling_fit
 from .exploration import ProbeGenerator, derive_seed, regeneration_test
 from .meanflow import MeanFieldEvaluator, SolverError, bias_sweep, find_equilibrium, integrate_flow
 from .objectives import bisect_root
@@ -88,22 +87,6 @@ def _write_manifest(out: Path, command: str, cfg: dict, outputs: list[str], seed
     )
 
 
-def _check_workers(args) -> None:
-    """Validate --workers, or else SPSA_LAB_WORKERS; the ``workers`` key is checked with the config."""
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-        return
-    env = os.environ.get("SPSA_LAB_WORKERS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"SPSA_LAB_WORKERS must be an integer, got {env!r}") from exc
-        if n < 1:
-            raise ConfigError(f"SPSA_LAB_WORKERS must be >= 1, got {n}")
-
-
 def _prepare(args, command: str):
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -127,16 +110,17 @@ def cmd_run(args) -> int:
     base = build_base_noise(cfg, objective.dim)
     guard = DivergenceGuard(cfg.get("run.guard_threshold", 1e6))
     seed = derive_seed(cfg["seed.master"], "run", 0)
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    mode, varsigma = cfg["probe.mode"], get_varsigma(cfg)
     if "run.theta0" in cfg:
         theta0 = np.asarray(cfg["run.theta0"], dtype=float)
         if theta0.size != objective.dim:
             raise ConfigError(
                 f"config key 'run.theta0' has dimension {theta0.size}, objective has {objective.dim}"
             )
+        _, probe = lane_stream(seed, base, mode, varsigma)
     else:
-        theta0 = sample_theta0(cfg["run.theta0_box"], rng, objective.dim)
-    probe = ProbeGenerator(base, mode=cfg["probe.mode"], varsigma=get_varsigma(cfg), seed=seed, rng=rng)
+        box = build_theta0_box(cfg, "run.theta0_box", objective.dim)
+        theta0, probe = lane_stream(seed, base, mode, varsigma, box)
 
     record = run(
         objective,
@@ -181,7 +165,8 @@ def cmd_experiment(args) -> int:
     algorithm = cfg.get("run.algorithm", "1spsa")
     eps_grid = [float(e) for e in cfg["ensemble.eps_grid"]]
     master = cfg["seed.master"]
-    _check_workers(args)
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
 
     method = _deterministic_method(cfg)
 
@@ -204,7 +189,7 @@ def cmd_experiment(args) -> int:
         cfg["ensemble.M"],
         cfg["ensemble.N"],
         cfg["ensemble.N0"],
-        cfg["ensemble.theta0_box"],
+        build_theta0_box(cfg, "ensemble.theta0_box", objective.dim),
         statistic,
         master,
         guard=guard,
@@ -312,11 +297,8 @@ def cmd_meanflow(args) -> int:
         return EXIT_SOLVER
 
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for theta in grid:
-        val, err = evaluator.evaluate(np.array([theta]))
-        rows.append([theta, val[0], err[0]])
-    _write_csv(out / "fbar_grid.csv", ["theta", "fbar", "stderr"], rows)
+    fbar = evaluator.value_batch(grid[:, None])[:, 0]
+    _write_csv(out / "fbar_grid.csv", ["theta", "fbar", "stderr"], [[t, f, 0.0] for t, f in zip(grid, fbar)])
     outputs = ["fbar_grid.csv", "eq_report.json"]
 
     if "meanflow.flow_theta0" in cfg:
@@ -405,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=None,
-            help="accepted and validated (env SPSA_LAB_WORKERS); has no effect on how experiment runs",
+            help="ignored (experiment runs in one thread); kept for old command lines, must be >= 1",
         )
         p.set_defaults(fn=fn)
     return parser

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import theta0_box
 from .exploration import DEFAULT_VARSIGMA, BaseNoise
 from .objectives import Objective, builtin_objective
 from .schedules import (
@@ -33,6 +34,7 @@ __all__ = [
     "config_hash",
     "canonical_json",
     "build_objective",
+    "build_theta0_box",
     "build_schedule",
     "build_base_noise",
     "build_gain",
@@ -130,7 +132,6 @@ KNOWN_KEYS: dict[str, tuple] = {
     "probe_check.samples": (lambda v: _is_int(v) and v >= 1000, "an integer >= 1000"),
     "probe_check.regen_samples": (lambda v: _is_int(v) and v >= 100, "an integer >= 100"),
     "output.dir": (lambda v: isinstance(v, str) and len(v) > 0, "a nonempty string"),
-    "workers": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
 }
 
 REQUIRED_KEYS: dict[str, list[str]] = {
@@ -214,7 +215,18 @@ def config_hash(cfg: dict) -> str:
 
 
 def build_objective(cfg: dict) -> Objective:
-    return builtin_objective(cfg["objective.kind"], cfg.get("objective.Q"))
+    try:
+        return builtin_objective(cfg["objective.kind"], cfg.get("objective.Q"))
+    except ValueError as exc:
+        raise ConfigError(f"config key 'objective.Q' is invalid: {exc}") from exc
+
+
+def build_theta0_box(cfg: dict, key: str, dim: int) -> np.ndarray:
+    """The box under ``key`` as a (dim, 2) array of [lo, hi] rows."""
+    try:
+        return theta0_box(cfg[key], dim)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key!r} is invalid for a {dim}-dimensional objective: {exc}") from exc
 
 
 def build_schedule(cfg: dict) -> StepSizeSchedule:
@@ -247,7 +259,12 @@ def build_gain(cfg: dict, objective: Objective, eps_bullet: float | None = None)
             )
         return CenterActiveGain(eps_bullet=eps, center=center, sigma_p=cfg["gain.sigma_p"])
     if kind == "objective_active":
-        return ObjectiveActiveGain(eps_bullet=eps, objective=objective, floor=cfg["gain.obj_floor"])
+        floor = cfg["gain.obj_floor"]
+        if objective.known_floor is not None and floor > objective.known_floor:
+            raise ConfigError(
+                f"config key 'gain.obj_floor' is {floor}, above the objective's floor {objective.known_floor}"
+            )
+        return ObjectiveActiveGain(eps_bullet=eps, objective=objective, floor=floor)
     raise ConfigError(f"unknown gain kind {kind!r}")
 
 

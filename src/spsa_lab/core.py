@@ -1,8 +1,9 @@
 """Single-sample and two-sample SPSA recursions and the trajectory engine.
 
-The per-state step functions implement the update rules one iteration at
-a time.  The batch engine advances many independent trajectories in lock
-step (vectorized across runs), with per-run probe streams, an optional
+The update rule lives in one function, the engine's increment of a batch
+of iterates; the per-state step functions are 1-row calls of it.  The
+batch engine advances many independent trajectories in lock step
+(vectorized across runs), with per-run probe streams, an optional
 divergence guard that freezes runs whose iterates escape, strided
 trajectory recording, and on-the-fly window statistics so long ensembles
 never store full trajectories.
@@ -31,6 +32,7 @@ __all__ = [
     "run_batch",
     "polyak_ruppert",
     "sample_theta0",
+    "theta0_box",
 ]
 
 DEFAULT_GUARD_THRESHOLD = 1e6
@@ -69,6 +71,34 @@ class OptimizerState:
         self.theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
 
 
+def _increment(objective: Objective, algorithm: str, theta, xi, eps, alpha) -> np.ndarray:
+    """The update increment of an (m, d) batch of iterates.
+
+    With probes ``xi`` (m, d), gains ``eps`` (m,) and step size ``alpha``,
+    1SPSA moves by -(alpha / eps) xi f(theta + eps xi), one objective
+    evaluation per row; 2SPSA by
+    -(alpha / (2 eps)) xi (f(theta + eps xi) - f(theta - eps xi)), two.
+    """
+    y = objective.value_batch(theta + eps[:, None] * xi)
+    if algorithm == "1spsa":
+        return -(alpha / eps)[:, None] * xi * y[:, None]
+    y_minus = objective.value_batch(theta - eps[:, None] * xi)
+    return -(alpha / (2.0 * eps))[:, None] * xi * (y - y_minus)[:, None]
+
+
+def _step(state: OptimizerState, objective, schedule, gain, algorithm: str) -> OptimizerState:
+    # one row of the engine's step
+    xi = state.probe.next_probe()
+    theta = state.theta[None, :]
+    eps = np.asarray(gain.value(theta, state.n), dtype=float)
+    incr = _increment(objective, algorithm, theta, xi[None, :], eps, schedule(state.n + 1))
+    state.theta = (theta + incr)[0]
+    state.n += 1
+    state.last_probe = xi
+    state.last_gain = float(eps[0])
+    return state
+
+
 def step_1spsa(
     state: OptimizerState,
     objective: Objective,
@@ -81,15 +111,7 @@ def step_1spsa(
     and moves against the probe direction scaled by the perturbed
     objective value.
     """
-    xi = state.probe.next_probe()
-    eps = float(gain.value(state.theta, state.n))
-    alpha = float(schedule(state.n + 1))
-    y_plus = objective.value(state.theta + eps * xi)
-    state.theta = state.theta + (-(alpha / eps)) * xi * y_plus
-    state.n += 1
-    state.last_probe = xi
-    state.last_gain = eps
-    return state
+    return _step(state, objective, schedule, gain, "1spsa")
 
 
 def step_2spsa(
@@ -99,16 +121,7 @@ def step_2spsa(
     gain: ExplorationGain,
 ) -> OptimizerState:
     """One two-sample update; exactly two objective evaluations."""
-    xi = state.probe.next_probe()
-    eps = float(gain.value(state.theta, state.n))
-    alpha = float(schedule(state.n + 1))
-    y_plus = objective.value(state.theta + eps * xi)
-    y_minus = objective.value(state.theta - eps * xi)
-    state.theta = state.theta + (-(alpha / (2.0 * eps))) * xi * (y_plus - y_minus)
-    state.n += 1
-    state.last_probe = xi
-    state.last_gain = eps
-    return state
+    return _step(state, objective, schedule, gain, "2spsa")
 
 
 @dataclass(frozen=True)
@@ -205,13 +218,19 @@ class BatchRunResult:
         )
 
 
-def sample_theta0(box, rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Uniform draw from a per-coordinate box ([lo, hi] broadcast over dims)."""
+def theta0_box(box, dim: int) -> np.ndarray:
+    """A per-coordinate box as a (dim, 2) array; one [lo, hi] pair is broadcast over the dims."""
     box = np.asarray(box, dtype=float)
     if box.ndim == 1:
         box = np.tile(box, (dim, 1))
     if box.shape != (dim, 2) or np.any(box[:, 0] >= box[:, 1]):
-        raise ValueError(f"theta0 box must be (dim, 2) with lo < hi, got {box!r}")
+        raise ValueError(f"theta0 box must be ({dim}, 2) with lo < hi, got {box.tolist()!r}")
+    return box
+
+
+def sample_theta0(box, rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Uniform draw from a per-coordinate box ([lo, hi] broadcast over dims)."""
+    box = theta0_box(box, dim)
     return rng.uniform(box[:, 0], box[:, 1])
 
 
@@ -269,7 +288,7 @@ def run_batch(
                 stat_counts[s.name] += 1
 
     def lane_gains(current: np.ndarray, n_index: int) -> np.ndarray:
-        return np.broadcast_to(np.asarray(gain.value(current, n_index), dtype=float), (m,))
+        return np.asarray(gain.value(current, n_index), dtype=float)
 
     rec_rows: list[np.ndarray] = []
     rec_idx: list[int] = []
@@ -304,14 +323,7 @@ def run_batch(
             alphas = schedule(np.arange(n + 1, n + width + 1))
             for j in range(width):
                 k = n + j + 1  # index of the iterate produced this step
-                xi = xi_buf[:, j, :]
-                if algorithm == "1spsa":
-                    y = objective.value_batch(theta + eps[:, None] * xi)
-                    incr = -(alphas[j] / eps)[:, None] * xi * y[:, None]
-                else:
-                    y_plus = objective.value_batch(theta + eps[:, None] * xi)
-                    y_minus = objective.value_batch(theta - eps[:, None] * xi)
-                    incr = -(alphas[j] / (2.0 * eps))[:, None] * xi * (y_plus - y_minus)[:, None]
+                incr = _increment(objective, algorithm, theta, xi_buf[:, j, :], eps, alphas[j])
                 theta = np.where(active[:, None], theta + incr, theta)
                 if d == 1:
                     norms = np.abs(theta[:, 0])

@@ -33,6 +33,7 @@ __all__ = [
     "EnsembleCell",
     "run_ensemble_cell",
     "run_ensemble_matrix",
+    "lane_stream",
 ]
 
 # lanes per run_batch call in run_ensemble_matrix: large enough that the
@@ -177,10 +178,7 @@ def batch_means_covariance(samples: np.ndarray, batch_size: int) -> np.ndarray:
     scales the across-batch covariance by the batch size.  Consistent as
     the batch size grows for geometrically ergodic inputs.
     """
-    means = _batch_mean_rows(samples, batch_size)
-    centered = means - means.mean(axis=0)
-    cov = centered.T @ centered / (means.shape[0] - 1)
-    return batch_size * cov
+    return batch_means_cross_covariance(samples, samples, batch_size)
 
 
 def batch_means_cross_covariance(x: np.ndarray, y: np.ndarray, batch_size: int) -> np.ndarray:
@@ -207,6 +205,18 @@ def lag_autocovariance(samples: np.ndarray, lag: int) -> np.ndarray:
     if lag == 0:
         return c.T @ c / x.shape[0]
     return c[:-lag].T @ c[lag:] / (x.shape[0] - lag)
+
+
+def lane_stream(seed: int, base: BaseNoise, mode: str, varsigma: float, theta0_box=None):
+    """Seed one lane: its starting point and its probe generator.
+
+    One Philox stream keyed by ``seed`` first draws theta0 uniformly from
+    ``theta0_box`` (no draw when the box is None, and theta0 is None), then
+    feeds the lane's probes.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    theta0 = None if theta0_box is None else sample_theta0(theta0_box, rng, base.dim)
+    return theta0, ProbeGenerator(base, mode=mode, varsigma=varsigma, seed=seed, rng=rng)
 
 
 @dataclass
@@ -299,9 +309,8 @@ def run_ensemble_matrix(
         theta0 = np.empty((len(seeds[block]), objective.dim))
         probes: list[ProbeGenerator] = []
         for row, (seed, mode) in enumerate(zip(seeds[block], lane_mode[block])):
-            rng = np.random.Generator(np.random.Philox(key=seed))
-            theta0[row] = sample_theta0(theta0_box, rng, objective.dim)
-            probes.append(ProbeGenerator(base, mode=mode, varsigma=varsigma, seed=seed, rng=rng))
+            theta0[row], probe = lane_stream(seed, base, mode, varsigma, theta0_box)
+            probes.append(probe)
         block_gain = gain.scaled(lane_eps[block])
         # the statistic of each mode's rows, which are contiguous in the block
         parts, start = [], 0

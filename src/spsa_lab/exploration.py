@@ -20,6 +20,7 @@ __all__ = [
     "ProbeGenerator",
     "ProbeMomentReport",
     "derive_seed",
+    "probe_covariance",
     "regeneration_test",
 ]
 
@@ -78,6 +79,12 @@ class BaseNoise:
     def bound(self) -> float:
         """Sup-norm bound on a single draw."""
         return 1.0 if self.kind == "rademacher" else self.support
+
+
+def probe_covariance(base: BaseNoise, mode: str, varsigma: float) -> np.ndarray:
+    """Closed-form stationary probe covariance: the base covariance, times 2 varsigma^2 for zigzag probes."""
+    cov = base.covariance()
+    return cov if mode == "iid" else 2.0 * varsigma**2 * cov
 
 
 @dataclass
@@ -150,10 +157,7 @@ class ProbeGenerator:
 
     def probe_covariance(self) -> np.ndarray:
         """Closed-form stationary covariance of the probe stream."""
-        cov_w = self.base.covariance()
-        if self.mode == "iid":
-            return cov_w
-        return 2.0 * self.varsigma**2 * cov_w
+        return probe_covariance(self.base, self.mode, self.varsigma)
 
     @property
     def probe_bound(self) -> float:

@@ -2,8 +2,9 @@
 
 The update direction at a frozen iterate, averaged over the probe law,
 defines a vector field whose flow governs the recursion's long-run
-behavior.  This module evaluates that field exactly (finite probe
-support), by Gauss-Legendre quadrature (uniform base noise), or by Monte
+behavior.  This module evaluates that field with one node/weight rule
+against the probe law, whose nodes are the probe atoms (exact, finite
+probe support) or Gauss-Legendre nodes (uniform base noise), or by Monte
 Carlo; integrates the associated flow and the plain gradient flow with
 classical RK4; and locates the field's equilibrium together with its
 Jacobian spectrum.
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exploration import BaseNoise, ProbeGenerator, derive_seed
-from .objectives import Objective, bisect_root
+from .exploration import BaseNoise, derive_seed, probe_covariance
+from .objectives import Objective, bisect_root, central_difference
 from .schedules import ExplorationGain
 
 __all__ = [
@@ -45,11 +46,13 @@ class SolverError(RuntimeError):
 class MeanFieldEvaluator:
     """Averaged update direction of the single-sample recursion.
 
-    method "two_point": exact expectation by enumerating the probe
-    support; requires rademacher base noise and dimension 1.
-    method "quadrature": Gauss-Legendre integration against the uniform
-    base law (tensorized over the pair of draws for zigzag probes);
-    dimension 1.
+    The deterministic methods share one node/weight rule against the
+    marginal probe law, fbar(theta) = -sum_k w_k xi_k f(theta + eps xi_k) / eps:
+    method "two_point" takes the nonzero atoms of the probe law as nodes
+    (exact; requires rademacher base noise), method "quadrature" a
+    Gauss-Legendre rule against the uniform base law (for zigzag probes,
+    one rule per half of the triangular marginal); both are implemented
+    for dimension 1.
     method "monte_carlo": sample mean over fresh probes from the
     stationary probe law, any base law and dimension; returns a standard
     error alongside the value.
@@ -76,36 +79,36 @@ class MeanFieldEvaluator:
             raise ValueError("two_point method requires rademacher base noise")
         if self.method == "quadrature" and self.base.kind != "uniform":
             raise ValueError("quadrature method requires uniform base noise")
-        if self.method in ("two_point", "quadrature") and self.base.dim != 1:
+        if self.deterministic and self.base.dim != 1:
             raise ValueError("deterministic methods are implemented for dimension 1")
         self._rng = np.random.Generator(
             np.random.Philox(key=derive_seed(self.seed, "meanfield-mc"))
         )
-        if self.method == "quadrature":
-            self._quad_nodes, self._quad_weights = self._build_quadrature()
+        if self.deterministic:
+            self._nodes, weights = self._rule()
+            self._weighted_nodes = weights * self._nodes
 
     @property
     def deterministic(self) -> bool:
         return self.method in ("two_point", "quadrature")
 
     def probe_covariance(self) -> np.ndarray:
-        cov = self.base.covariance()
-        return cov if self.mode == "iid" else 2.0 * self.varsigma**2 * cov
+        return probe_covariance(self.base, self.mode, self.varsigma)
 
-    def _probe_support(self):
-        """Atoms and weights of the marginal probe law (finite-support case)."""
-        if self.mode == "iid":
-            return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
-        two = 2.0 * self.varsigma
-        return np.array([-two, 0.0, two]), np.array([0.25, 0.5, 0.25])
+    def _rule(self):
+        """Nodes and weights integrating against the marginal probe law.
 
-    def _build_quadrature(self):
-        """Nodes and weights integrating against the marginal probe density.
-
-        The iid probe is uniform on [-a, a].  The differenced probe has a
-        triangular marginal on [-2*varsigma*a, 2*varsigma*a] with a kink
-        at the origin, so each half gets its own Gauss-Legendre rule.
+        two_point: the nonzero atoms of the probe law (the zigzag atom at
+        the origin adds nothing to the field).  quadrature: the iid probe
+        is uniform on [-a, a]; the differenced probe has a triangular
+        marginal on [-2*varsigma*a, 2*varsigma*a] with a kink at the
+        origin, so each half gets its own Gauss-Legendre rule.
         """
+        if self.method == "two_point":
+            if self.mode == "iid":
+                return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+            two = 2.0 * self.varsigma
+            return np.array([-two, two]), np.array([0.25, 0.25])
         t, w = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
         a = self.base.support
         if self.mode == "iid":
@@ -124,24 +127,13 @@ class MeanFieldEvaluator:
     def evaluate(self, theta):
         """Mean field and its standard error at one point.
 
-        Deterministic methods return a zero standard error.
+        Deterministic methods are a 1-row ``value_batch`` with a zero
+        standard error.
         """
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        if self.deterministic:
+            return self.value_batch(theta[None, :])[0], np.zeros(1)
         eps = float(self.gain.value(theta))
-        if self.method == "two_point":
-            atoms, weights = self._probe_support()
-            val = 0.0
-            for xi, w in zip(atoms, weights):
-                if xi == 0.0:
-                    continue
-                val += w * (-(xi / eps) * self.objective.value(theta + eps * np.array([xi])))
-            return np.array([val]), np.zeros(1)
-        if self.method == "quadrature":
-            xi = self._quad_nodes
-            w = self._quad_weights
-            vals = self.objective.value_batch(theta[None, :] + eps * xi[:, None])
-            return np.array([-np.sum(w * xi * vals) / eps]), np.zeros(1)
-        # monte_carlo
         xi = self._sample_probes(self.mc_samples)
         perturbed = theta[None, :] + eps * xi
         vals = self.objective.value_batch(perturbed)
@@ -157,28 +149,15 @@ class MeanFieldEvaluator:
         return self.varsigma * (w[:n] - w[n:])
 
     def value_batch(self, thetas: np.ndarray) -> np.ndarray:
-        """Mean field on a batch of points; deterministic methods only."""
+        """Mean field on an (m, 1) batch of points; deterministic methods only."""
         if not self.deterministic:
             raise ValueError("batch evaluation requires a deterministic method")
         thetas = np.asarray(thetas, dtype=float)
-        eps = np.broadcast_to(
-            np.asarray(self.gain.value(thetas), dtype=float), (thetas.shape[0],)
-        )
-        if self.method == "two_point":
-            atoms, weights = self._probe_support()
-            out = np.zeros(thetas.shape[0])
-            for xi, w in zip(atoms, weights):
-                if xi == 0.0:
-                    continue
-                vals = self.objective.value_batch(thetas + (eps * xi)[:, None])
-                out += w * (-(xi / eps) * vals)
-            return out[:, None]
-        xi = self._quad_nodes
-        w = self._quad_weights
-        pts = thetas[:, None, :] + (eps[:, None] * xi[None, :])[:, :, None]
-        flat = self.objective.value_batch(pts.reshape(-1, 1))
-        vals = flat.reshape(thetas.shape[0], xi.size)
-        return (-(vals * (w * xi)[None, :]).sum(axis=1) / eps)[:, None]
+        eps = np.asarray(self.gain.value(thetas), dtype=float)
+        # one row of perturbed points theta + eps * xi_k per iterate (d = 1)
+        pts = thetas + eps[:, None] * self._nodes
+        vals = self.objective.value_batch(pts.reshape(-1, 1)).reshape(pts.shape)
+        return (-(vals * self._weighted_nodes).sum(axis=1) / eps)[:, None]
 
     def taylor_residual(self, theta) -> float:
         """Distance between the mean field and its leading gradient term.
@@ -259,16 +238,8 @@ class EquilibriumReport:
 
 
 def _fd_jacobian(evaluator: MeanFieldEvaluator, theta: np.ndarray) -> np.ndarray:
-    # central differences; the field is evaluated deterministically, so
-    # truncation dominates and a small step is safe
-    d = theta.size
-    h = 1e-5 * (1.0 + float(np.linalg.norm(theta)))
-    jac = np.empty((d, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        jac[:, i] = (evaluator.value(theta + e) - evaluator.value(theta - e)) / (2.0 * h)
-    return jac
+    # the field is deterministic, so truncation dominates and a small step is safe
+    return central_difference(evaluator.value_batch, theta, 1e-5 * (1.0 + float(np.linalg.norm(theta))))
 
 
 def find_equilibrium(

@@ -20,6 +20,7 @@ __all__ = [
     "quadratic_nd",
     "builtin_objective",
     "grad_check",
+    "central_difference",
     "bisect_root",
 ]
 
@@ -54,31 +55,32 @@ class Objective:
     name: str = "custom"
 
     def value(self, theta) -> float:
+        """Objective at one (d,) point: a 1-row ``value_batch``."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if theta.shape != (self.dim,):
             raise ValueError(f"theta has shape {theta.shape}, expected ({self.dim},)")
-        val = float(self.fn(theta))
-        if self.known_floor is not None and np.isfinite(val) and val < self.known_floor - 1e-12:
-            raise ValueError(f"objective {val} below declared floor {self.known_floor} at theta={theta}")
-        return val
+        return float(self.value_batch(theta[None, :])[0])
 
     def value_batch(self, thetas: np.ndarray) -> np.ndarray:
+        """Objective on an (m, d) batch; a value below the declared floor raises (NaN rows are skipped)."""
         thetas = np.asarray(thetas, dtype=float)
         if self.fn_batch is not None:
-            return np.asarray(self.fn_batch(thetas), dtype=float)
-        return np.array([self.fn(row) for row in thetas], dtype=float)
+            vals = np.asarray(self.fn_batch(thetas), dtype=float)
+        else:
+            vals = np.array([self.fn(row) for row in thetas], dtype=float)
+        if self.known_floor is not None:
+            low = np.fmin.reduce(vals, initial=np.inf)
+            if low < self.known_floor - 1e-12:
+                raise ValueError(
+                    f"objective {low} below declared floor {self.known_floor} at theta={thetas[vals == low][0]}"
+                )
+        return vals
 
     def grad(self, theta, h: float | None = None) -> np.ndarray:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if self.grad_fn is not None:
             return np.atleast_1d(np.asarray(self.grad_fn(theta), dtype=float))
-        step = _fd_step(theta, h)
-        out = np.empty(self.dim)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = step
-            out[i] = (self.fn(theta + e) - self.fn(theta - e)) / (2.0 * step)
-        return out
+        return central_difference(self.value_batch, theta, _fd_step(theta, h))
 
     def grad_batch(self, thetas: np.ndarray) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
@@ -90,13 +92,24 @@ class Objective:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if self.hess_fn is not None:
             return np.asarray(self.hess_fn(theta), dtype=float)
-        step = _fd_step(theta, h)
-        out = np.empty((self.dim, self.dim))
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = step
-            out[i] = (self.grad(theta + e) - self.grad(theta - e)) / (2.0 * step)
+        out = central_difference(self.grad_batch, theta, _fd_step(theta, h))
         return 0.5 * (out + out.T)
+
+
+def central_difference(fn_batch, theta, h: float) -> np.ndarray:
+    """Central differences of a batch map at ``theta``.
+
+    ``fn_batch`` maps a (k, d) batch of points to k values or k rows of
+    values.  Column i of the result is
+    (fn(theta + h e_i) - fn(theta - h e_i)) / (2 h), so a scalar map gives
+    its (d,) gradient and a vector map its (p, d) Jacobian.  All 2d points
+    go through one call.
+    """
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    d = theta.size
+    shifts = h * np.eye(d)
+    vals = np.asarray(fn_batch(np.concatenate([theta + shifts, theta - shifts])), dtype=float)
+    return ((vals[:d] - vals[d:]) / (2.0 * h)).T
 
 
 def grad_check(obj: Objective, theta_grid, h: float = 1e-4) -> float:
@@ -109,14 +122,8 @@ def grad_check(obj: Objective, theta_grid, h: float = 1e-4) -> float:
         raise ValueError(f"h must lie in [1e-6, 1e-2], got {h}")
     worst = 0.0
     for theta in theta_grid:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        closed = obj.grad(theta)
-        fd = np.empty(obj.dim)
-        for i in range(obj.dim):
-            e = np.zeros(obj.dim)
-            e[i] = h
-            fd[i] = (obj.fn(theta + e) - obj.fn(theta - e)) / (2.0 * h)
-        worst = max(worst, float(np.max(np.abs(closed - fd))))
+        gap = obj.grad(theta) - central_difference(obj.value_batch, theta, h)
+        worst = max(worst, float(np.max(np.abs(gap))))
     return worst
 
 

@@ -58,7 +58,12 @@ class StepSizeSchedule:
 def _squared_norms(theta: np.ndarray) -> np.ndarray:
     """Squared row norms; identical arithmetic for (d,) and (m, d) inputs."""
     theta = np.asarray(theta, dtype=float)
-    return np.sum(theta * theta, axis=-1)
+    return (theta * theta).sum(axis=-1)
+
+
+def _oblivious(theta, eps):
+    """An oblivious gain ``eps`` for each row of an (m, d) batch, or ``eps`` itself for one (d,) point."""
+    return np.full(np.shape(theta)[0], eps) if np.ndim(theta) >= 2 else eps
 
 
 def _check_scale(gain) -> None:
@@ -101,10 +106,7 @@ class ConstantGain(ExplorationGain):
         _check_scale(self)
 
     def value(self, theta, n: int = 0):
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim >= 2:
-            return np.full(theta.shape[0], self.eps_bullet)
-        return self.eps_bullet
+        return _oblivious(theta, self.eps_bullet)
 
 
 @dataclass(frozen=True)
@@ -120,11 +122,7 @@ class DecayingGain(ExplorationGain):
             raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
 
     def value(self, theta, n: int = 0):
-        eps = self.eps_bullet * (max(n, 1) ** -self.kappa if n >= 1 else 1.0)
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim >= 2:
-            return np.full(theta.shape[0], eps)
-        return eps
+        return _oblivious(theta, self.eps_bullet * (max(n, 1) ** -self.kappa if n >= 1 else 1.0))
 
 
 @dataclass(frozen=True)
@@ -162,25 +160,18 @@ class ObjectiveActiveGain(ExplorationGain):
     """
 
     eps_bullet: float
-    objective: "object"  # anything with value / value_batch, see objectives module
+    objective: "object"  # anything with value_batch, see objectives module
     floor: float
 
     def __post_init__(self):
         _check_scale(self)
 
     def value(self, theta, n: int = 0):
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim >= 2:
-            vals = self.objective.value_batch(theta)
-            bad = vals < self.floor
-            if np.any(bad):
-                raise GainFloorError(
-                    f"objective below declared floor {self.floor} at theta={theta[bad][0]}"
-                )
-            return self.eps_bullet * np.sqrt(1.0 + vals - self.floor)
-        val = self.objective.value(theta)
-        if val < self.floor:
-            raise GainFloorError(
-                f"objective below declared floor {self.floor} at theta={theta}"
-            )
-        return self.eps_bullet * float(np.sqrt(1.0 + val - self.floor))
+        # a (d,) point is a 1-row batch
+        rows = np.atleast_2d(np.asarray(theta, dtype=float))
+        vals = self.objective.value_batch(rows)
+        bad = vals < self.floor
+        if np.any(bad):
+            raise GainFloorError(f"objective below declared floor {self.floor} at theta={rows[bad][0]}")
+        out = self.eps_bullet * np.sqrt(1.0 + vals - self.floor)
+        return out if np.ndim(theta) >= 2 else float(out[0])

@@ -219,24 +219,45 @@ def test_cli_experiment_outputs_and_worker_determinism(tmp_path):
     assert len(manifest["seeds"]["iid"]) == 3
 
 
-def test_cli_experiment_env_workers(tmp_path, monkeypatch):
-    cfg_path = write_cfg(tmp_path, experiment_cfg())
-    monkeypatch.setenv("SPSA_LAB_WORKERS", "2")
-    out = tmp_path / "env"
-    assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 0
-    monkeypatch.setenv("SPSA_LAB_WORKERS", "zero")
-    assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "bad")]) == 2
-
-
 def test_cli_experiment_rejects_bad_worker_counts(tmp_path, capsys):
-    # the worker count no longer changes how the ensemble runs, but a bad one is still an error
+    # --workers is ignored, but a count below 1 is still an error; the
+    # config key is gone
     cfg_path = write_cfg(tmp_path, experiment_cfg())
     assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "w0"), "--workers", "0"]) == 2
     assert "--workers" in capsys.readouterr().err
-    cfg_path = write_cfg(tmp_path, experiment_cfg(workers=0), name="w.json")
-    assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "k0")]) == 2
-    assert "'workers'" in capsys.readouterr().err
-    assert not (tmp_path / "w0").exists() and not (tmp_path / "k0").exists()
+    cfg_path = write_cfg(tmp_path, experiment_cfg(workers=1), name="w.json")
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "k1")]) == 2
+    assert "unknown config key 'workers'" in capsys.readouterr().err
+    assert not (tmp_path / "w0").exists() and not (tmp_path / "k1").exists()
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        (
+            "run",
+            run_cfg(**{"objective.kind": "quadratic_nd", "objective.Q": [[1.0, 0.5], [0.0, 1.0]],
+                       "gain.theta_ctr": [0.0, 0.0], "run.theta0": [1.0, 1.0]}),
+            "objective.Q",
+        ),
+        (
+            "run",
+            {k: v for k, v in run_cfg(**{"run.theta0_box": [[-1.0, 1.0], [-1.0, 1.0]]}).items() if k != "run.theta0"},
+            "run.theta0_box",
+        ),
+        ("experiment", experiment_cfg(**{"ensemble.theta0_box": [[-1.0, 1.0], [-1.0, 1.0]]}), "ensemble.theta0_box"),
+        ("run", run_cfg(**{"gain.kind": "objective_active", "gain.obj_floor": 0.5}), "gain.obj_floor"),
+    ],
+    ids=["nonsymmetric_Q", "run_box_dimension", "ensemble_box_dimension", "obj_floor_above_known_floor"],
+)
+def test_cli_invalid_built_config_exits_2_naming_key(tmp_path, capsys, command, cfg, key):
+    # these pass the per-key checks and fail only when the objective, box or
+    # gain is built; they end in a ConfigError, not a traceback
+    cfg_path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -16,6 +16,7 @@ from spsa_lab import (
     run_batch,
     step_1spsa,
     step_2spsa,
+    trig_quadratic_1d,
 )
 from spsa_lab.core import sample_theta0
 from spsa_lab.objectives import Objective
@@ -141,22 +142,28 @@ def test_run_zero_steps_records_initial_point_only():
     assert record.theta_final[0] == 2.0
 
 
-def test_run_matches_per_step_api_bitwise():
+@pytest.mark.parametrize("mode", ["iid", "zigzag"])
+@pytest.mark.parametrize("algorithm", ["1spsa", "2spsa"])
+def test_run_matches_per_step_api_bitwise(algorithm, mode):
     # the batch engine and the per-step API must produce the same
     # trajectory from the same probe stream
-    obj = quadratic_1d()
+    step = {"1spsa": step_1spsa, "2spsa": step_2spsa}[algorithm]
+    obj = trig_quadratic_1d()
     sched = StepSizeSchedule(0.1, 0.6)
     gain = CenterActiveGain(0.1, np.array([0.0]), 1.0)
     base = BaseNoise("rademacher", 1)
 
-    record = run(obj, sched, gain, ProbeGenerator(base, "iid", seed=17), [1.0], 500)
+    record = run(obj, sched, gain, ProbeGenerator(base, mode, seed=17), [1.0], 500, algorithm=algorithm)
 
-    state = OptimizerState(theta=np.array([1.0]), probe=ProbeGenerator(base, "iid", seed=17))
-    manual = [state.theta.copy()]
+    state = OptimizerState(theta=np.array([1.0]), probe=ProbeGenerator(base, mode, seed=17))
+    manual, gains = [state.theta.copy()], []
     for _ in range(500):
-        step_1spsa(state, obj, sched, gain)
+        step(state, obj, sched, gain)
         manual.append(state.theta.copy())
+        gains.append(state.last_gain)
     assert np.array_equal(record.thetas, np.stack(manual))
+    # a step's gain is the one at its pre-update iterate
+    assert np.array_equal(record.gain_trace[:-1], gains)
 
 
 def test_divergence_guard_validation():

@@ -91,12 +91,21 @@ def test_monte_carlo_zigzag_matches_quadrature():
         assert abs(vm[0] - vq[0]) <= 3.0 * se[0] + 1e-12
 
 
-def test_value_batch_matches_pointwise():
-    ev = MeanFieldEvaluator(objective=trig_quadratic_1d(), gain=active_gain(0.05), base=RAD)
+@pytest.mark.parametrize("mode", ["iid", "zigzag"])
+@pytest.mark.parametrize("method", ["two_point", "quadrature"])
+def test_value_batch_matches_pointwise(method, mode):
+    # evaluate and value are 1-row calls of value_batch, and rows do not interact
+    base = RAD if method == "two_point" else UNI
+    ev = MeanFieldEvaluator(
+        objective=trig_quadratic_1d(), gain=active_gain(0.05), base=base, mode=mode, varsigma=VS, method=method
+    )
     grid = np.linspace(-3, 3, 17)[:, None]
     batch = ev.value_batch(grid)
+    assert batch.shape == (17, 1)
     for i, theta in enumerate(grid[:, 0]):
-        assert batch[i, 0] == pytest.approx(ev.evaluate(np.array([theta]))[0][0], abs=1e-14)
+        val, err = ev.evaluate(np.array([theta]))
+        assert batch[i, 0] == val[0] == ev.value(np.array([theta]))[0]
+        assert err[0] == 0.0
 
 
 def test_value_batch_rejects_monte_carlo():

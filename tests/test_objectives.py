@@ -116,6 +116,17 @@ def test_value_checks_declared_floor():
         bad.value(np.array([0.0]))
 
 
+def test_value_batch_checks_declared_floor():
+    # one floor rule on both paths; rows that are NaN are skipped
+    bad = Objective(dim=1, fn=lambda t: float(t[0]), fn_batch=lambda ts: ts[:, 0], known_floor=10.0)
+    with pytest.raises(ValueError, match="floor"):
+        bad.value_batch(np.array([[12.0], [np.nan], [9.0]]))
+    assert np.array_equal(bad.value_batch(np.array([[12.0], [np.nan]])), [12.0, np.nan], equal_nan=True)
+    looped = Objective(dim=1, fn=lambda t: float(t[0]), known_floor=10.0)
+    with pytest.raises(ValueError, match="floor"):
+        looped.value_batch(np.array([[11.0], [0.0]]))
+
+
 def test_value_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         quadratic_1d().value(np.array([1.0, 2.0]))
