@@ -246,8 +246,6 @@ def _build_evaluator(cfg: dict, eps_bullet: float | None = None) -> MeanFieldEva
         mode=cfg.get("probe.mode", "iid"),
         varsigma=get_varsigma(cfg),
         method=cfg["meanflow.method"],
-        mc_samples=cfg.get("meanflow.mc_samples", 100_000),
-        seed=cfg.get("seed.master", 0),
     )
 
 

@@ -111,11 +111,8 @@ KNOWN_KEYS: dict[str, tuple] = {
         lambda v: (_is_vector(v) and len(v) == 2) or _is_matrix(v),
         "[lo, hi] or a per-dimension list of [lo, hi]",
     ),
-    "meanflow.method": (
-        lambda v: v in ("two_point", "quadrature", "monte_carlo"),
-        "one of two_point|quadrature|monte_carlo",
-    ),
-    "meanflow.mc_samples": (lambda v: _is_int(v) and v >= 100, "an integer >= 100"),
+    # every command needs a deterministic field; monte_carlo stays a library method
+    "meanflow.method": (lambda v: v in ("two_point", "quadrature"), "two_point or quadrature"),
     "meanflow.grid": (
         lambda v: _is_vector(v) and len(v) == 3 and v[0] < v[1] and _is_int(v[2]) and v[2] >= 2,
         "[lo, hi, npoints] with lo < hi and integer npoints >= 2",
@@ -202,8 +199,6 @@ def validate_config(cfg: dict, command: str) -> None:
             raise ConfigError("config key 'ensemble.N0' must be below 'ensemble.N'")
         if len(cfg["ensemble.eps_grid"]) < 3:
             raise ConfigError("config key 'ensemble.eps_grid' needs at least 3 points for the scaling fit")
-    if command in ("meanflow", "equilibrium") and cfg.get("meanflow.method") == "monte_carlo":
-        raise ConfigError("config key 'meanflow.method' must be deterministic (two_point or quadrature) here")
 
 
 def canonical_json(cfg: dict) -> str:

@@ -251,10 +251,15 @@ def run_batch(
     """Advance ``m`` independent trajectories in lock step.
 
     Each run owns its probe generator; probe draws are chunked per run,
-    which reproduces the per-step stream exactly.  When the guard fires
-    for a run its iterate freezes and no further updates, records, or
-    statistic contributions are made for that lane, and its window
-    statistics are NaN.  With ``stride`` > 0 the iterate at every
+    which reproduces the per-step stream exactly.  A lane trips the guard
+    at the first index k whose iterate norm is not <= the threshold: a
+    NaN or infinite norm trips, a norm equal to the threshold does not.
+    ``diverged_at`` holds that k.  A tripped lane's iterate freezes and it
+    makes no further updates, records, or statistic contributions, and
+    its window statistics are NaN; it stays in the working arrays, so
+    the probe draw, gain, objective and statistic still see its row until
+    every lane has tripped.  While no lane has tripped, a step adds the
+    increment without masking.  With ``stride`` > 0 the iterate at every
     stride-th index (plus index 0 and the final index) is stored.
     ``gain`` may carry one scale per lane (``eps_bullet`` of shape (m,)).
     """
@@ -268,15 +273,17 @@ def run_batch(
     m, d = theta.shape
     if len(probes) != m:
         raise ValueError(f"need one probe generator per run: {len(probes)} != {m}")
-    guard = guard or DivergenceGuard()
+    threshold = (guard or DivergenceGuard()).threshold
 
     active = np.ones(m, dtype=bool)
+    live = True  # no lane has tripped yet
     diverged_at = np.full(m, -1, dtype=int)
 
     stat_sums = {s.name: None for s in statistics}
     stat_counts = {s.name: 0 for s in statistics}
 
     def accumulate(n_index: int, current: np.ndarray):
+        # a frozen lane's sum is replaced by NaN at the end, so it needs no mask
         for s in statistics:
             if n_index >= s.start:
                 vals = np.asarray(s.fn(current), dtype=float)
@@ -284,25 +291,32 @@ def run_batch(
                     vals = vals[:, None]
                 if stat_sums[s.name] is None:
                     stat_sums[s.name] = np.zeros_like(vals)
-                stat_sums[s.name] += np.where(active[:, None], vals, 0.0)
+                stat_sums[s.name] += vals
                 stat_counts[s.name] += 1
 
     def lane_gains(current: np.ndarray, n_index: int) -> np.ndarray:
         return np.asarray(gain.value(current, n_index), dtype=float)
 
-    rec_rows: list[np.ndarray] = []
-    rec_idx: list[int] = []
-    rec_obj: list[np.ndarray] = []
-    rec_alpha: list[float] = []
-    rec_gain: list[np.ndarray] = []
+    # index 0, every stride-th index and the last index; fewer when every
+    # lane trips before the end
+    n_rec = 1 + n_steps // stride + (n_steps % stride > 0) if stride > 0 else 0
+    rec_idx = np.empty(n_rec, dtype=int)
+    rec_alpha = np.empty(n_rec)
+    rec_thetas = np.empty((m, n_rec, d))
+    rec_gain = np.empty((m, n_rec))
+    rec_obj = np.empty((m, n_rec)) if record_objective else None
+    n_recorded = 0
 
     def record(n_index: int, current: np.ndarray, alpha: float, eps: np.ndarray):
-        rec_rows.append(current.copy())
-        rec_idx.append(n_index)
-        rec_alpha.append(float(alpha))
-        rec_gain.append(eps)
+        nonlocal n_recorded
+        i = n_recorded
+        rec_idx[i] = n_index
+        rec_alpha[i] = alpha
+        rec_thetas[:, i] = current
+        rec_gain[:, i] = eps
         if record_objective:
-            rec_obj.append(objective.value_batch(current))
+            rec_obj[:, i] = objective.value_batch(current)
+        n_recorded += 1
 
     # eps always holds the gain at the current iterate: it drives the next
     # step and is what a record at the current index stores
@@ -311,28 +325,33 @@ def run_batch(
         record(0, theta, schedule(0), eps)
     accumulate(0, theta)
 
-    norm_ax = None if d == 1 else 1
-    # one chunk of probes, drawn lane by lane into the same buffer
-    xi_buf = np.empty((m, min(chunk, n_steps), d))
+    # one chunk of probes, drawn lane by lane into the same buffer; step
+    # major, so each step reads one contiguous (m, d) block
+    xi_buf = np.empty((min(chunk, n_steps), m, d))
     with np.errstate(over="ignore", invalid="ignore"):
         n = 0
         while n < n_steps and active.any():
             width = min(chunk, n_steps - n)
             for i, g in enumerate(probes):
-                xi_buf[i, :width] = g.take(width)
+                xi_buf[:width, i] = g.take(width)
             alphas = schedule(np.arange(n + 1, n + width + 1))
             for j in range(width):
                 k = n + j + 1  # index of the iterate produced this step
-                incr = _increment(objective, algorithm, theta, xi_buf[:, j, :], eps, alphas[j])
-                theta = np.where(active[:, None], theta + incr, theta)
-                if d == 1:
-                    norms = np.abs(theta[:, 0])
+                incr = _increment(objective, algorithm, theta, xi_buf[j], eps, alphas[j])
+                if live:
+                    theta += incr
                 else:
-                    norms = np.linalg.norm(theta, axis=norm_ax)
-                newly = active & (~np.isfinite(norms) | (norms > guard.threshold))
-                if newly.any():
-                    diverged_at[newly] = k
-                    active &= ~newly
+                    theta = np.where(active[:, None], theta + incr, theta)
+                norms = np.abs(theta[:, 0]) if d == 1 else np.linalg.norm(theta, axis=1)
+                # one compare and one count in the common case; "not <=" is
+                # also true for NaN
+                within = norms <= threshold
+                if np.count_nonzero(within) < m:
+                    newly = active & ~within
+                    if newly.any():
+                        diverged_at[newly] = k
+                        active &= within
+                        live = False
                 accumulate(k, theta)
                 recorded = stride > 0 and (k % stride == 0 or k == n_steps)
                 if k < n_steps or recorded:
@@ -348,12 +367,12 @@ def run_batch(
         stride=stride,
     )
     if stride > 0:
-        result.record_indices = np.asarray(rec_idx, dtype=int)
-        result.thetas = np.stack(rec_rows, axis=1)  # (m, k, d)
-        result.alpha_trace = np.asarray(rec_alpha)
-        result.gain_trace = np.stack(rec_gain, axis=1)
+        result.record_indices = rec_idx[:n_recorded]
+        result.thetas = rec_thetas[:, :n_recorded]  # (m, k, d)
+        result.alpha_trace = rec_alpha[:n_recorded]
+        result.gain_trace = rec_gain[:, :n_recorded]
         if record_objective:
-            result.objective_trace = np.stack(rec_obj, axis=1)
+            result.objective_trace = rec_obj[:, :n_recorded]
     for s in statistics:
         sums = stat_sums[s.name]
         if sums is None:

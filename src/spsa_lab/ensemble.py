@@ -36,9 +36,11 @@ __all__ = [
     "lane_stream",
 ]
 
-# lanes per run_batch call in run_ensemble_matrix: large enough that the
-# engine's fixed per-step cost is shared by many cells, small enough that a
-# block's streams and probe chunk stay bounded
+# lanes per run_batch call in run_ensemble_matrix.  Each step of a block pays
+# the engine's fixed cost, and one call of each distinct statistic function,
+# once for all its cells.  A block's streams and its probe chunk
+# (LANE_BLOCK x ENGINE_CHUNK x d doubles) bound its memory.  Tripped lanes
+# stay in the block's arrays until every lane of the block has tripped.
 LANE_BLOCK = 4096
 
 
@@ -288,7 +290,8 @@ def run_ensemble_matrix(
     ``gain`` at its cell's scale.  ``statistic(mode, lane_gain)`` returns
     the row function averaged over iterate indices in [n_burn, n_steps]
     for the lanes of ``mode``, where ``lane_gain`` holds one scale per
-    such lane of the block.
+    such lane of the block.  Adjacent modes whose functions compare equal
+    share one call over their rows, so a function must act row by row.
     """
     if m_runs < 2:
         raise ValueError(f"ensemble needs at least 2 runs, got {m_runs}")
@@ -312,16 +315,24 @@ def run_ensemble_matrix(
             theta0[row], probe = lane_stream(seed, base, mode, varsigma, theta0_box)
             probes.append(probe)
         block_gain = gain.scaled(lane_eps[block])
-        # the statistic of each mode's rows, which are contiguous in the block
+        # the statistic of each mode's rows, which are contiguous in the
+        # block; adjacent modes with the same function share one call
         parts, start = [], 0
         for mode, group in itertools.groupby(lane_mode[block]):
             seg = slice(start, start + len(list(group)))
-            parts.append((seg, statistic(mode, gain.scaled(block_gain.eps_bullet[seg]))))
+            fn = statistic(mode, gain.scaled(block_gain.eps_bullet[seg]))
+            if parts and parts[-1][1] == fn:
+                seg = slice(parts.pop()[0].start, seg.stop)
+            parts.append((seg, fn))
             start = seg.stop
 
-        def block_statistic(theta: np.ndarray) -> np.ndarray:
-            rows = [np.asarray(fn(theta[seg]), dtype=float) for seg, fn in parts]
-            return np.concatenate([r.reshape(r.shape[0], -1) for r in rows])
+        if len(parts) == 1:
+            block_statistic = parts[0][1]  # its rows are the whole block
+        else:
+
+            def block_statistic(theta: np.ndarray) -> np.ndarray:
+                rows = [np.asarray(fn(theta[seg]), dtype=float) for seg, fn in parts]
+                return np.concatenate([r.reshape(r.shape[0], -1) for r in rows])
 
         result = run_batch(
             objective,

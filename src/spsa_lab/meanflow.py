@@ -205,13 +205,14 @@ def integrate_flow(field, theta0, t_end: float, dt: float, flow_kind: str = "mea
         if not field.deterministic:
             raise ValueError("flow integration requires a deterministic mean-field method")
         evaluator = field
-        field = lambda th: evaluator.value(th)  # noqa: E731
+        field = lambda th: evaluator.value_batch(th[None, :])[0]  # noqa: E731
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    # each state is a new array, never written to, so states holds no copies
     theta = np.atleast_1d(np.asarray(theta0, dtype=float))
     n_steps = int(round(t_end / dt)) if t_end > 0 else 0
     times = [0.0]
-    states = [theta.copy()]
+    states = [theta]
     for k in range(n_steps):
         k1 = field(theta)
         k2 = field(theta + 0.5 * dt * k1)
@@ -221,7 +222,7 @@ def integrate_flow(field, theta0, t_end: float, dt: float, flow_kind: str = "mea
         if not np.all(np.isfinite(theta)):
             break
         times.append((k + 1) * dt)
-        states.append(theta.copy())
+        states.append(theta)
     return FlowTrajectory(np.asarray(times), np.stack(states), flow_kind)
 
 

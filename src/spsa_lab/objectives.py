@@ -25,6 +25,9 @@ __all__ = [
 ]
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _fd_step(theta: np.ndarray, h: float | None) -> float:
     # balances truncation and rounding for smooth objectives in double precision
     if h is not None:
@@ -65,7 +68,10 @@ class Objective:
         """Objective on an (m, d) batch; a value below the declared floor raises (NaN rows are skipped)."""
         thetas = np.asarray(thetas, dtype=float)
         if self.fn_batch is not None:
-            vals = np.asarray(self.fn_batch(thetas), dtype=float)
+            vals = self.fn_batch(thetas)
+            # a float64 array, the usual result, needs no coercion
+            if vals.__class__ is not np.ndarray or vals.dtype is not _FLOAT64:
+                vals = np.asarray(vals, dtype=float)
         else:
             vals = np.array([self.fn(row) for row in thetas], dtype=float)
         if self.known_floor is not None:
@@ -85,7 +91,10 @@ class Objective:
     def grad_batch(self, thetas: np.ndarray) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
         if self.grad_batch_fn is not None:
-            return np.asarray(self.grad_batch_fn(thetas), dtype=float)
+            out = self.grad_batch_fn(thetas)
+            if out.__class__ is not np.ndarray or out.dtype is not _FLOAT64:
+                out = np.asarray(out, dtype=float)
+            return out
         return np.stack([self.grad(row) for row in thetas])
 
     def hess(self, theta, h: float | None = None) -> np.ndarray:

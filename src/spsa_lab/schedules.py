@@ -56,9 +56,8 @@ class StepSizeSchedule:
 
 
 def _squared_norms(theta: np.ndarray) -> np.ndarray:
-    """Squared row norms; identical arithmetic for (d,) and (m, d) inputs."""
-    theta = np.asarray(theta, dtype=float)
-    return (theta * theta).sum(axis=-1)
+    """Squared row norms of a float array; identical arithmetic for (d,) and (m, d) inputs."""
+    return np.add.reduce(theta * theta, axis=-1)
 
 
 def _oblivious(theta, eps):
@@ -145,10 +144,10 @@ class CenterActiveGain(ExplorationGain):
         object.__setattr__(self, "center", np.atleast_1d(np.asarray(self.center, dtype=float)))
 
     def value(self, theta, n: int = 0):
-        theta = np.asarray(theta, dtype=float)
+        # the float center makes theta - center a float array for any input
         dist2 = _squared_norms(theta - self.center)
         out = self.eps_bullet * np.sqrt(1.0 + dist2 / self.sigma_p**2)
-        return float(out) if np.ndim(out) == 0 else out
+        return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

@@ -247,12 +247,21 @@ def test_cli_experiment_rejects_bad_worker_counts(tmp_path, capsys):
         ),
         ("experiment", experiment_cfg(**{"ensemble.theta0_box": [[-1.0, 1.0], [-1.0, 1.0]]}), "ensemble.theta0_box"),
         ("run", run_cfg(**{"gain.kind": "objective_active", "gain.obj_floor": 0.5}), "gain.obj_floor"),
+        (
+            "experiment",
+            experiment_cfg(**{"ensemble.statistic": "fbar", "meanflow.method": "monte_carlo"}),
+            "meanflow.method",
+        ),
     ],
-    ids=["nonsymmetric_Q", "run_box_dimension", "ensemble_box_dimension", "obj_floor_above_known_floor"],
+    ids=[
+        "nonsymmetric_Q", "run_box_dimension", "ensemble_box_dimension", "obj_floor_above_known_floor",
+        "experiment_fbar_monte_carlo",
+    ],
 )
 def test_cli_invalid_built_config_exits_2_naming_key(tmp_path, capsys, command, cfg, key):
-    # these pass the per-key checks and fail only when the objective, box or
-    # gain is built; they end in a ConfigError, not a traceback
+    # all but the last pass the per-key checks and fail only when the
+    # objective, box or gain is built; the last names a mean-field method
+    # no command can run.  Each ends in a ConfigError, not a traceback
     cfg_path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2

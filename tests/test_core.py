@@ -208,6 +208,53 @@ def test_batch_engine_freezes_only_diverged_lanes():
     assert abs(result.theta_final[1, 0]) < 1.0
 
 
+def test_guard_trip_rule_nan_inf_and_threshold():
+    # in a five-lane run the objective returns NaN on lane 0 and +inf on
+    # lane 1 at its 50th call, which makes iterate 50, so those iterates
+    # become NaN and infinite; it returns 0 on lane 2, which starts on the
+    # threshold and so never moves; lanes 3 and 4 see the plain quadratic,
+    # as in a run of those two lanes alone
+    from spsa_lab.core import WindowStatistic
+
+    threshold, trip_at = 1e3, 50
+    calls = {"n": 0}
+
+    def fn_batch(ts):
+        vals = ts[:, 0] ** 2
+        if ts.shape[0] == 5:
+            calls["n"] += 1
+            vals[2] = 0.0
+            if calls["n"] == trip_at:
+                vals[0], vals[1] = np.nan, np.inf
+        return vals
+
+    obj = Objective(dim=1, fn=lambda t: float(t[0] ** 2), fn_batch=fn_batch)
+    base = BaseNoise("rademacher", 1)
+
+    def go(seeds, theta0):
+        return run_batch(
+            obj,
+            StepSizeSchedule(0.01, 0.6),
+            ConstantGain(1.0),
+            [ProbeGenerator(base, "iid", seed=s) for s in seeds],
+            np.array(theta0)[:, None],
+            200,
+            guard=DivergenceGuard(threshold),
+            stride=1,
+            statistics=[WindowStatistic("mean_theta", 0, lambda th: th)],
+        )
+
+    full = go(range(5), [0.5, -0.5, threshold, 0.3, -0.2])
+    assert list(full.diverged_at) == [trip_at, trip_at, -1, -1, -1]
+    assert np.isnan(full.theta_final[0, 0]) and np.isinf(full.theta_final[1, 0])
+    assert np.all(full.thetas[2] == threshold)
+    alone = go([3, 4], [0.3, -0.2])
+    assert np.array_equal(full.theta_final[3:], alone.theta_final)
+    assert np.array_equal(full.statistics["mean_theta"][3:], alone.statistics["mean_theta"])
+    for name in ("thetas", "gain_trace"):
+        assert np.array_equal(getattr(full, name)[3:], getattr(alone, name)), name
+
+
 def _record_from_thetas(thetas):
     thetas = np.asarray(thetas, dtype=float)[:, None]
     n = thetas.shape[0] - 1

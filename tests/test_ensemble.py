@@ -323,6 +323,31 @@ def test_ensemble_matrix_cells_equal_single_cells(monkeypatch, statistic):
         assert np.isfinite(got.bias_values[~got.diverged]).all()
 
 
+def test_ensemble_matrix_grad_statistic_is_one_call_per_window_step():
+    # both modes' lanes share a block; the bound methods obj.grad_batch
+    # handed out per mode compare equal, so the block makes one call per
+    # iterate index in [n_burn, n_steps], over all its lanes
+    import dataclasses
+
+    trig = trig_quadratic_1d()
+    rows = []
+
+    def grad_batch_fn(ts):
+        rows.append(ts.shape[0])
+        return trig.grad_batch_fn(ts)
+
+    obj = dataclasses.replace(trig, grad_batch_fn=grad_batch_fn)
+    n_steps, n_burn, grid, m = 400, 150, [0.05, 0.1, 0.2], 4
+    cells = run_ensemble_matrix(
+        obj, StepSizeSchedule(0.1, 0.6), BaseNoise("uniform", 1), ("iid", "zigzag"), VS,
+        CenterActiveGain(1.0, np.array([0.0]), 1.0), grid, m, n_steps, n_burn, [-2, 2],
+        lambda mode, gain: obj.grad_batch, 11,
+    )
+    assert len(rows) == n_steps - n_burn + 1
+    assert set(rows) == {2 * len(grid) * m}
+    assert not any(cell.diverged.any() for cell in cells.values())
+
+
 def test_ensemble_matrix_validation():
     obj = quadratic_1d()
     args = (obj, StepSizeSchedule(0.1, 0.6), BaseNoise("rademacher", 1))
