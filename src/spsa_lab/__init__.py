@@ -10,7 +10,6 @@ from .core import (
     DivergenceGuard,
     OptimizerState,
     RunRecord,
-    polyak_ruppert,
     run,
     run_batch,
     step_1spsa,
@@ -21,11 +20,9 @@ from .ensemble import (
     batch_means_covariance,
     batch_means_cross_covariance,
     delta_decompose,
-    run_ensemble_cell,
     run_ensemble_matrix,
     scaled_covariance,
     scaling_fit,
-    target_bias,
 )
 from .exploration import BaseNoise, ProbeGenerator, derive_seed, regeneration_test
 from .meanflow import (
@@ -88,18 +85,15 @@ __all__ = [
     "grad_check",
     "gradient_flow_field",
     "integrate_flow",
-    "polyak_ruppert",
     "quadratic_1d",
     "quadratic_nd",
     "regeneration_test",
     "run",
     "run_batch",
-    "run_ensemble_cell",
     "run_ensemble_matrix",
     "scaled_covariance",
     "scaling_fit",
     "step_1spsa",
     "step_2spsa",
-    "target_bias",
     "trig_quadratic_1d",
 ]

@@ -13,6 +13,11 @@ Exit codes: 0 success, 2 invalid configuration, 3 divergence-guard trip,
 ``experiment`` runs the whole matrix as lane batches in one thread.  The
 ``--workers`` option is still parsed and must be at least 1 (else exit 2),
 but it is ignored; there is no worker environment variable or config key.
+
+``meanflow`` writes ``fbar_grid.csv`` with the header ``theta,fbar,stderr``.
+The ``stderr`` column is always 0: every method a config can select is
+deterministic.  The column stays because the header is the published
+output format, which the benchmark's output checks assert.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .config import (
     build_objective,
     build_schedule,
     build_theta0_box,
-    canonical_json,
     config_hash,
     get_varsigma,
     load_config,
@@ -132,8 +136,6 @@ def cmd_run(args) -> int:
         guard=guard,
         stride=cfg.get("run.stride", 1),
         algorithm=cfg.get("run.algorithm", "1spsa"),
-        seed=seed,
-        config_hash=config_hash(cfg),
     )
 
     out.mkdir(parents=True, exist_ok=True)
@@ -168,15 +170,10 @@ def cmd_experiment(args) -> int:
     if args.workers is not None and args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
 
-    method = _deterministic_method(cfg)
-
     def statistic(mode: str, lane_gain):
         if cfg["ensemble.statistic"] == "grad":
             return objective.grad_batch
-        evaluator = MeanFieldEvaluator(
-            objective=objective, gain=lane_gain, base=base, mode=mode, varsigma=varsigma, method=method
-        )
-        return evaluator.value_batch
+        return _mean_field(cfg, objective, lane_gain, base, mode).value_batch
 
     cells = run_ensemble_matrix(
         objective,
@@ -212,7 +209,7 @@ def cmd_experiment(args) -> int:
             seeds.setdefault(mode, {})[_fmt(eps)] = cell.seeds
             if cell.m_effective == cell.m_total:
                 eps_ok.append(eps)
-                var_ok.append(cell.scaled_var_trace)
+                var_ok.append(sv)
         if len(eps_ok) < 3:
             print(
                 f"error: divergence left fewer than 3 complete gain values for mode {mode}",
@@ -235,18 +232,27 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+def _mean_field(cfg: dict, objective, gain, base, mode: str) -> MeanFieldEvaluator:
+    """The config's deterministic mean field; the one place a command builds an evaluator."""
+    if objective.dim != 1:
+        raise ConfigError(
+            f"config key 'objective.kind' is {cfg['objective.kind']!r}, of dimension {objective.dim}; "
+            "the mean field needs a one-dimensional objective"
+        )
+    method = _deterministic_method(cfg)
+    try:
+        return MeanFieldEvaluator(
+            objective=objective, gain=gain, base=base, mode=mode, varsigma=get_varsigma(cfg), method=method
+        )
+    except ValueError as exc:
+        raise ConfigError(f"config key 'meanflow.method' is {method!r}, which does not fit the config: {exc}") from exc
+
+
 def _build_evaluator(cfg: dict, eps_bullet: float | None = None) -> MeanFieldEvaluator:
     objective = build_objective(cfg)
     gain = build_gain(cfg, objective, eps_bullet=eps_bullet)
     base = build_base_noise(cfg, objective.dim)
-    return MeanFieldEvaluator(
-        objective=objective,
-        gain=gain,
-        base=base,
-        mode=cfg.get("probe.mode", "iid"),
-        varsigma=get_varsigma(cfg),
-        method=cfg["meanflow.method"],
-    )
+    return _mean_field(cfg, objective, gain, base, cfg.get("probe.mode", "iid"))
 
 
 def _equilibrium_payload(cfg: dict, evaluator: MeanFieldEvaluator) -> dict:

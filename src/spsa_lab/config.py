@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +31,6 @@ __all__ = [
     "load_config",
     "validate_config",
     "config_hash",
-    "canonical_json",
     "build_objective",
     "build_theta0_box",
     "build_schedule",
@@ -201,12 +199,10 @@ def validate_config(cfg: dict, command: str) -> None:
             raise ConfigError("config key 'ensemble.eps_grid' needs at least 3 points for the scaling fit")
 
 
-def canonical_json(cfg: dict) -> str:
-    return json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-
-
 def config_hash(cfg: dict) -> str:
-    return hashlib.sha256(canonical_json(cfg).encode("utf-8")).hexdigest()
+    """SHA-256 of the canonical serialized config (sorted keys, no whitespace)."""
+    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def build_objective(cfg: dict) -> Objective:

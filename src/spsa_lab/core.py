@@ -30,7 +30,6 @@ __all__ = [
     "step_2spsa",
     "run",
     "run_batch",
-    "polyak_ruppert",
     "sample_theta0",
     "theta0_box",
 ]
@@ -157,8 +156,6 @@ class RunRecord:
     objective_trace: np.ndarray | None = None
     alpha_trace: np.ndarray | None = None
     gain_trace: np.ndarray | None = None
-    seed: int | None = None
-    config_hash: str | None = None
 
     @property
     def diverged(self) -> bool:
@@ -184,7 +181,7 @@ class BatchRunResult:
     def diverged(self) -> np.ndarray:
         return self.diverged_at >= 0
 
-    def extract_record(self, i: int, seed: int | None = None, config_hash: str | None = None) -> RunRecord:
+    def extract_record(self, i: int) -> RunRecord:
         """Single-run view of lane ``i``, truncated at its divergence index."""
         div = int(self.diverged_at[i])
         diverged_at = div if div >= 0 else None
@@ -213,8 +210,6 @@ class BatchRunResult:
             objective_trace=obj,
             alpha_trace=alpha,
             gain_trace=gains,
-            seed=seed,
-            config_hash=config_hash,
         )
 
 
@@ -396,8 +391,6 @@ def run(
     stride: int = 1,
     record_objective: bool = True,
     algorithm: str = "1spsa",
-    seed: int | None = None,
-    config_hash: str | None = None,
 ) -> RunRecord:
     """Run one trajectory and return its record.
 
@@ -417,20 +410,5 @@ def run(
         stride=max(stride, 1),
         record_objective=record_objective,
     )
-    return result.extract_record(0, seed=seed if seed is not None else probe.seed, config_hash=config_hash)
+    return result.extract_record(0)
 
-
-def polyak_ruppert(record: RunRecord, burn_in: int) -> np.ndarray:
-    """Average the iterates with index in (burn_in, n_steps].
-
-    Requires a non-diverged record with stride-1 trajectory storage over
-    the averaged window.
-    """
-    if record.diverged:
-        raise ValueError(f"cannot average a diverged record (guard fired at {record.diverged_at})")
-    if record.stride != 1:
-        raise ValueError(f"averaging needs stride-1 records, got stride {record.stride}")
-    if burn_in >= record.n_steps:
-        raise ValueError(f"burn_in {burn_in} must be below run length {record.n_steps}")
-    sel = record.record_indices > burn_in
-    return record.thetas[sel].mean(axis=0)

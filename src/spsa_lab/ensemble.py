@@ -1,10 +1,12 @@
 """Ensemble execution and long-run variance statistics.
 
-Covers the across-run statistics used to quantify algorithmic variance:
-window averages of a target quantity per run, their scaled covariance
-across independent runs, power-law fits of that covariance against the
-gain scale, the noise decomposition at an equilibrium, and batch-means
-estimation of asymptotic covariances.
+Runs the (probe mode, gain scale) ensemble matrix as lane batches of the
+engine, whose window statistics give each run's average of a target
+quantity without storing its trajectory.  Covers the across-run
+statistics used to quantify algorithmic variance: the scaled covariance
+of those averages across independent runs, power-law fits of that
+covariance against the gain scale, the noise decomposition at an
+equilibrium, and batch-means estimation of asymptotic covariances.
 """
 
 from __future__ import annotations
@@ -15,13 +17,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DivergenceGuard, RunRecord, WindowStatistic, run_batch, sample_theta0
+from .core import DivergenceGuard, WindowStatistic, run_batch, sample_theta0
 from .exploration import BaseNoise, ProbeGenerator, derive_seed
 from .objectives import Objective
 from .schedules import ExplorationGain, StepSizeSchedule
 
 __all__ = [
-    "target_bias",
     "scaled_covariance",
     "ScalingFit",
     "scaling_fit",
@@ -29,9 +30,7 @@ __all__ = [
     "delta_decompose",
     "batch_means_covariance",
     "batch_means_cross_covariance",
-    "lag_autocovariance",
     "EnsembleCell",
-    "run_ensemble_cell",
     "run_ensemble_matrix",
     "lane_stream",
 ]
@@ -42,25 +41,6 @@ __all__ = [
 # (LANE_BLOCK x ENGINE_CHUNK x d doubles) bound its memory.  Tripped lanes
 # stay in the block's arrays until every lane of the block has tripped.
 LANE_BLOCK = 4096
-
-
-def target_bias(record: RunRecord, g: Callable[[np.ndarray], np.ndarray], n0: int) -> np.ndarray:
-    """Window average of ``g`` along a recorded trajectory.
-
-    Averages g(theta_k) over recorded indices k in [n0, n_steps];
-    requires a stride-1, non-diverged record.
-    """
-    if record.diverged:
-        raise ValueError(f"diverged run excluded from target bias (guard fired at {record.diverged_at})")
-    if record.stride != 1:
-        raise ValueError(f"target bias needs stride-1 records, got stride {record.stride}")
-    if n0 >= record.n_steps:
-        raise ValueError(f"window start {n0} must be below run length {record.n_steps}")
-    sel = record.record_indices >= n0
-    vals = np.asarray(g(record.thetas[sel]), dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    return vals.mean(axis=0)
 
 
 def scaled_covariance(values: np.ndarray, window: int) -> float:
@@ -193,20 +173,6 @@ def batch_means_cross_covariance(x: np.ndarray, y: np.ndarray, batch_size: int) 
     cy = my - my.mean(axis=0)
     cov = cx.T @ cy / (mx.shape[0] - 1)
     return batch_size * cov
-
-
-def lag_autocovariance(samples: np.ndarray, lag: int) -> np.ndarray:
-    """Empirical lag autocovariance matrix, centered at the sample mean."""
-    x = np.asarray(samples, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    lag = abs(int(lag))
-    if lag >= x.shape[0]:
-        raise ValueError(f"lag {lag} exceeds sample length {x.shape[0]}")
-    c = x - x.mean(axis=0)
-    if lag == 0:
-        return c.T @ c / x.shape[0]
-    return c[:-lag].T @ c[lag:] / (x.shape[0] - lag)
 
 
 def lane_stream(seed: int, base: BaseNoise, mode: str, varsigma: float, theta0_box=None):
@@ -366,47 +332,3 @@ def run_ensemble_matrix(
         )
     return out
 
-
-def run_ensemble_cell(
-    objective: Objective,
-    schedule: StepSizeSchedule,
-    base: BaseNoise,
-    mode: str,
-    varsigma: float,
-    gain: ExplorationGain,
-    eps_bullet: float,
-    m_runs: int,
-    n_steps: int,
-    n_burn: int,
-    theta0_box,
-    statistic_fn: Callable[[np.ndarray], np.ndarray],
-    master_seed: int,
-    eps_index: int = 0,
-    guard: DivergenceGuard | None = None,
-    algorithm: str = "1spsa",
-) -> EnsembleCell:
-    """One cell of ``run_ensemble_matrix``: ``m_runs`` runs of ``gain`` at scale ``eps_bullet``.
-
-    The window average of ``statistic_fn`` over iterate indices in
-    [n_burn, n_steps] is collected per run; streams are keyed by (master
-    seed, mode, ``eps_index``, run index).
-    """
-    cells = run_ensemble_matrix(
-        objective,
-        schedule,
-        base,
-        [mode],
-        varsigma,
-        gain,
-        [eps_bullet],
-        m_runs,
-        n_steps,
-        n_burn,
-        theta0_box,
-        lambda mode, lane_gain: statistic_fn,
-        master_seed,
-        eps_indices=[eps_index],
-        guard=guard,
-        algorithm=algorithm,
-    )
-    return cells[(mode, eps_index)]

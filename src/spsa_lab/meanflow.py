@@ -2,12 +2,13 @@
 
 The update direction at a frozen iterate, averaged over the probe law,
 defines a vector field whose flow governs the recursion's long-run
-behavior.  This module evaluates that field with one node/weight rule
-against the probe law, whose nodes are the probe atoms (exact, finite
-probe support) or Gauss-Legendre nodes (uniform base noise), or by Monte
-Carlo; integrates the associated flow and the plain gradient flow with
-classical RK4; and locates the field's equilibrium together with its
-Jacobian spectrum.
+behavior.  This module evaluates that field on a batch of points with
+one node/weight rule against the probe law, whose nodes are the probe
+atoms (exact, finite probe support) or Gauss-Legendre nodes (uniform base
+noise); a single point is a 1-row batch, and a Monte Carlo estimate is
+kept as an independent reference.  It integrates the associated flow and
+the plain gradient flow with classical RK4, and locates the field's
+equilibrium together with its Jacobian spectrum.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exploration import BaseNoise, derive_seed, probe_covariance
+from .exploration import BaseNoise, derive_seed
 from .objectives import Objective, bisect_root, central_difference
 from .schedules import ExplorationGain
 
@@ -92,9 +93,6 @@ class MeanFieldEvaluator:
     def deterministic(self) -> bool:
         return self.method in ("two_point", "quadrature")
 
-    def probe_covariance(self) -> np.ndarray:
-        return probe_covariance(self.base, self.mode, self.varsigma)
-
     def _rule(self):
         """Nodes and weights integrating against the marginal probe law.
 
@@ -159,18 +157,6 @@ class MeanFieldEvaluator:
         vals = self.objective.value_batch(pts.reshape(-1, 1)).reshape(pts.shape)
         return (-(vals * self._weighted_nodes).sum(axis=1) / eps)[:, None]
 
-    def taylor_residual(self, theta) -> float:
-        """Distance between the mean field and its leading gradient term.
-
-        Returns the norm of the mean field plus the probe covariance
-        times the gradient; vanishes quadratically in the gain scale on
-        smooth objectives.
-        """
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        val, _ = self.evaluate(theta)
-        lead = self.probe_covariance() @ self.objective.grad(theta)
-        return float(np.linalg.norm(val + lead))
-
 
 @dataclass
 class FlowTrajectory:
@@ -178,7 +164,6 @@ class FlowTrajectory:
 
     times: np.ndarray
     states: np.ndarray
-    flow_kind: str
 
     @property
     def final(self) -> np.ndarray:
@@ -194,7 +179,7 @@ def gradient_flow_field(objective: Objective):
     return field
 
 
-def integrate_flow(field, theta0, t_end: float, dt: float, flow_kind: str = "mean_flow") -> FlowTrajectory:
+def integrate_flow(field, theta0, t_end: float, dt: float) -> FlowTrajectory:
     """Classical 4th-order Runge-Kutta with a fixed step.
 
     ``field`` is a callable theta -> dtheta/dt or a deterministic
@@ -223,7 +208,7 @@ def integrate_flow(field, theta0, t_end: float, dt: float, flow_kind: str = "mea
             break
         times.append((k + 1) * dt)
         states.append(theta)
-    return FlowTrajectory(np.asarray(times), np.stack(states), flow_kind)
+    return FlowTrajectory(np.asarray(times), np.stack(states))
 
 
 @dataclass

@@ -2,13 +2,15 @@
 
 Built-ins cover the two desk problems: a pure quadratic and a quadratic
 with trigonometric terms that break its symmetry, plus a general
-positive-definite quadratic form.  User objectives are supplied as
-evaluators via this module's `Objective`; there is no expression parser.
+positive-definite quadratic form.  An `Objective` is evaluated on batches
+of points only; each built-in states its value and gradient once, as a
+batch formula, and a single point is a 1-row batch.  User objectives are
+supplied the same way; there is no expression parser.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -37,19 +39,17 @@ def _fd_step(theta: np.ndarray, h: float | None) -> float:
 
 @dataclass
 class Objective:
-    """Scalar objective on R^d with optional closed-form derivatives.
+    """Scalar objective on R^d, evaluated on (m, d) batches of points.
 
-    ``fn``/``fn_batch`` evaluate the objective at a (d,) vector or an
-    (m, d) batch; batch evaluation falls back to a row loop when no
-    vectorized form is given.  ``grad``/``hess`` fall back to central
-    finite differences.  Metadata fields record the coercivity constant,
-    a known stationary point, and a known lower bound when available.
+    ``fn_batch`` maps an (m, d) batch to m values and ``grad_batch_fn`` to
+    m gradient rows; ``grad``/``hess`` fall back to central finite
+    differences when no closed form is given.  Metadata fields record the
+    coercivity constant, a known stationary point, and a known lower bound
+    when available.
     """
 
     dim: int
-    fn: Callable[[np.ndarray], float]
-    fn_batch: Callable[[np.ndarray], np.ndarray] | None = None
-    grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    fn_batch: Callable[[np.ndarray], np.ndarray]
     grad_batch_fn: Callable[[np.ndarray], np.ndarray] | None = None
     hess_fn: Callable[[np.ndarray], np.ndarray] | None = None
     coercivity_delta: float | None = None
@@ -67,13 +67,10 @@ class Objective:
     def value_batch(self, thetas: np.ndarray) -> np.ndarray:
         """Objective on an (m, d) batch; a value below the declared floor raises (NaN rows are skipped)."""
         thetas = np.asarray(thetas, dtype=float)
-        if self.fn_batch is not None:
-            vals = self.fn_batch(thetas)
-            # a float64 array, the usual result, needs no coercion
-            if vals.__class__ is not np.ndarray or vals.dtype is not _FLOAT64:
-                vals = np.asarray(vals, dtype=float)
-        else:
-            vals = np.array([self.fn(row) for row in thetas], dtype=float)
+        vals = self.fn_batch(thetas)
+        # a float64 array, the usual result, needs no coercion
+        if vals.__class__ is not np.ndarray or vals.dtype is not _FLOAT64:
+            vals = np.asarray(vals, dtype=float)
         if self.known_floor is not None:
             low = np.fmin.reduce(vals, initial=np.inf)
             if low < self.known_floor - 1e-12:
@@ -83,9 +80,10 @@ class Objective:
         return vals
 
     def grad(self, theta, h: float | None = None) -> np.ndarray:
+        """Gradient at one (d,) point: a 1-row ``grad_batch``, or central differences without a closed form."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if self.grad_fn is not None:
-            return np.atleast_1d(np.asarray(self.grad_fn(theta), dtype=float))
+        if self.grad_batch_fn is not None:
+            return self.grad_batch(theta[None, :])[0]
         return central_difference(self.value_batch, theta, _fd_step(theta, h))
 
     def grad_batch(self, thetas: np.ndarray) -> np.ndarray:
@@ -161,9 +159,7 @@ def quadratic_1d() -> Objective:
     """1-d quadratic, value theta^2, minimum 0 at the origin."""
     return Objective(
         dim=1,
-        fn=lambda t: float(t[0] ** 2),
         fn_batch=lambda ts: ts[:, 0] ** 2,
-        grad_fn=lambda t: np.array([2.0 * t[0]]),
         grad_batch_fn=lambda ts: 2.0 * ts[:, :1],
         hess_fn=lambda t: np.array([[2.0]]),
         coercivity_delta=1.0,
@@ -182,15 +178,9 @@ def trig_quadratic_1d() -> Objective:
     optimum.
     """
 
-    def f(t):
-        return float(t[0] ** 2 - np.cos(t[0]) - np.sin(5.0 * t[0]) / 5.0 + 4.0)
-
     def fb(ts):
         x = ts[:, 0]
         return x**2 - np.cos(x) - np.sin(5.0 * x) / 5.0 + 4.0
-
-    def g(t):
-        return np.array([2.0 * t[0] + np.sin(t[0]) - np.cos(5.0 * t[0])])
 
     def gb(ts):
         x = ts[:, 0]
@@ -199,12 +189,10 @@ def trig_quadratic_1d() -> Objective:
     def h(t):
         return np.array([[2.0 + np.cos(t[0]) + 5.0 * np.sin(5.0 * t[0])]])
 
-    stationary = bisect_root(lambda x: g(np.array([x]))[0], 0.0, 0.5)
+    stationary = bisect_root(lambda x: gb(np.array([[x]]))[0, 0], 0.0, 0.5)
     return Objective(
         dim=1,
-        fn=f,
         fn_batch=fb,
-        grad_fn=g,
         grad_batch_fn=gb,
         hess_fn=h,
         coercivity_delta=0.5,
@@ -227,9 +215,7 @@ def quadratic_nd(q: np.ndarray) -> Objective:
     d = q.shape[0]
     return Objective(
         dim=d,
-        fn=lambda t: float(0.5 * t @ q @ t),
         fn_batch=lambda ts: 0.5 * np.einsum("mi,ij,mj->m", ts, q, ts),
-        grad_fn=lambda t: q @ t,
         grad_batch_fn=lambda ts: ts @ q.T,
         hess_fn=lambda t: q.copy(),
         coercivity_delta=float(eigs.min()),

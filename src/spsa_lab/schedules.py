@@ -87,9 +87,6 @@ class ExplorationGain:
     def value(self, theta, n: int = 0):
         raise NotImplementedError
 
-    def __call__(self, theta, n: int = 0):
-        return self.value(theta, n)
-
     def scaled(self, eps_bullet) -> "ExplorationGain":
         """The same gain at scale ``eps_bullet`` (a scalar or one scale per row)."""
         return dataclasses.replace(self, eps_bullet=eps_bullet)

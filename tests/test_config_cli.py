@@ -12,6 +12,7 @@ from spsa_lab.cli import main
 from spsa_lab.config import ConfigError, config_hash, load_config, validate_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+MEANFLOW_TRIG = json.loads((CONFIGS / "meanflow_trig.json").read_text())
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -252,16 +253,29 @@ def test_cli_experiment_rejects_bad_worker_counts(tmp_path, capsys):
             experiment_cfg(**{"ensemble.statistic": "fbar", "meanflow.method": "monte_carlo"}),
             "meanflow.method",
         ),
+        ("meanflow", dict(MEANFLOW_TRIG, **{"probe.base": "uniform"}), "meanflow.method"),
+        ("meanflow", dict(MEANFLOW_TRIG, **{"meanflow.method": "quadrature"}), "meanflow.method"),
+        (
+            "meanflow",
+            dict(MEANFLOW_TRIG, **{"objective.kind": "quadratic_nd", "objective.Q": [[1.0, 0.0], [0.0, 2.0]],
+                                   "gain.theta_ctr": [0.0, 0.0], "meanflow.theta_init": [0.2, 0.2],
+                                   "meanflow.flow_theta0": [1.0, 1.0]}),
+            "objective.kind",
+        ),
+        ("experiment", experiment_cfg(**{"ensemble.statistic": "fbar", "meanflow.method": "two_point"}),
+         "meanflow.method"),
     ],
     ids=[
         "nonsymmetric_Q", "run_box_dimension", "ensemble_box_dimension", "obj_floor_above_known_floor",
-        "experiment_fbar_monte_carlo",
+        "experiment_fbar_monte_carlo", "meanflow_two_point_uniform", "meanflow_quadrature_rademacher",
+        "meanflow_two_dimensional", "experiment_fbar_two_point_uniform",
     ],
 )
 def test_cli_invalid_built_config_exits_2_naming_key(tmp_path, capsys, command, cfg, key):
-    # all but the last pass the per-key checks and fail only when the
-    # objective, box or gain is built; the last names a mean-field method
-    # no command can run.  Each ends in a ConfigError, not a traceback
+    # each passes the per-key checks except experiment_fbar_monte_carlo,
+    # which names a mean-field method no command can run; the others fail
+    # only when the objective, box, gain or mean-field evaluator is built.
+    # Each ends in a ConfigError, not a traceback
     cfg_path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2

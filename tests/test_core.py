@@ -8,9 +8,7 @@ from spsa_lab import (
     DivergenceGuard,
     OptimizerState,
     ProbeGenerator,
-    RunRecord,
     StepSizeSchedule,
-    polyak_ruppert,
     quadratic_1d,
     run,
     run_batch,
@@ -43,11 +41,11 @@ def make_state(theta, probes):
 def counting_quadratic():
     calls = {"n": 0}
 
-    def fn(t):
+    def fn_batch(ts):
         calls["n"] += 1
-        return float(t[0] ** 2)
+        return ts[:, 0] ** 2
 
-    return Objective(dim=1, fn=fn), calls
+    return Objective(dim=1, fn_batch=fn_batch), calls
 
 
 def test_step_1spsa_substitution_example():
@@ -117,7 +115,7 @@ def test_batch_engine_evaluation_count():
         batch_calls["n"] += 1
         return ts[:, 0] ** 2
 
-    obj = Objective(dim=1, fn=lambda t: float(t[0] ** 2), fn_batch=fn_batch)
+    obj = Objective(dim=1, fn_batch=fn_batch)
     base = BaseNoise("rademacher", 1)
     probes = [ProbeGenerator(base, "iid", seed=i) for i in range(3)]
     run_batch(obj, StepSizeSchedule(0.1, 0.6), ConstantGain(0.1), probes, np.zeros((3, 1)), 50)
@@ -228,7 +226,7 @@ def test_guard_trip_rule_nan_inf_and_threshold():
                 vals[0], vals[1] = np.nan, np.inf
         return vals
 
-    obj = Objective(dim=1, fn=lambda t: float(t[0] ** 2), fn_batch=fn_batch)
+    obj = Objective(dim=1, fn_batch=fn_batch)
     base = BaseNoise("rademacher", 1)
 
     def go(seeds, theta0):
@@ -253,42 +251,6 @@ def test_guard_trip_rule_nan_inf_and_threshold():
     assert np.array_equal(full.statistics["mean_theta"][3:], alone.statistics["mean_theta"])
     for name in ("thetas", "gain_trace"):
         assert np.array_equal(getattr(full, name)[3:], getattr(alone, name)), name
-
-
-def _record_from_thetas(thetas):
-    thetas = np.asarray(thetas, dtype=float)[:, None]
-    n = thetas.shape[0] - 1
-    return RunRecord(
-        thetas=thetas,
-        record_indices=np.arange(n + 1),
-        stride=1,
-        n_steps=n,
-        theta_final=thetas[-1],
-    )
-
-
-def test_polyak_ruppert_constant_trajectory():
-    record = _record_from_thetas([3.0] * 11)
-    assert polyak_ruppert(record, 4)[0] == 3.0
-
-
-def test_polyak_ruppert_alternating_trajectory():
-    record = _record_from_thetas([0.0] + [2.0, -2.0] * 5)
-    assert polyak_ruppert(record, 0)[0] == 0.0
-
-
-def test_polyak_ruppert_rejects_bad_inputs():
-    record = _record_from_thetas([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        polyak_ruppert(record, 5)
-    diverged = _record_from_thetas([1.0, 2.0, 3.0])
-    diverged.diverged_at = 2
-    with pytest.raises(ValueError):
-        polyak_ruppert(diverged, 0)
-    strided = _record_from_thetas([1.0, 2.0, 3.0])
-    strided.stride = 10
-    with pytest.raises(ValueError):
-        polyak_ruppert(strided, 0)
 
 
 def test_noisy_euler_residual_mean_vanishes():

@@ -8,60 +8,19 @@ from spsa_lab import (
     DivergenceGuard,
     MeanFieldEvaluator,
     ProbeGenerator,
-    RunRecord,
     StepSizeSchedule,
     batch_means_covariance,
     batch_means_cross_covariance,
     delta_decompose,
     quadratic_1d,
-    run_ensemble_cell,
     run_ensemble_matrix,
     scaled_covariance,
     scaling_fit,
-    target_bias,
     trig_quadratic_1d,
 )
 from spsa_lab import ensemble
-from spsa_lab.ensemble import lag_autocovariance
 
 VS = 1.0 / np.sqrt(2.0)
-
-
-def _record(thetas):
-    thetas = np.asarray(thetas, dtype=float)[:, None]
-    return RunRecord(
-        thetas=thetas,
-        record_indices=np.arange(thetas.shape[0]),
-        stride=1,
-        n_steps=thetas.shape[0] - 1,
-        theta_final=thetas[-1],
-    )
-
-
-def test_target_bias_constant_trajectory_at_root():
-    record = _record([0.5] * 9)
-    g = lambda ths: 0.5 - ths[:, 0]  # vanishes on the trajectory
-    assert target_bias(record, g, 2)[0] == 0.0
-
-
-def test_target_bias_mean_of_gradient():
-    record = _record([1.0, 2.0, 3.0])
-    value = target_bias(record, lambda ths: 2.0 * ths[:, :1], 0)
-    assert value[0] == pytest.approx(4.0)
-
-
-def test_target_bias_rejects_bad_records():
-    record = _record([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        target_bias(record, lambda t: t, 5)
-    diverged = _record([1.0, 2.0, 3.0])
-    diverged.diverged_at = 1
-    with pytest.raises(ValueError):
-        target_bias(diverged, lambda t: t, 0)
-    strided = _record([1.0, 2.0, 3.0])
-    strided.stride = 7
-    with pytest.raises(ValueError):
-        target_bias(strided, lambda t: t, 0)
 
 
 def test_scaled_covariance_identical_values():
@@ -188,11 +147,15 @@ def test_omega_lag_structure_under_zigzag():
     gen = ProbeGenerator(BaseNoise("uniform", 1), "zigzag", varsigma=VS, seed=31)
     xi = gen.take(400_000)
     dec = delta_decompose(theta, xi, obj, 0.15, gen.probe_covariance())
-    omega = dec.omega[:, 0]
-    lag0 = lag_autocovariance(omega, 0)[0, 0]
+    c = dec.omega[:, 0] - dec.omega[:, 0].mean()
+
+    def lag_cov(lag):
+        return float(c[: c.size - lag] @ c[lag:]) / (c.size - lag)
+
+    lag0 = lag_cov(0)
     for lag in (2, 3, 5):
-        assert abs(lag_autocovariance(omega, lag)[0, 0]) < 0.02 * lag0
-    assert abs(lag_autocovariance(omega, 1)[0, 0]) > 0.05 * lag0
+        assert abs(lag_cov(lag)) < 0.02 * lag0
+    assert abs(lag_cov(1)) > 0.05 * lag0
 
 
 def test_omega_asymptotic_covariance_bound():
@@ -208,67 +171,45 @@ def test_omega_asymptotic_covariance_bound():
     assert bm <= 3.0 * instantaneous * 1.2  # 20% statistical headroom
 
 
-def test_lag_autocovariance_validation():
-    with pytest.raises(ValueError):
-        lag_autocovariance(np.ones(10), 10)
-
-
-def test_run_ensemble_cell_accounting_and_determinism():
+def test_one_cell_matrix_accounting_and_determinism():
     obj = quadratic_1d()
-    sched = StepSizeSchedule(0.1, 0.6)
-    base = BaseNoise("rademacher", 1)
-    gain = CenterActiveGain(0.1, np.array([0.0]), 1.0)
-    cell_a = run_ensemble_cell(
-        obj, sched, base, "iid", VS, gain, 0.1, 8, 3000, 1000, [-5, 5], obj.grad_batch, 99, eps_index=0
-    )
-    cell_b = run_ensemble_cell(
-        obj, sched, base, "iid", VS, gain, 0.1, 8, 3000, 1000, [-5, 5], obj.grad_batch, 99, eps_index=0
-    )
+    args = (obj, StepSizeSchedule(0.1, 0.6), BaseNoise("rademacher", 1), ["iid"], VS,
+            CenterActiveGain(0.1, np.array([0.0]), 1.0), [0.1], 8, 3000, 1000, [-5, 5],
+            lambda mode, gain: obj.grad_batch, 99)
+    cell_a = run_ensemble_matrix(*args, eps_indices=[0])[("iid", 0)]
+    cell_b = run_ensemble_matrix(*args, eps_indices=[0])[("iid", 0)]
     assert cell_a.m_effective == 8
     assert np.array_equal(cell_a.bias_values, cell_b.bias_values)
     assert cell_a.seeds == cell_b.seeds
     assert cell_a.window == 2000
     # different gain index reseeds every run
-    cell_c = run_ensemble_cell(
-        obj, sched, base, "iid", VS, gain, 0.1, 8, 3000, 1000, [-5, 5], obj.grad_batch, 99, eps_index=1
-    )
+    cell_c = run_ensemble_matrix(*args, eps_indices=[1])[("iid", 1)]
     assert not np.array_equal(cell_a.bias_values, cell_c.bias_values)
 
 
-def test_run_ensemble_cell_flags_divergence():
+def test_one_cell_matrix_flags_divergence():
     # unstabilized constant gain from far-out initial points trips the guard
     obj = quadratic_1d()
-    sched = StepSizeSchedule(1.0, 0.6)
-    base = BaseNoise("rademacher", 1)
-    cell = run_ensemble_cell(
-        obj, sched, base, "iid", VS, ConstantGain(0.1), 0.1, 6, 2000, 500, [5, 10], obj.grad_batch, 4, eps_index=0
-    )
+    cell = run_ensemble_matrix(
+        obj, StepSizeSchedule(1.0, 0.6), BaseNoise("rademacher", 1), ["iid"], VS, ConstantGain(0.1), [0.1],
+        6, 2000, 500, [5, 10], lambda mode, gain: obj.grad_batch, 4,
+    )[("iid", 0)]
     assert cell.m_effective < cell.m_total
     assert cell.diverged.any()
     finite_rows = cell.bias_values[~cell.diverged]
     assert np.all(np.isfinite(finite_rows))
 
 
-def test_run_ensemble_cell_validation():
-    obj = quadratic_1d()
-    sched = StepSizeSchedule(0.1, 0.6)
-    base = BaseNoise("rademacher", 1)
-    gain = ConstantGain(0.1)
-    with pytest.raises(ValueError):
-        run_ensemble_cell(obj, sched, base, "iid", VS, gain, 0.1, 1, 100, 50, [-1, 1], obj.grad_batch, 0)
-    with pytest.raises(ValueError):
-        run_ensemble_cell(obj, sched, base, "iid", VS, gain, 0.1, 4, 100, 100, [-1, 1], obj.grad_batch, 0)
-
-
-def test_target_bias_matches_engine_window_statistic():
-    # the on-the-fly window average equals the record-based computation
+def test_window_statistic_matches_record_mean_of_grad():
+    # the on-the-fly window average equals the mean of grad_batch over
+    # the window of a stride-1 record of the same run
     obj = quadratic_1d()
     sched = StepSizeSchedule(0.1, 0.6)
     base = BaseNoise("rademacher", 1)
     gain = CenterActiveGain(0.1, np.array([0.0]), 1.0)
-    cell = run_ensemble_cell(
-        obj, sched, base, "iid", VS, gain, 0.1, 3, 400, 100, [-2, 2], obj.grad_batch, 123, eps_index=0
-    )
+    cell = run_ensemble_matrix(
+        obj, sched, base, ["iid"], VS, gain, [0.1], 3, 400, 100, [-2, 2], lambda mode, g: obj.grad_batch, 123
+    )[("iid", 0)]
     from spsa_lab import run
     from spsa_lab.exploration import derive_seed
     from spsa_lab.core import sample_theta0
@@ -279,7 +220,8 @@ def test_target_bias_matches_engine_window_statistic():
         theta0 = sample_theta0([-2, 2], rng, 1)
         probe = ProbeGenerator(base, "iid", varsigma=VS, seed=seed, rng=rng)
         record = run(obj, sched, gain, probe, theta0, 400, stride=1)
-        expected = target_bias(record, obj.grad_batch, 100)
+        assert not record.diverged and record.stride == 1
+        expected = obj.grad_batch(record.thetas[record.record_indices >= 100]).mean(axis=0)
         assert np.allclose(cell.bias_values[i], expected, atol=1e-12)
 
 
@@ -311,10 +253,11 @@ def test_ensemble_matrix_cells_equal_single_cells(monkeypatch, statistic):
     assert not cells[("iid", 2)].diverged[-1] and not cells[("zigzag", 0)].diverged[1]
     monkeypatch.undo()  # each single cell runs as one block
     for (mode, k), got in cells.items():
-        want = run_ensemble_cell(
-            obj, sched, base, mode, VS, gain_at(grid[k]), grid[k], 6, 600, 200, [-10, 10],
-            stat_for(mode, gain_at(grid[k])), 3, eps_index=k, guard=guard,
-        )
+        stat = stat_for(mode, gain_at(grid[k]))
+        want = run_ensemble_matrix(
+            obj, sched, base, [mode], VS, gain_at(grid[k]), [grid[k]], 6, 600, 200, [-10, 10],
+            lambda mode, gain: stat, 3, eps_indices=[k], guard=guard,
+        )[(mode, k)]
         assert got.eps_bullet == want.eps_bullet and got.m_total == want.m_total and got.window == want.window
         assert np.array_equal(got.bias_values, want.bias_values, equal_nan=True)
         assert np.array_equal(got.diverged, want.diverged)
@@ -357,3 +300,13 @@ def test_ensemble_matrix_validation():
     with pytest.raises(ValueError):
         run_ensemble_matrix(*args, [], VS, ConstantGain(0.1), [0.1], 4, 100, 50, [-1, 1],
                             lambda mode, gain: obj.grad_batch, 0)
+
+
+def test_run_ensemble_cell_validation():
+    # one-cell matrix calls: a single run, and burn-in at the horizon
+    obj = quadratic_1d()
+    args = (obj, StepSizeSchedule(0.1, 0.6), BaseNoise("rademacher", 1), ["iid"], VS, ConstantGain(0.1), [0.1])
+    with pytest.raises(ValueError, match="at least 2 runs"):
+        run_ensemble_matrix(*args, 1, 100, 50, [-1, 1], lambda mode, gain: obj.grad_batch, 0, eps_indices=[0])
+    with pytest.raises(ValueError, match="burn-in"):
+        run_ensemble_matrix(*args, 4, 100, 100, [-1, 1], lambda mode, gain: obj.grad_batch, 0, eps_indices=[0])

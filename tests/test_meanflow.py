@@ -14,6 +14,7 @@ from spsa_lab import (
     quadratic_1d,
     trig_quadratic_1d,
 )
+from spsa_lab.exploration import probe_covariance
 from spsa_lab.objectives import Objective
 
 RAD = BaseNoise("rademacher", 1)
@@ -23,6 +24,13 @@ VS = 1.0 / np.sqrt(2.0)
 
 def active_gain(eps):
     return CenterActiveGain(eps, np.array([0.0]), 1.0)
+
+
+def taylor_gap(ev, theta):
+    # distance between the mean field and its leading term -Sigma_xi grad f
+    theta = np.array([theta])
+    lead = probe_covariance(ev.base, ev.mode, ev.varsigma) @ ev.objective.grad(theta)
+    return float(np.linalg.norm(ev.value(theta) + lead))
 
 
 def test_two_point_on_quadratic_is_exact_gradient():
@@ -116,31 +124,31 @@ def test_value_batch_rejects_monte_carlo():
         ev.value_batch(np.zeros((3, 1)))
 
 
-def test_taylor_residual_zero_on_quadratic():
+def test_taylor_law_exact_on_quadratic():
     ev = MeanFieldEvaluator(objective=quadratic_1d(), gain=active_gain(0.3), base=RAD)
     for theta in (-3.0, 0.5, 2.0):
-        assert ev.taylor_residual(np.array([theta])) < 1e-12
+        assert taylor_gap(ev, theta) < 1e-12
 
 
-def test_taylor_residual_quadratic_decay_in_gain_scale():
+def test_taylor_law_gap_decays_quadratically_in_gain_scale():
     # the residual of the leading-gradient approximation shrinks like the
     # squared gain scale on the trigonometric objective
     eps_grid = np.array([0.05, 0.1, 0.2])
     residuals = []
     for eps in eps_grid:
         ev = MeanFieldEvaluator(objective=trig_quadratic_1d(), gain=active_gain(eps), base=RAD)
-        residuals.append(ev.taylor_residual(np.array([0.5])))
+        residuals.append(taylor_gap(ev, 0.5))
     slope = np.polyfit(np.log(eps_grid), np.log(residuals), 1)[0]
     assert 1.7 <= slope <= 2.3
 
 
-def test_taylor_residual_vanishes_at_tiny_gain():
+def test_taylor_law_gap_vanishes_at_tiny_gain():
     ev = MeanFieldEvaluator(objective=trig_quadratic_1d(), gain=active_gain(1e-4), base=RAD)
-    assert ev.taylor_residual(np.array([0.5])) < 1e-6
+    assert taylor_gap(ev, 0.5) < 1e-6
 
 
 def test_rk4_gradient_flow_against_exponential():
-    flow = integrate_flow(gradient_flow_field(quadratic_1d()), [1.0], 1.0, 1e-3, flow_kind="gradient_flow")
+    flow = integrate_flow(gradient_flow_field(quadratic_1d()), [1.0], 1.0, 1e-3)
     assert flow.times[-1] == pytest.approx(1.0)
     assert abs(flow.final[0] - np.exp(-2.0)) < 1e-6
 
@@ -226,7 +234,7 @@ def test_mean_flow_converges_exponentially_to_equilibrium():
 
 def test_find_equilibrium_failure_is_explicit():
     # a field with no root: constant slope objective
-    linear = Objective(dim=1, fn=lambda t: float(t[0]), fn_batch=lambda ts: ts[:, 0])
+    linear = Objective(dim=1, fn_batch=lambda ts: ts[:, 0])
     ev = MeanFieldEvaluator(objective=linear, gain=active_gain(0.1), base=RAD)
     with pytest.raises(SolverError) as info:
         find_equilibrium(ev, np.array([0.0]), tol=1e-10)

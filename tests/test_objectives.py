@@ -86,16 +86,10 @@ def test_grad_check_validates_step():
 
 def test_finite_difference_fallbacks():
     # no closed forms supplied: gradient and hessian come from central differences
-    obj = Objective(dim=2, fn=lambda t: float(t[0] ** 2 + 3.0 * t[0] * t[1] + 2.0 * t[1] ** 2))
+    obj = Objective(dim=2, fn_batch=lambda ts: ts[:, 0] ** 2 + 3.0 * ts[:, 0] * ts[:, 1] + 2.0 * ts[:, 1] ** 2)
     theta = np.array([0.7, -0.4])
     assert np.allclose(obj.grad(theta), [2 * 0.7 + 3 * (-0.4), 3 * 0.7 + 4 * (-0.4)], atol=1e-6)
     assert np.allclose(obj.hess(theta), [[2.0, 3.0], [3.0, 4.0]], atol=1e-4)
-
-
-def test_batch_fallback_loops_rows():
-    obj = Objective(dim=1, fn=lambda t: float(t[0] ** 3))
-    vals = obj.value_batch(np.array([[1.0], [2.0], [3.0]]))
-    assert np.allclose(vals, [1.0, 8.0, 27.0])
 
 
 def test_coercivity_spot_checks():
@@ -111,20 +105,17 @@ def test_coercivity_spot_checks():
 
 
 def test_value_checks_declared_floor():
-    bad = Objective(dim=1, fn=lambda t: float(t[0]), known_floor=10.0)
+    bad = Objective(dim=1, fn_batch=lambda ts: ts[:, 0], known_floor=10.0)
     with pytest.raises(ValueError):
         bad.value(np.array([0.0]))
 
 
 def test_value_batch_checks_declared_floor():
-    # one floor rule on both paths; rows that are NaN are skipped
-    bad = Objective(dim=1, fn=lambda t: float(t[0]), fn_batch=lambda ts: ts[:, 0], known_floor=10.0)
+    # rows that are NaN are skipped
+    bad = Objective(dim=1, fn_batch=lambda ts: ts[:, 0], known_floor=10.0)
     with pytest.raises(ValueError, match="floor"):
         bad.value_batch(np.array([[12.0], [np.nan], [9.0]]))
     assert np.array_equal(bad.value_batch(np.array([[12.0], [np.nan]])), [12.0, np.nan], equal_nan=True)
-    looped = Objective(dim=1, fn=lambda t: float(t[0]), known_floor=10.0)
-    with pytest.raises(ValueError, match="floor"):
-        looped.value_batch(np.array([[11.0], [0.0]]))
 
 
 def test_value_shape_mismatch_rejected():
@@ -146,3 +137,19 @@ def test_bisect_root_requires_sign_change():
     assert bisect_root(lambda x: x - 0.25, 0.0, 1.0) == pytest.approx(0.25, abs=1e-12)
     with pytest.raises(ValueError):
         bisect_root(lambda x: x + 2.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [quadratic_1d(), trig_quadratic_1d(), quadratic_nd(np.diag([1.0, 2.0, 3.0, 4.0]) + 0.25)],
+    ids=["quadratic1d", "trig_quadratic1d", "quadratic_nd_4d"],
+)
+def test_builtin_has_one_formula_per_quantity(obj):
+    # the single-point value and gradient are 1-row batch calls, so they
+    # agree with the batch formulas bit for bit
+    rng = np.random.default_rng(17)
+    for theta in rng.uniform(-3.0, 3.0, (25, obj.dim)):
+        assert obj.value(theta) == obj.value_batch(theta[None, :])[0]
+        assert np.array_equal(obj.grad(theta), obj.grad_batch(theta[None, :])[0])
+    if obj.name == "trig_quadratic1d":
+        assert abs(obj.grad_batch(obj.known_optimum[None, :])[0, 0]) <= 1e-12

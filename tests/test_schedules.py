@@ -113,7 +113,7 @@ def test_gain_batch_shapes():
 
 def test_objective_active_gain_floor_violation_identifies_theta():
     # declare a floor above the actual objective values
-    obj = Objective(dim=1, fn=lambda t: float(t[0] ** 2), fn_batch=lambda ts: ts[:, 0] ** 2)
+    obj = Objective(dim=1, fn_batch=lambda ts: ts[:, 0] ** 2)
     g = ObjectiveActiveGain(0.1, obj, 1.0)
     with pytest.raises(GainFloorError, match="theta"):
         g.value(np.array([0.5]))
