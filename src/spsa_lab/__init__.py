@@ -6,15 +6,7 @@ difference-correlated (zigzag) probe streams, mean-field and flow
 analysis, and a reproducible ensemble experiment harness with a CLI.
 """
 
-from .core import (
-    DivergenceGuard,
-    OptimizerState,
-    RunRecord,
-    run,
-    run_batch,
-    step_1spsa,
-    step_2spsa,
-)
+from .core import DivergenceGuard, run_batch
 from .ensemble import (
     DeltaDecomposition,
     batch_means_covariance,
@@ -70,9 +62,7 @@ __all__ = [
     "MeanFieldEvaluator",
     "Objective",
     "ObjectiveActiveGain",
-    "OptimizerState",
     "ProbeGenerator",
-    "RunRecord",
     "SolverError",
     "StepSizeSchedule",
     "batch_means_covariance",
@@ -88,12 +78,9 @@ __all__ = [
     "quadratic_1d",
     "quadratic_nd",
     "regeneration_test",
-    "run",
     "run_batch",
     "run_ensemble_matrix",
     "scaled_covariance",
     "scaling_fit",
-    "step_1spsa",
-    "step_2spsa",
     "trig_quadratic_1d",
 ]

@@ -43,7 +43,7 @@ from .config import (
     load_config,
     validate_config,
 )
-from .core import DivergenceGuard, run
+from .core import DivergenceGuard, run_batch
 from .ensemble import lane_stream, run_ensemble_matrix, scaling_fit
 from .exploration import ProbeGenerator, derive_seed, regeneration_test
 from .meanflow import MeanFieldEvaluator, SolverError, bias_sweep, find_equilibrium, integrate_flow
@@ -126,35 +126,37 @@ def cmd_run(args) -> int:
         box = build_theta0_box(cfg, "run.theta0_box", objective.dim)
         theta0, probe = lane_stream(seed, base, mode, varsigma, box)
 
-    record = run(
+    # a one-lane batch; the engine stops at a guard trip, so the record ends there
+    result = run_batch(
         objective,
         schedule,
         gain,
-        probe,
+        [probe],
         theta0,
         cfg["run.N"],
+        algorithm=cfg.get("run.algorithm", "1spsa"),
         guard=guard,
         stride=cfg.get("run.stride", 1),
-        algorithm=cfg.get("run.algorithm", "1spsa"),
+        record_objective=True,
     )
+    diverged_at = int(result.diverged_at[0])
 
     out.mkdir(parents=True, exist_ok=True)
     header = ["n"] + [f"theta_{i}" for i in range(objective.dim)] + ["alpha", "eps", "objective"]
     rows = []
-    for k, idx in enumerate(record.record_indices):
-        rows.append(
-            [int(idx), *record.thetas[k], record.alpha_trace[k], record.gain_trace[k], record.objective_trace[k]]
-        )
+    for k, idx in enumerate(result.record_indices):
+        theta, eps, value = result.thetas[0, k], result.gain_trace[0, k], result.objective_trace[0, k]
+        rows.append([int(idx), *theta, result.alpha_trace[k], eps, value])
     _write_csv(out / "trajectory.csv", header, rows)
     summary = {
-        "n_steps": record.n_steps,
-        "diverged_at": record.diverged_at,
-        "theta_final": [float(x) for x in record.theta_final],
+        "n_steps": result.n_steps,
+        "diverged_at": diverged_at if diverged_at >= 0 else None,
+        "theta_final": [float(x) for x in result.theta_final[0]],
         "seed": seed,
     }
     _write_json(out / "run_summary.json", summary)
     _write_manifest(out, "run", cfg, ["trajectory.csv", "run_summary.json"], {"run": seed})
-    return EXIT_DIVERGED if record.diverged else EXIT_OK
+    return EXIT_DIVERGED if diverged_at >= 0 else EXIT_OK
 
 
 def cmd_experiment(args) -> int:

@@ -1,12 +1,13 @@
 """Single-sample and two-sample SPSA recursions and the trajectory engine.
 
-The update rule lives in one function, the engine's increment of a batch
-of iterates; the per-state step functions are 1-row calls of it.  The
-batch engine advances many independent trajectories in lock step
-(vectorized across runs), with per-run probe streams, an optional
-divergence guard that freezes runs whose iterates escape, strided
-trajectory recording, and on-the-fly window statistics so long ensembles
-never store full trajectories.
+``run_batch`` is the one way to run the recursion; a single trajectory is
+a one-lane batch.  The update rule lives in one function, the engine's
+increment of a batch of iterates.  The engine advances many independent
+trajectories in lock step (vectorized across runs), with per-run probe
+streams, a divergence guard that freezes runs whose iterates escape and
+ends the run once every lane has tripped, strided trajectory recording,
+and on-the-fly window statistics so long ensembles never store full
+trajectories.
 """
 
 from __future__ import annotations
@@ -22,13 +23,8 @@ from .schedules import ExplorationGain, StepSizeSchedule
 
 __all__ = [
     "DivergenceGuard",
-    "OptimizerState",
-    "RunRecord",
     "BatchRunResult",
     "WindowStatistic",
-    "step_1spsa",
-    "step_2spsa",
-    "run",
     "run_batch",
     "sample_theta0",
     "theta0_box",
@@ -56,20 +52,6 @@ class DivergenceGuard:
             raise ValueError(f"guard threshold must be >= 1e3, got {self.threshold}")
 
 
-@dataclass
-class OptimizerState:
-    """Mutable state of one trajectory driven by the per-step API."""
-
-    theta: np.ndarray
-    probe: ProbeGenerator
-    n: int = 0
-    last_probe: np.ndarray | None = None
-    last_gain: float | None = None
-
-    def __post_init__(self):
-        self.theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
-
-
 def _increment(objective: Objective, algorithm: str, theta, xi, eps, alpha) -> np.ndarray:
     """The update increment of an (m, d) batch of iterates.
 
@@ -85,44 +67,6 @@ def _increment(objective: Objective, algorithm: str, theta, xi, eps, alpha) -> n
     return -(alpha / (2.0 * eps))[:, None] * xi * (y - y_minus)[:, None]
 
 
-def _step(state: OptimizerState, objective, schedule, gain, algorithm: str) -> OptimizerState:
-    # one row of the engine's step
-    xi = state.probe.next_probe()
-    theta = state.theta[None, :]
-    eps = np.asarray(gain.value(theta, state.n), dtype=float)
-    incr = _increment(objective, algorithm, theta, xi[None, :], eps, schedule(state.n + 1))
-    state.theta = (theta + incr)[0]
-    state.n += 1
-    state.last_probe = xi
-    state.last_gain = float(eps[0])
-    return state
-
-
-def step_1spsa(
-    state: OptimizerState,
-    objective: Objective,
-    schedule: StepSizeSchedule,
-    gain: ExplorationGain,
-) -> OptimizerState:
-    """One single-sample update; exactly one objective evaluation.
-
-    Draws the next probe, evaluates the gain at the pre-update iterate,
-    and moves against the probe direction scaled by the perturbed
-    objective value.
-    """
-    return _step(state, objective, schedule, gain, "1spsa")
-
-
-def step_2spsa(
-    state: OptimizerState,
-    objective: Objective,
-    schedule: StepSizeSchedule,
-    gain: ExplorationGain,
-) -> OptimizerState:
-    """One two-sample update; exactly two objective evaluations."""
-    return _step(state, objective, schedule, gain, "2spsa")
-
-
 @dataclass(frozen=True)
 class WindowStatistic:
     """On-the-fly average of ``fn(theta)`` over iterates with index >= start.
@@ -135,31 +79,6 @@ class WindowStatistic:
     name: str
     start: int
     fn: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass
-class RunRecord:
-    """Recorded trajectory of a single run.
-
-    ``thetas`` holds the iterates at ``record_indices`` (stride-spaced,
-    starting at index 0); recording stops at the divergence index when
-    the guard fires.  Optional parallel arrays carry the step size, the
-    exploration gain, and the objective value at each recorded iterate.
-    """
-
-    thetas: np.ndarray
-    record_indices: np.ndarray
-    stride: int
-    n_steps: int
-    theta_final: np.ndarray
-    diverged_at: int | None = None
-    objective_trace: np.ndarray | None = None
-    alpha_trace: np.ndarray | None = None
-    gain_trace: np.ndarray | None = None
-
-    @property
-    def diverged(self) -> bool:
-        return self.diverged_at is not None
 
 
 @dataclass
@@ -180,37 +99,6 @@ class BatchRunResult:
     @property
     def diverged(self) -> np.ndarray:
         return self.diverged_at >= 0
-
-    def extract_record(self, i: int) -> RunRecord:
-        """Single-run view of lane ``i``, truncated at its divergence index."""
-        div = int(self.diverged_at[i])
-        diverged_at = div if div >= 0 else None
-        if self.record_indices is None:
-            thetas = np.empty((0, self.theta_final.shape[1]))
-            indices = np.empty(0, dtype=int)
-            obj = alpha = gains = None
-        else:
-            keep = (
-                slice(None)
-                if diverged_at is None
-                else self.record_indices <= diverged_at
-            )
-            indices = self.record_indices[keep]
-            thetas = self.thetas[i][keep]
-            obj = None if self.objective_trace is None else self.objective_trace[i][keep]
-            alpha = None if self.alpha_trace is None else self.alpha_trace[keep]
-            gains = None if self.gain_trace is None else self.gain_trace[i][keep]
-        return RunRecord(
-            thetas=thetas,
-            record_indices=indices,
-            stride=self.stride,
-            n_steps=self.n_steps,
-            theta_final=self.theta_final[i],
-            diverged_at=diverged_at,
-            objective_trace=obj,
-            alpha_trace=alpha,
-            gain_trace=gains,
-        )
 
 
 def theta0_box(box, dim: int) -> np.ndarray:
@@ -246,17 +134,21 @@ def run_batch(
     """Advance ``m`` independent trajectories in lock step.
 
     Each run owns its probe generator; probe draws are chunked per run,
-    which reproduces the per-step stream exactly.  A lane trips the guard
-    at the first index k whose iterate norm is not <= the threshold: a
-    NaN or infinite norm trips, a norm equal to the threshold does not.
-    ``diverged_at`` holds that k.  A tripped lane's iterate freezes and it
-    makes no further updates, records, or statistic contributions, and
-    its window statistics are NaN; it stays in the working arrays, so
-    the probe draw, gain, objective and statistic still see its row until
-    every lane has tripped.  While no lane has tripped, a step adds the
-    increment without masking.  With ``stride`` > 0 the iterate at every
-    stride-th index (plus index 0 and the final index) is stored.
-    ``gain`` may carry one scale per lane (``eps_bullet`` of shape (m,)).
+    and the result does not depend on the chunk width.  A lane trips the
+    guard at the first index k whose iterate norm is not <= the
+    threshold: a NaN or infinite norm trips, a norm equal to the
+    threshold does not.  ``diverged_at`` holds that k.  A tripped lane's
+    iterate freezes: it makes no further updates or statistic
+    contributions, and its window statistics are NaN.  It stays in the
+    working arrays, so the probe draw, gain, objective and statistic
+    still see its row, and in a multi-lane batch each later record holds
+    its frozen iterate.  The engine returns on the step where its last
+    live lane trips, once that step's statistic, gain and record are
+    done, so the records of a batch whose lanes all trip end at the last
+    trip index.  While no lane has tripped, a step adds the increment
+    without masking.  With ``stride`` > 0 the iterate at every stride-th
+    index (plus index 0 and the final index) is stored.  ``gain`` may
+    carry one scale per lane (``eps_bullet`` of shape (m,)).
     """
     if algorithm not in ("1spsa", "2spsa"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -325,7 +217,8 @@ def run_batch(
     xi_buf = np.empty((min(chunk, n_steps), m, d))
     with np.errstate(over="ignore", invalid="ignore"):
         n = 0
-        while n < n_steps and active.any():
+        stop = False  # set on the step where the last live lane trips
+        while n < n_steps and not stop:
             width = min(chunk, n_steps - n)
             for i, g in enumerate(probes):
                 xi_buf[:width, i] = g.take(width)
@@ -347,12 +240,15 @@ def run_batch(
                         diverged_at[newly] = k
                         active &= within
                         live = False
+                        stop = not active.any()
                 accumulate(k, theta)
                 recorded = stride > 0 and (k % stride == 0 or k == n_steps)
                 if k < n_steps or recorded:
                     eps = lane_gains(theta, k)
                 if recorded:
                     record(k, theta, alphas[j], eps)
+                if stop:
+                    break
             n += width
 
     result = BatchRunResult(
@@ -378,37 +274,4 @@ def run_batch(
         mean[result.diverged] = np.nan
         result.statistics[s.name] = mean
     return result
-
-
-def run(
-    objective: Objective,
-    schedule: StepSizeSchedule,
-    gain: ExplorationGain,
-    probe: ProbeGenerator,
-    theta0,
-    n_steps: int,
-    guard: DivergenceGuard | None = None,
-    stride: int = 1,
-    record_objective: bool = True,
-    algorithm: str = "1spsa",
-) -> RunRecord:
-    """Run one trajectory and return its record.
-
-    A guard trip is recorded in ``diverged_at``, not raised.  With the
-    default stride of 1 the full trajectory is stored.
-    """
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    result = run_batch(
-        objective,
-        schedule,
-        gain,
-        [probe],
-        theta0[None, :],
-        n_steps,
-        algorithm=algorithm,
-        guard=guard,
-        stride=max(stride, 1),
-        record_objective=record_objective,
-    )
-    return result.extract_record(0)
 

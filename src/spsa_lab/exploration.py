@@ -151,10 +151,6 @@ class ProbeGenerator:
         self._prev_w = w[-1]
         return self.varsigma * np.diff(stacked, axis=0)
 
-    def next_probe(self) -> np.ndarray:
-        """Next probe as a (dim,) vector."""
-        return self.take(1)[0]
-
     def probe_covariance(self) -> np.ndarray:
         """Closed-form stationary covariance of the probe stream."""
         return probe_covariance(self.base, self.mode, self.varsigma)
@@ -197,7 +193,6 @@ def regeneration_test(
     init_b,
     n_samples: int,
     step: int = 2,
-    seed: int | None = None,
 ) -> float:
     """Two-sample KS p-value for the probe law at a given step index.
 
@@ -206,7 +201,8 @@ def regeneration_test(
     the ``step``-th probe.  From step 2 on, the probe depends only on
     draws made after initialization, so the two samples share one law;
     at step 1 the initial memory enters directly and the test may
-    reject.  KS is applied to the first component.
+    reject.  The replicas are drawn from streams keyed by the generator's
+    seed.  KS is applied to the first component.
     """
     if gen.mode != "zigzag":
         raise ValueError("regeneration test applies to zigzag probes only")
@@ -214,10 +210,9 @@ def regeneration_test(
         raise ValueError(f"n_samples must be >= 100, got {n_samples}")
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
-    base_seed = gen.seed if seed is None else seed
 
     def sample_probe(init, label):
-        rng = np.random.Generator(np.random.Philox(key=derive_seed(base_seed, "regen", label)))
+        rng = np.random.Generator(np.random.Philox(key=derive_seed(gen.seed, "regen", label)))
         w = gen.base.sample(rng, n_samples * step).reshape(n_samples, step, gen.base.dim)
         w0 = np.asarray(init, dtype=float).reshape(gen.base.dim)
         prev = w[:, step - 2, :] if step >= 2 else np.broadcast_to(w0, (n_samples, gen.base.dim))

@@ -313,23 +313,27 @@ def bias_sweep(
     make_evaluator,
     eps_grid,
     theta_ref: np.ndarray,
-    theta_init=None,
     tol: float = 1e-10,
 ):
     """Equilibrium offset versus gain scale, with a log-log slope fit.
 
     ``make_evaluator(eps_bullet)`` builds the mean-field evaluator at
     each gain scale; ``theta_ref`` is the zero-gain reference point
-    (the objective's own stationary point).  Returns (biases, slope).
+    (the objective's own stationary point), and each equilibrium search
+    starts there.  Returns (biases, slope).  The slope is None when a
+    bias is not positive, where the logarithm is undefined: on a
+    quadratic the two-point field is the exact gradient and every bias
+    is 0.
     """
     eps_grid = np.asarray(list(eps_grid), dtype=float)
     if eps_grid.size < 3:
         raise ValueError("bias sweep needs at least 3 gain values")
     theta_ref = np.atleast_1d(np.asarray(theta_ref, dtype=float))
-    start = theta_ref if theta_init is None else np.atleast_1d(theta_init)
     biases = []
     for eb in eps_grid:
-        report = find_equilibrium(make_evaluator(float(eb)), start, tol=tol)
+        report = find_equilibrium(make_evaluator(float(eb)), theta_ref, tol=tol)
         biases.append(float(np.linalg.norm(report.theta_star - theta_ref)))
+    if min(biases) <= 0.0:
+        return np.asarray(biases), None
     slope = float(np.polyfit(np.log(eps_grid), np.log(biases), 1)[0])
     return np.asarray(biases), slope

@@ -42,17 +42,14 @@ class Objective:
     """Scalar objective on R^d, evaluated on (m, d) batches of points.
 
     ``fn_batch`` maps an (m, d) batch to m values and ``grad_batch_fn`` to
-    m gradient rows; ``grad``/``hess`` fall back to central finite
-    differences when no closed form is given.  Metadata fields record the
-    coercivity constant, a known stationary point, and a known lower bound
-    when available.
+    m gradient rows; ``grad`` falls back to central finite differences
+    when no closed form is given.  Metadata fields record a known
+    stationary point and a known lower bound when available.
     """
 
     dim: int
     fn_batch: Callable[[np.ndarray], np.ndarray]
     grad_batch_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    hess_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    coercivity_delta: float | None = None
     known_optimum: np.ndarray | None = None
     known_floor: float | None = None
     name: str = "custom"
@@ -94,13 +91,6 @@ class Objective:
                 out = np.asarray(out, dtype=float)
             return out
         return np.stack([self.grad(row) for row in thetas])
-
-    def hess(self, theta, h: float | None = None) -> np.ndarray:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if self.hess_fn is not None:
-            return np.asarray(self.hess_fn(theta), dtype=float)
-        out = central_difference(self.grad_batch, theta, _fd_step(theta, h))
-        return 0.5 * (out + out.T)
 
 
 def central_difference(fn_batch, theta, h: float) -> np.ndarray:
@@ -161,8 +151,6 @@ def quadratic_1d() -> Objective:
         dim=1,
         fn_batch=lambda ts: ts[:, 0] ** 2,
         grad_batch_fn=lambda ts: 2.0 * ts[:, :1],
-        hess_fn=lambda t: np.array([[2.0]]),
-        coercivity_delta=1.0,
         known_optimum=np.array([0.0]),
         known_floor=0.0,
         name="quadratic1d",
@@ -186,16 +174,11 @@ def trig_quadratic_1d() -> Objective:
         x = ts[:, 0]
         return (2.0 * x + np.sin(x) - np.cos(5.0 * x))[:, None]
 
-    def h(t):
-        return np.array([[2.0 + np.cos(t[0]) + 5.0 * np.sin(5.0 * t[0])]])
-
     stationary = bisect_root(lambda x: gb(np.array([[x]]))[0, 0], 0.0, 0.5)
     return Objective(
         dim=1,
         fn_batch=fb,
         grad_batch_fn=gb,
-        hess_fn=h,
-        coercivity_delta=0.5,
         known_optimum=np.array([stationary]),
         known_floor=2.8,
         name="trig_quadratic1d",
@@ -217,8 +200,6 @@ def quadratic_nd(q: np.ndarray) -> Objective:
         dim=d,
         fn_batch=lambda ts: 0.5 * np.einsum("mi,ij,mj->m", ts, q, ts),
         grad_batch_fn=lambda ts: ts @ q.T,
-        hess_fn=lambda t: q.copy(),
-        coercivity_delta=float(eigs.min()),
         known_optimum=np.zeros(d),
         known_floor=0.0,
         name="quadratic_nd",

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -130,23 +131,24 @@ def test_cli_run_round_trips_doubles(tmp_path):
         BaseNoise,
         StepSizeSchedule,
         quadratic_1d,
-        run,
+        run_batch,
     )
     from spsa_lab.exploration import derive_seed
 
     seed = derive_seed(7, "run", 0)
     rng = np.random.Generator(np.random.Philox(key=seed))
     probe = ProbeGenerator(BaseNoise("rademacher", 1), "iid", seed=seed, rng=rng)
-    record = run(
+    result = run_batch(
         quadratic_1d(),
         StepSizeSchedule(0.1, 0.6),
         CenterActiveGain(0.1, np.array([0.0]), 1.0),
-        probe,
-        [1.0],
+        [probe],
+        np.array([[1.0]]),
         50,
+        stride=1,
     )
     parsed = np.array([float(r[1]) for r in rows])
-    assert np.array_equal(parsed, record.thetas[:, 0])  # 17 digits round-trip exactly
+    assert np.array_equal(parsed, result.thetas[0, :, 0])  # 17 digits round-trip exactly
 
 
 def test_cli_run_divergence_exit_code(tmp_path):
@@ -155,6 +157,22 @@ def test_cli_run_divergence_exit_code(tmp_path):
     assert code == 3
     summary = json.loads((out / "run_summary.json").read_text())
     assert summary["diverged_at"] is not None
+    # the trajectory ends on the trip index, with no row past it
+    n = [int(r[0]) for r in list(csv.reader(open(out / "trajectory.csv")))[1:]]
+    assert n[-1] == summary["diverged_at"] == max(n)
+
+
+def test_cli_run_strided_divergence_stops_at_trip(tmp_path):
+    # every stride-th index up to the trip is written, and none after it;
+    # this run trips at an odd index
+    cfg = json.loads((CONFIGS / "fig1_divergence.json").read_text())
+    cfg["run.stride"] = 2
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 3
+    diverged_at = json.loads((out / "run_summary.json").read_text())["diverged_at"]
+    n = [int(r[0]) for r in list(csv.reader(open(out / "trajectory.csv")))[1:]]
+    assert diverged_at % 2 == 1
+    assert n == list(range(0, diverged_at + 1, 2))
 
 
 def test_cli_validation_failure_leaves_no_outputs(tmp_path, capsys):
@@ -325,6 +343,25 @@ def test_cli_meanflow_outputs(tmp_path):
     assert 1.7 <= report["bias_sweep"]["slope"] <= 2.3
     flow_rows = list(csv.reader(open(out / "flow_mean.csv")))
     assert len(flow_rows) == 1002  # header + 1001 time points
+
+
+def test_cli_meanflow_zero_bias_sweep_writes_strict_json(tmp_path):
+    # on the quadratic the two-point field is the exact gradient, so every
+    # sweep bias is 0 and the log-log slope is undefined: it is written as
+    # null, with no warning
+    cfg = json.loads((CONFIGS / "meanflow_trig.json").read_text())
+    cfg["objective.kind"] = "quadratic1d"
+    out = tmp_path / "mf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["meanflow", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"eq_report.json holds the non-JSON constant {constant}")
+
+    report = json.loads((out / "eq_report.json").read_text(), parse_constant=reject)
+    assert report["bias_sweep"]["bias"] == [0.0] * len(cfg["meanflow.eps_sweep"])
+    assert report["bias_sweep"]["slope"] is None
 
 
 def test_cli_meanflow_rejects_monte_carlo_for_equilibrium(tmp_path):

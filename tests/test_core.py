@@ -6,14 +6,10 @@ from spsa_lab import (
     CenterActiveGain,
     ConstantGain,
     DivergenceGuard,
-    OptimizerState,
     ProbeGenerator,
     StepSizeSchedule,
     quadratic_1d,
-    run,
     run_batch,
-    step_1spsa,
-    step_2spsa,
     trig_quadratic_1d,
 )
 from spsa_lab.core import sample_theta0
@@ -25,143 +21,143 @@ class FixedProbe:
 
     def __init__(self, values):
         self.values = [np.atleast_1d(np.asarray(v, dtype=float)) for v in values]
-        self.seed = 0
-
-    def next_probe(self):
-        return self.values.pop(0)
 
     def take(self, n):
-        return np.stack([self.next_probe() for _ in range(n)])
+        taken, self.values = self.values[:n], self.values[n:]
+        return np.stack(taken)
 
 
-def make_state(theta, probes):
-    return OptimizerState(theta=np.atleast_1d(np.asarray(theta, dtype=float)), probe=FixedProbe(probes))
-
-
-def counting_quadratic():
-    calls = {"n": 0}
-
-    def fn_batch(ts):
-        calls["n"] += 1
-        return ts[:, 0] ** 2
-
-    return Objective(dim=1, fn_batch=fn_batch), calls
+def one_step(theta, xi, gain, algorithm="1spsa"):
+    """A recorded one-step, one-lane run on the quadratic from ``theta`` along the scripted probe ``xi``."""
+    return run_batch(
+        quadratic_1d(),
+        StepSizeSchedule(0.5, 0.6),
+        gain,
+        [FixedProbe([xi])],
+        np.array([[theta]]),
+        1,
+        algorithm=algorithm,
+        stride=1,
+    )
 
 
 def test_step_1spsa_substitution_example():
     # theta1 = 1 - 0.5 * (1/0.1) * (1 + 0.1)^2 = -5.05
-    obj = quadratic_1d()
-    state = make_state([1.0], [[1.0]])
-    step_1spsa(state, obj, StepSizeSchedule(0.5, 0.6), ConstantGain(0.1))
-    assert state.theta[0] == pytest.approx(-5.05, abs=1e-12)
-    assert state.n == 1
-    assert state.last_gain == 0.1
-    assert state.last_probe[0] == 1.0
+    result = one_step(1.0, 1.0, ConstantGain(0.1))
+    assert result.thetas[0, 1, 0] == pytest.approx(-5.05, abs=1e-12)
+    assert list(result.record_indices) == [0, 1]
+    assert result.gain_trace[0, 0] == 0.1
 
 
 def test_step_1spsa_noise_at_origin():
     # from the exact minimizer the probe term alone moves the iterate
-    obj = quadratic_1d()
-    state = make_state([0.0], [[1.0]])
-    step_1spsa(state, obj, StepSizeSchedule(0.5, 0.6), ConstantGain(0.1))
-    assert state.theta[0] == pytest.approx(-0.05, abs=1e-15)
+    result = one_step(0.0, 1.0, ConstantGain(0.1))
+    assert result.thetas[0, 1, 0] == pytest.approx(-0.05, abs=1e-15)
 
 
 def test_step_1spsa_active_gain_substitution():
     # eps = 0.1*sqrt(2); theta1 = 1 - 0.5*(1/eps)*(1+eps)^2, evaluated
     # independently at high precision
-    obj = quadratic_1d()
-    state = make_state([1.0], [[1.0]])
-    step_1spsa(state, obj, StepSizeSchedule(0.5, 0.6), CenterActiveGain(0.1, np.array([0.0]), 1.0))
-    assert state.last_gain == pytest.approx(0.1 * np.sqrt(2.0), rel=1e-15)
-    assert state.theta[0] == pytest.approx(-3.6062445840513924, abs=1e-12)
+    result = one_step(1.0, 1.0, CenterActiveGain(0.1, np.array([0.0]), 1.0))
+    assert result.gain_trace[0, 0] == pytest.approx(0.1 * np.sqrt(2.0), rel=1e-15)
+    assert result.thetas[0, 1, 0] == pytest.approx(-3.6062445840513924, abs=1e-12)
 
 
 def test_step_2spsa_symmetric_cancellation():
-    obj = quadratic_1d()
-    state = make_state([0.0], [[1.0]])
-    step_2spsa(state, obj, StepSizeSchedule(0.5, 0.6), ConstantGain(0.1))
-    assert state.theta[0] == 0.0
+    result = one_step(0.0, 1.0, ConstantGain(0.1), "2spsa")
+    assert result.thetas[0, 1, 0] == 0.0
 
 
 @pytest.mark.parametrize("xi", [1.0, -1.0])
 def test_step_2spsa_exact_on_quadratic(xi):
     # central differences are exact on quadratics, so one step with
     # alpha=0.5 lands exactly on the minimizer regardless of probe sign
-    obj = quadratic_1d()
-    state = make_state([1.0], [[xi]])
-    step_2spsa(state, obj, StepSizeSchedule(0.5, 0.6), ConstantGain(0.1))
-    assert state.theta[0] == pytest.approx(0.0, abs=1e-14)
+    result = one_step(1.0, xi, ConstantGain(0.1), "2spsa")
+    assert result.thetas[0, 1, 0] == pytest.approx(0.0, abs=1e-14)
+
+
+def counting_quadratic():
+    calls = {"n": 0, "rows": 0}
+
+    def fn_batch(ts):
+        calls["n"] += 1
+        calls["rows"] += ts.shape[0]
+        return ts[:, 0] ** 2
+
+    return Objective(dim=1, fn_batch=fn_batch), calls
 
 
 def test_evaluation_count_contract():
-    obj1, calls1 = counting_quadratic()
-    state = make_state([1.0], [[1.0]] * 10)
-    for _ in range(10):
-        step_1spsa(state, obj1, StepSizeSchedule(0.1, 0.6), ConstantGain(0.1))
-    assert calls1["n"] == 10
-
-    obj2, calls2 = counting_quadratic()
-    state = make_state([1.0], [[1.0]] * 10)
-    for _ in range(10):
-        step_2spsa(state, obj2, StepSizeSchedule(0.1, 0.6), ConstantGain(0.1))
-    assert calls2["n"] == 20
+    # a one-lane run: one objective call per 1SPSA step, two per 2SPSA step
+    for algorithm, want in (("1spsa", 10), ("2spsa", 20)):
+        obj, calls = counting_quadratic()
+        run_batch(
+            obj,
+            StepSizeSchedule(0.1, 0.6),
+            ConstantGain(0.1),
+            [FixedProbe([[1.0]] * 10)],
+            np.array([[1.0]]),
+            10,
+            algorithm=algorithm,
+        )
+        assert calls["n"] == want, algorithm
 
 
 def test_batch_engine_evaluation_count():
-    batch_calls = {"n": 0}
-
-    def fn_batch(ts):
-        batch_calls["n"] += 1
-        return ts[:, 0] ** 2
-
-    obj = Objective(dim=1, fn_batch=fn_batch)
+    # one objective call per step for a whole lane block, one row per lane
+    # for 1SPSA and two for 2SPSA
+    obj, calls = counting_quadratic()
     base = BaseNoise("rademacher", 1)
-    probes = [ProbeGenerator(base, "iid", seed=i) for i in range(3)]
-    run_batch(obj, StepSizeSchedule(0.1, 0.6), ConstantGain(0.1), probes, np.zeros((3, 1)), 50)
-    assert batch_calls["n"] == 50
-
-    batch_calls["n"] = 0
-    probes = [ProbeGenerator(base, "iid", seed=i) for i in range(3)]
-    run_batch(
-        obj, StepSizeSchedule(0.1, 0.6), ConstantGain(0.1), probes, np.zeros((3, 1)), 50, algorithm="2spsa"
-    )
-    assert batch_calls["n"] == 100
+    for algorithm, per_step in (("1spsa", 1), ("2spsa", 2)):
+        calls.update(n=0, rows=0)
+        probes = [ProbeGenerator(base, "iid", seed=i) for i in range(3)]
+        run_batch(
+            obj, StepSizeSchedule(0.1, 0.6), ConstantGain(0.1), probes, np.zeros((3, 1)), 50, algorithm=algorithm
+        )
+        assert calls == {"n": 50 * per_step, "rows": 50 * per_step * 3}, algorithm
 
 
 def test_run_zero_steps_records_initial_point_only():
     obj = quadratic_1d()
     probe = ProbeGenerator(BaseNoise("rademacher", 1), "iid", seed=3)
-    record = run(obj, StepSizeSchedule(0.5, 0.6), ConstantGain(0.1), probe, [2.0], 0)
-    assert record.n_steps == 0
-    assert record.diverged_at is None
-    assert list(record.record_indices) == [0]
-    assert record.thetas[0, 0] == 2.0
-    assert record.theta_final[0] == 2.0
+    result = run_batch(obj, StepSizeSchedule(0.5, 0.6), ConstantGain(0.1), [probe], np.array([[2.0]]), 0, stride=1)
+    assert result.n_steps == 0
+    assert list(result.diverged_at) == [-1]
+    assert list(result.record_indices) == [0]
+    assert result.thetas[0, 0, 0] == 2.0
+    assert result.theta_final[0, 0] == 2.0
 
 
 @pytest.mark.parametrize("mode", ["iid", "zigzag"])
 @pytest.mark.parametrize("algorithm", ["1spsa", "2spsa"])
 def test_run_matches_per_step_api_bitwise(algorithm, mode):
-    # the batch engine and the per-step API must produce the same
-    # trajectory from the same probe stream
-    step = {"1spsa": step_1spsa, "2spsa": step_2spsa}[algorithm]
+    # a one-lane run must produce the same trajectory as the update rule
+    # written out one step at a time on the same probe stream
     obj = trig_quadratic_1d()
     sched = StepSizeSchedule(0.1, 0.6)
     gain = CenterActiveGain(0.1, np.array([0.0]), 1.0)
     base = BaseNoise("rademacher", 1)
 
-    record = run(obj, sched, gain, ProbeGenerator(base, mode, seed=17), [1.0], 500, algorithm=algorithm)
+    result = run_batch(
+        obj, sched, gain, [ProbeGenerator(base, mode, seed=17)], np.array([[1.0]]), 500, algorithm=algorithm, stride=1
+    )
 
-    state = OptimizerState(theta=np.array([1.0]), probe=ProbeGenerator(base, mode, seed=17))
-    manual, gains = [state.theta.copy()], []
-    for _ in range(500):
-        step(state, obj, sched, gain)
-        manual.append(state.theta.copy())
-        gains.append(state.last_gain)
-    assert np.array_equal(record.thetas, np.stack(manual))
+    probe = ProbeGenerator(base, mode, seed=17)
+    theta = 1.0
+    manual, gains = [theta], []
+    for k in range(1, 501):
+        xi = float(probe.take(1)[0, 0])
+        eps = gain.value(np.array([theta]))
+        y = obj.value([theta + eps * xi])
+        if algorithm == "1spsa":
+            theta = theta + -(sched(k) / eps) * xi * y
+        else:
+            theta = theta + -(sched(k) / (2.0 * eps)) * xi * (y - obj.value([theta - eps * xi]))
+        manual.append(theta)
+        gains.append(eps)
+    assert np.array_equal(result.thetas[0, :, 0], manual)
     # a step's gain is the one at its pre-update iterate
-    assert np.array_equal(record.gain_trace[:-1], gains)
+    assert np.array_equal(result.gain_trace[0, :-1], gains)
 
 
 def test_divergence_guard_validation():
@@ -172,20 +168,22 @@ def test_divergence_guard_validation():
 def test_divergence_guard_freezes_run():
     obj = quadratic_1d()
     probe = ProbeGenerator(BaseNoise("rademacher", 1), "iid", seed=2)
-    record = run(
+    result = run_batch(
         obj,
         StepSizeSchedule(1.0, 0.6),
         ConstantGain(0.1),
-        probe,
-        [8.0],
+        [probe],
+        np.array([[8.0]]),
         10_000,
         guard=DivergenceGuard(1e6),
+        stride=1,
     )
-    assert record.diverged
-    assert record.diverged_at is not None
-    # no recorded entries beyond the divergence index
-    assert np.all(record.record_indices <= record.diverged_at)
-    assert np.isfinite(record.theta_final[0])
+    diverged_at = int(result.diverged_at[0])
+    assert result.diverged[0]
+    # the run ends at the trip: its record stops there, on the frozen iterate
+    assert np.array_equal(result.record_indices, np.arange(diverged_at + 1))
+    assert np.isfinite(result.theta_final[0, 0])
+    assert result.theta_final[0, 0] == result.thetas[0, -1, 0]
 
 
 def test_batch_engine_freezes_only_diverged_lanes():
@@ -260,15 +258,13 @@ def test_noisy_euler_residual_mean_vanishes():
     obj = quadratic_1d()
     sched = StepSizeSchedule(0.1, 0.6)
     gain = CenterActiveGain(0.1, np.array([0.0]), 1.0)
-    state = OptimizerState(theta=np.array([1.0]), probe=ProbeGenerator(BaseNoise("rademacher", 1), "iid", seed=6))
-    deltas = []
-    for k in range(20_000):
-        theta_before = state.theta.copy()
-        step_1spsa(state, obj, sched, gain)
-        alpha = sched(k + 1)
-        fbar = -2.0 * theta_before[0]  # exact mean field for this configuration
-        deltas.append((state.theta[0] - theta_before[0]) / alpha - fbar)
-    deltas = np.array(deltas[2000:])
+    probe = ProbeGenerator(BaseNoise("rademacher", 1), "iid", seed=6)
+    result = run_batch(obj, sched, gain, [probe], np.array([[1.0]]), 20_000, stride=1)
+    theta = result.thetas[0, :, 0]
+    fbar = -2.0 * theta[:-1]  # exact mean field for this configuration
+    # the step into index k uses alpha(k), the step size recorded at k
+    deltas = (theta[1:] - theta[:-1]) / result.alpha_trace[1:] - fbar
+    deltas = deltas[2000:]
     assert abs(deltas.mean()) < 0.01
     assert abs(deltas.mean()) < 0.05 * deltas.std()
 
@@ -317,21 +313,30 @@ def test_window_statistic_accumulates_expected_mean():
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_run_batch_is_independent_of_chunk_width(chunk):
     # zigzag probes carry their differencing memory across chunk
-    # boundaries; three of the four lanes trip the guard
+    # boundaries.  1SPSA leaves the quadratic from a far start; 2SPSA is
+    # exact on it and contracts, so it meets the guard on a quartic.  In
+    # the first batch some lanes trip; in the second every lane trips,
+    # and the run ends on the step of the last trip at every chunk width
     from spsa_lab.core import ENGINE_CHUNK, WindowStatistic
 
-    obj = quadratic_1d()
-    base = BaseNoise("uniform", 1)
-    theta0 = np.array([[8.0], [0.001], [0.5], [-0.3]])
+    calls = {"n": 0}
 
-    def go(width):
+    def go(algorithm, base, mode, theta0, width):
+        power = 2 if algorithm == "1spsa" else 4
+
+        def fn_batch(ts):
+            calls["n"] += 1
+            return ts[:, 0] ** power
+
+        calls["n"] = 0
         return run_batch(
-            obj,
+            Objective(dim=1, fn_batch=fn_batch),
             StepSizeSchedule(1.0, 0.6),
             ConstantGain(0.1),
-            [ProbeGenerator(base, "zigzag", seed=s) for s in range(4)],
-            theta0,
+            [ProbeGenerator(BaseNoise(base, 1), mode, seed=s) for s in range(len(theta0))],
+            np.array(theta0)[:, None],
             3000,
+            algorithm=algorithm,
             guard=DivergenceGuard(1e6),
             stride=1,
             record_objective=True,
@@ -339,14 +344,33 @@ def test_run_batch_is_independent_of_chunk_width(chunk):
             chunk=width,
         )
 
-    ref, got = go(ENGINE_CHUNK), go(chunk)
     assert ENGINE_CHUNK < 3000  # the reference run crosses a chunk boundary too
-    assert list(ref.diverged) == [True, False, True, True]
-    assert np.array_equal(got.theta_final, ref.theta_final)
-    assert np.array_equal(got.diverged_at, ref.diverged_at)
-    assert np.array_equal(got.statistics["mean_theta"], ref.statistics["mean_theta"], equal_nan=True)
-    for name in ("record_indices", "thetas", "alpha_trace", "gain_trace", "objective_trace"):
-        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    for algorithm in ("1spsa", "2spsa"):
+        evals_per_step = 1 if algorithm == "1spsa" else 2
+        for base, mode in (("rademacher", "iid"), ("uniform", "zigzag")):
+            for theta0 in ([8.0, 0.001, 0.5, -0.3], [8.0, 9.0]):
+                case = (algorithm, base, mode, theta0)
+                ref = go(*case, ENGINE_CHUNK)
+                ref_calls = calls["n"]
+                got = go(*case, chunk)
+                assert calls["n"] == ref_calls, case
+                assert np.array_equal(got.theta_final, ref.theta_final, equal_nan=True), case
+                assert np.array_equal(got.diverged_at, ref.diverged_at), case
+                assert np.array_equal(
+                    got.statistics["mean_theta"], ref.statistics["mean_theta"], equal_nan=True
+                ), case
+                for name in ("record_indices", "thetas", "alpha_trace", "gain_trace", "objective_trace"):
+                    assert np.array_equal(getattr(got, name), getattr(ref, name), equal_nan=True), (case, name)
+                if len(theta0) == 4:
+                    assert 0 < ref.diverged.sum() < 4, case
+                    assert list(ref.record_indices) == list(range(3001)), case
+                else:
+                    # no step after the last trip: the record ends there, and
+                    # the objective was called for its steps and records only
+                    last = int(ref.diverged_at.max())
+                    assert ref.diverged.all(), case
+                    assert list(ref.record_indices) == list(range(last + 1)), case
+                    assert ref_calls == evals_per_step * last + last + 1, case
 
 
 def test_window_statistic_is_nan_for_diverged_lanes():
@@ -382,8 +406,8 @@ def test_run_batch_records_alpha_and_gain_per_index():
     sched = StepSizeSchedule(0.1, 0.6)
     gain = CountingGain(0.1, np.array([0.0]), 1.0)
     probe = ProbeGenerator(BaseNoise("rademacher", 1), "iid", seed=5)
-    record = run(quadratic_1d(), sched, gain, probe, [2.0], 300, stride=7)
+    result = run_batch(quadratic_1d(), sched, gain, [probe], np.array([[2.0]]), 300, stride=7)
     assert calls["n"] == 301
-    assert np.array_equal(record.alpha_trace, [sched(int(k)) for k in record.record_indices])
-    want = [CenterActiveGain(0.1, np.array([0.0]), 1.0).value(t) for t in record.thetas]
-    assert np.array_equal(record.gain_trace, want)
+    assert np.array_equal(result.alpha_trace, [sched(int(k)) for k in result.record_indices])
+    want = [CenterActiveGain(0.1, np.array([0.0]), 1.0).value(t) for t in result.thetas[0]]
+    assert np.array_equal(result.gain_trace[0], want)

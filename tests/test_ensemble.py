@@ -210,7 +210,7 @@ def test_window_statistic_matches_record_mean_of_grad():
     cell = run_ensemble_matrix(
         obj, sched, base, ["iid"], VS, gain, [0.1], 3, 400, 100, [-2, 2], lambda mode, g: obj.grad_batch, 123
     )[("iid", 0)]
-    from spsa_lab import run
+    from spsa_lab import run_batch
     from spsa_lab.exploration import derive_seed
     from spsa_lab.core import sample_theta0
 
@@ -219,9 +219,9 @@ def test_window_statistic_matches_record_mean_of_grad():
         rng = np.random.Generator(np.random.Philox(key=seed))
         theta0 = sample_theta0([-2, 2], rng, 1)
         probe = ProbeGenerator(base, "iid", varsigma=VS, seed=seed, rng=rng)
-        record = run(obj, sched, gain, probe, theta0, 400, stride=1)
-        assert not record.diverged and record.stride == 1
-        expected = obj.grad_batch(record.thetas[record.record_indices >= 100]).mean(axis=0)
+        result = run_batch(obj, sched, gain, [probe], theta0, 400, stride=1)
+        assert not result.diverged[0] and result.stride == 1
+        expected = obj.grad_batch(result.thetas[0, result.record_indices >= 100]).mean(axis=0)
         assert np.allclose(cell.bias_values[i], expected, atol=1e-12)
 
 

@@ -56,8 +56,8 @@ def test_uniform_support_and_covariance():
 def test_zigzag_probe_arithmetic_exact():
     # memory 1, then draws -1, +1: probes are varsigma * (-2) and varsigma * (+2)
     gen = ProbeGenerator(ScriptedNoise([-1.0, 1.0]), mode="zigzag", varsigma=VS, initial_memory=[1.0])
-    xi1 = gen.next_probe()
-    xi2 = gen.next_probe()
+    xi1 = gen.take(1)[0]
+    xi2 = gen.take(1)[0]
     assert xi1[0] == pytest.approx(-np.sqrt(2.0), abs=1e-15)
     assert xi2[0] == pytest.approx(np.sqrt(2.0), abs=1e-15)
 
@@ -76,7 +76,7 @@ def test_take_matches_repeated_next_probe():
             g1 = ProbeGenerator(base, mode=mode, varsigma=VS, seed=99)
             g2 = ProbeGenerator(base, mode=mode, varsigma=VS, seed=99)
             block = g1.take(257)
-            singles = np.stack([g2.next_probe() for _ in range(257)])
+            singles = np.concatenate([g2.take(1) for _ in range(257)])
             assert np.array_equal(block, singles), (mode, kind)
 
 

@@ -1,16 +1,22 @@
 """Static checks on the package source, written with the standard library only.
 
 Every name listed in an ``__all__`` must resolve, and every module-level
-import in ``src/spsa_lab`` must be used in its module or exported.
+import in ``src/spsa_lab`` must be used in its module or exported.  The
+benchmark's traced run (``bench/tracing.py``) patches methods by name and
+binds ``run_batch`` arguments by name, so those names must stay in the
+package.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "spsa_lab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "spsa_lab"
+TRACING = ROOT / "bench" / "tracing.py"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 
 
@@ -46,3 +52,29 @@ def test_module_imports_are_used_or_exported(stem):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = sorted(set(imported) - used - set(_exports(tree)))
     assert not unused, f"{stem}.py imports unused names {[(n, imported[n]) for n in unused]}"
+
+
+def _traced_methods() -> list[tuple[str, str, str]]:
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "METHODS" for t in node.targets):
+            methods = ast.literal_eval(node.value)
+            return [(layer, cls, meth) for layer, pairs in methods.items() for cls, meth in pairs]
+    raise AssertionError(f"{TRACING} assigns no METHODS")
+
+
+def test_traced_methods_exist():
+    # the tracer looks each method up in its class's own namespace
+    missing = []
+    for layer, cls_name, meth in _traced_methods():
+        cls = getattr(importlib.import_module(f"spsa_lab.{layer}"), cls_name, None)
+        if cls is None or meth not in vars(cls):
+            missing.append(f"{layer}.{cls_name}.{meth}")
+    assert not missing, f"bench/tracing.py METHODS names methods the package lacks: {missing}"
+
+
+def test_run_batch_keeps_traced_parameters():
+    # bench/tracing.py binds these from each run_batch call
+    params = inspect.signature(importlib.import_module("spsa_lab.core").run_batch).parameters
+    missing = [name for name in ("theta0", "n_steps", "chunk") if name not in params]
+    assert not missing, f"run_batch lost the parameters {missing} that bench/tracing.py binds"

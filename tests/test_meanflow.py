@@ -257,3 +257,15 @@ def test_bias_sweep_slope_on_trig():
     )
     assert np.all(np.diff(biases) > 0)
     assert 1.7 <= slope <= 2.3
+
+
+def test_bias_sweep_slope_is_none_when_biases_vanish():
+    # the two-point field of a quadratic is its exact gradient, so every
+    # equilibrium sits on the optimum and the log-log slope is undefined
+    biases, slope = bias_sweep(
+        lambda eb: MeanFieldEvaluator(objective=quadratic_1d(), gain=active_gain(eb), base=RAD),
+        [0.025, 0.05, 0.1],
+        np.array([0.0]),
+    )
+    assert np.all(biases == 0.0)
+    assert slope is None

@@ -9,7 +9,6 @@ def test_quadratic_values_and_grad():
     obj = quadratic_1d()
     assert obj.value(np.array([1.1])) == pytest.approx(1.21, abs=1e-15)
     assert obj.grad(np.array([3.0]))[0] == pytest.approx(6.0, abs=1e-15)
-    assert obj.hess(np.array([0.3]))[0, 0] == 2.0
     assert obj.known_floor == 0.0
     assert obj.known_optimum[0] == 0.0
 
@@ -85,23 +84,10 @@ def test_grad_check_validates_step():
 
 
 def test_finite_difference_fallbacks():
-    # no closed forms supplied: gradient and hessian come from central differences
+    # no closed form supplied: the gradient comes from central differences
     obj = Objective(dim=2, fn_batch=lambda ts: ts[:, 0] ** 2 + 3.0 * ts[:, 0] * ts[:, 1] + 2.0 * ts[:, 1] ** 2)
     theta = np.array([0.7, -0.4])
     assert np.allclose(obj.grad(theta), [2 * 0.7 + 3 * (-0.4), 3 * 0.7 + 4 * (-0.4)], atol=1e-6)
-    assert np.allclose(obj.hess(theta), [[2.0, 3.0], [3.0, 4.0]], atol=1e-4)
-
-
-def test_coercivity_spot_checks():
-    quad = quadratic_1d()
-    for x in np.linspace(1.0, 30.0, 30):
-        theta = np.array([x])
-        assert np.linalg.norm(quad.grad(theta)) >= quad.coercivity_delta * x
-    trig = trig_quadratic_1d()
-    for x in np.linspace(2.0, 30.0, 50):
-        for s in (1.0, -1.0):
-            theta = np.array([s * x])
-            assert np.linalg.norm(trig.grad(theta)) >= trig.coercivity_delta * x
 
 
 def test_value_checks_declared_floor():
