@@ -257,6 +257,13 @@ def _build_evaluator(cfg: dict, eps_bullet: float | None = None) -> MeanFieldEva
     return _mean_field(cfg, objective, gain, base, cfg.get("probe.mode", "iid"))
 
 
+def _check_start_points(cfg: dict, dim: int) -> None:
+    """Each mean-field start point in the config must be a point of the objective."""
+    for key in ("meanflow.theta_init", "meanflow.flow_theta0"):
+        if key in cfg and len(cfg[key]) != dim:
+            raise ConfigError(f"config key {key!r} has dimension {len(cfg[key])}, objective has {dim}")
+
+
 def _equilibrium_payload(cfg: dict, evaluator: MeanFieldEvaluator) -> dict:
     objective = evaluator.objective
     if "meanflow.theta_init" in cfg:
@@ -294,6 +301,7 @@ def _equilibrium_payload(cfg: dict, evaluator: MeanFieldEvaluator) -> dict:
 def cmd_meanflow(args) -> int:
     cfg, out = _prepare(args, "meanflow")
     evaluator = _build_evaluator(cfg)
+    _check_start_points(cfg, evaluator.objective.dim)
     lo, hi, npts = cfg["meanflow.grid"]
     grid = np.linspace(lo, hi, int(npts))
     try:
@@ -330,6 +338,7 @@ def cmd_meanflow(args) -> int:
 def cmd_equilibrium(args) -> int:
     cfg, out = _prepare(args, "equilibrium")
     evaluator = _build_evaluator(cfg)
+    _check_start_points(cfg, evaluator.objective.dim)
     try:
         payload = _equilibrium_payload(cfg, evaluator)
     except SolverError as exc:

@@ -2,13 +2,16 @@
 
 The update direction at a frozen iterate, averaged over the probe law,
 defines a vector field whose flow governs the recursion's long-run
-behavior.  This module evaluates that field on a batch of points with
-one node/weight rule against the probe law, whose nodes are the probe
-atoms (exact, finite probe support) or Gauss-Legendre nodes (uniform base
-noise); a single point is a 1-row batch, and a Monte Carlo estimate is
-kept as an independent reference.  It integrates the associated flow and
-the plain gradient flow with classical RK4, and locates the field's
-equilibrium together with its Jacobian spectrum.
+behavior.  This module evaluates that field with one node/weight rule
+against the probe law, whose nodes are the probe atoms (exact, finite
+probe support) or Gauss-Legendre nodes (uniform base noise).  The same
+code takes an (m, 1) batch of points or a single (1,) point; at a point
+the gain, the node weighting and the 1/eps scaling run on NumPy
+scalars, and only the objective's node evaluation is an array
+operation.  A Monte Carlo estimate is kept as an independent reference.
+The module integrates the associated flow and the plain gradient flow
+with classical RK4, and locates the field's equilibrium together with
+its Jacobian spectrum.
 """
 
 from __future__ import annotations
@@ -125,12 +128,12 @@ class MeanFieldEvaluator:
     def evaluate(self, theta):
         """Mean field and its standard error at one point.
 
-        Deterministic methods are a 1-row ``value_batch`` with a zero
-        standard error.
+        Deterministic methods are a point call of ``value_batch`` with a
+        zero standard error.
         """
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if self.deterministic:
-            return self.value_batch(theta[None, :])[0], np.zeros(1)
+            return self.value_batch(theta), np.zeros(1)
         eps = float(self.gain.value(theta))
         xi = self._sample_probes(self.mc_samples)
         perturbed = theta[None, :] + eps * xi
@@ -147,15 +150,21 @@ class MeanFieldEvaluator:
         return self.varsigma * (w[:n] - w[n:])
 
     def value_batch(self, thetas: np.ndarray) -> np.ndarray:
-        """Mean field on an (m, 1) batch of points; deterministic methods only."""
+        """Mean field on an (m, 1) batch of points or at one (1,) point.
+
+        Returns (m, 1) for a batch and (1,) for a point; deterministic
+        methods only.  The gain is a float at a point and an (m,) array
+        for a batch, so one expression serves both shapes, with the same
+        floating-point operations on each row.
+        """
         if not self.deterministic:
             raise ValueError("batch evaluation requires a deterministic method")
         thetas = np.asarray(thetas, dtype=float)
-        eps = np.asarray(self.gain.value(thetas), dtype=float)
-        # one row of perturbed points theta + eps * xi_k per iterate (d = 1)
-        pts = thetas + eps[:, None] * self._nodes
+        eps = self.gain.value(thetas)
+        # the perturbed points theta + eps * xi_k, one row per iterate (d = 1)
+        pts = thetas + np.multiply.outer(eps, self._nodes)
         vals = self.objective.value_batch(pts.reshape(-1, 1)).reshape(pts.shape)
-        return (-(vals * self._weighted_nodes).sum(axis=1) / eps)[:, None]
+        return (-np.add.reduce(vals * self._weighted_nodes, axis=-1) / eps)[..., None]
 
 
 @dataclass
@@ -179,35 +188,46 @@ def gradient_flow_field(objective: Objective):
     return field
 
 
+def _check_point(evaluator: MeanFieldEvaluator, theta: np.ndarray) -> None:
+    """Reject a start point whose shape is not the objective's (d,)."""
+    if theta.shape != (evaluator.objective.dim,):
+        raise ValueError(
+            f"start point has shape {theta.shape}, the objective is {evaluator.objective.dim}-dimensional"
+        )
+
+
 def integrate_flow(field, theta0, t_end: float, dt: float) -> FlowTrajectory:
     """Classical 4th-order Runge-Kutta with a fixed step.
 
     ``field`` is a callable theta -> dtheta/dt or a deterministic
-    MeanFieldEvaluator.  A non-finite state aborts integration and the
-    partial trajectory is returned.
+    MeanFieldEvaluator, whose ``value_batch`` is then called at each
+    (d,) state.  A non-finite state aborts integration and the partial
+    trajectory is returned; the overflow that produces it is not
+    reported as a warning.
     """
+    theta = np.atleast_1d(np.asarray(theta0, dtype=float))
     if isinstance(field, MeanFieldEvaluator):
         if not field.deterministic:
             raise ValueError("flow integration requires a deterministic mean-field method")
-        evaluator = field
-        field = lambda th: evaluator.value_batch(th[None, :])[0]  # noqa: E731
+        _check_point(field, theta)
+        field = field.value_batch
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     # each state is a new array, never written to, so states holds no copies
-    theta = np.atleast_1d(np.asarray(theta0, dtype=float))
     n_steps = int(round(t_end / dt)) if t_end > 0 else 0
     times = [0.0]
     states = [theta]
-    for k in range(n_steps):
-        k1 = field(theta)
-        k2 = field(theta + 0.5 * dt * k1)
-        k3 = field(theta + 0.5 * dt * k2)
-        k4 = field(theta + dt * k3)
-        theta = theta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(theta)):
-            break
-        times.append((k + 1) * dt)
-        states.append(theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            k1 = field(theta)
+            k2 = field(theta + 0.5 * dt * k1)
+            k3 = field(theta + 0.5 * dt * k2)
+            k4 = field(theta + dt * k3)
+            theta = theta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(theta).all():
+                break
+            times.append((k + 1) * dt)
+            states.append(theta)
     return FlowTrajectory(np.asarray(times), np.stack(states))
 
 
@@ -247,6 +267,7 @@ def find_equilibrium(
     if not 1e-12 <= tol <= 1e-6:
         raise ValueError(f"tol must lie in [1e-12, 1e-6], got {tol}")
     theta = np.atleast_1d(np.asarray(theta_init, dtype=float)).copy()
+    _check_point(evaluator, theta)
     fval = evaluator.value(theta)
     fnorm = float(np.linalg.norm(fval))
     converged = False

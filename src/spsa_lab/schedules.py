@@ -56,8 +56,13 @@ class StepSizeSchedule:
 
 
 def _squared_norms(theta: np.ndarray) -> np.ndarray:
-    """Squared row norms of a float array; identical arithmetic for (d,) and (m, d) inputs."""
-    return np.add.reduce(theta * theta, axis=-1)
+    """Squared row norms of a float array; identical arithmetic for (d,) and (m, d) inputs.
+
+    At d = 1 the sum of one term is that term, taken without a reduce; at
+    a (1,) point the result is then 0-d and what follows runs on scalars.
+    """
+    sq = theta * theta
+    return sq[..., 0] if sq.shape[-1] == 1 else np.add.reduce(sq, axis=-1)
 
 
 def _oblivious(theta, eps):

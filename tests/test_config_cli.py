@@ -282,17 +282,24 @@ def test_cli_experiment_rejects_bad_worker_counts(tmp_path, capsys):
         ),
         ("experiment", experiment_cfg(**{"ensemble.statistic": "fbar", "meanflow.method": "two_point"}),
          "meanflow.method"),
+        ("meanflow", dict(MEANFLOW_TRIG, **{"meanflow.flow_theta0": [1.0, 2.0]}), "meanflow.flow_theta0"),
+        ("meanflow", dict(MEANFLOW_TRIG, **{"meanflow.theta_init": [0.2, 0.1]}), "meanflow.theta_init"),
+        ("equilibrium", dict(MEANFLOW_TRIG, **{"meanflow.flow_theta0": [1.0, 2.0]}), "meanflow.flow_theta0"),
+        ("equilibrium", dict(MEANFLOW_TRIG, **{"meanflow.theta_init": [0.2, 0.1]}), "meanflow.theta_init"),
     ],
     ids=[
         "nonsymmetric_Q", "run_box_dimension", "ensemble_box_dimension", "obj_floor_above_known_floor",
         "experiment_fbar_monte_carlo", "meanflow_two_point_uniform", "meanflow_quadrature_rademacher",
-        "meanflow_two_dimensional", "experiment_fbar_two_point_uniform",
+        "meanflow_two_dimensional", "experiment_fbar_two_point_uniform", "meanflow_flow_start_dimension",
+        "meanflow_equilibrium_start_dimension", "equilibrium_flow_start_dimension",
+        "equilibrium_equilibrium_start_dimension",
     ],
 )
 def test_cli_invalid_built_config_exits_2_naming_key(tmp_path, capsys, command, cfg, key):
     # each passes the per-key checks except experiment_fbar_monte_carlo,
     # which names a mean-field method no command can run; the others fail
-    # only when the objective, box, gain or mean-field evaluator is built.
+    # only when the objective, box, gain or mean-field evaluator is built,
+    # or when a start point is checked against the objective's dimension.
     # Each ends in a ConfigError, not a traceback
     cfg_path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -5,7 +7,10 @@ from scipy.optimize import brentq
 from spsa_lab import (
     BaseNoise,
     CenterActiveGain,
+    ConstantGain,
+    DecayingGain,
     MeanFieldEvaluator,
+    ObjectiveActiveGain,
     SolverError,
     bias_sweep,
     find_equilibrium,
@@ -99,21 +104,44 @@ def test_monte_carlo_zigzag_matches_quadrature():
         assert abs(vm[0] - vq[0]) <= 3.0 * se[0] + 1e-12
 
 
+def make_gain(kind, eps):
+    if kind == "center_active":
+        return CenterActiveGain(eps, np.array([0.3]), 0.7)
+    if kind == "objective_active":
+        return ObjectiveActiveGain(eps, trig_quadratic_1d(), -2.0)
+    if kind == "constant":
+        return ConstantGain(eps)
+    return DecayingGain(eps, 0.6)
+
+
+def as_bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
 @pytest.mark.parametrize("mode", ["iid", "zigzag"])
 @pytest.mark.parametrize("method", ["two_point", "quadrature"])
 def test_value_batch_matches_pointwise(method, mode):
-    # evaluate and value are 1-row calls of value_batch, and rows do not interact
+    # for every gain kind, a (1,) point and each row of an (m, 1) batch
+    # take the same floating-point operations, so they agree bit for bit;
+    # evaluate and value are point calls of value_batch, and rows do not
+    # interact
     base = RAD if method == "two_point" else UNI
-    ev = MeanFieldEvaluator(
-        objective=trig_quadratic_1d(), gain=active_gain(0.05), base=base, mode=mode, varsigma=VS, method=method
-    )
     grid = np.linspace(-3, 3, 17)[:, None]
-    batch = ev.value_batch(grid)
-    assert batch.shape == (17, 1)
-    for i, theta in enumerate(grid[:, 0]):
-        val, err = ev.evaluate(np.array([theta]))
-        assert batch[i, 0] == val[0] == ev.value(np.array([theta]))[0]
-        assert err[0] == 0.0
+    for gain_kind in ("center_active", "objective_active", "constant", "decaying"):
+        ev = MeanFieldEvaluator(
+            objective=trig_quadratic_1d(), gain=make_gain(gain_kind, 0.05), base=base, mode=mode, varsigma=VS,
+            method=method,
+        )
+        batch = ev.value_batch(grid)
+        assert batch.shape == (17, 1) and batch.dtype == np.float64
+        for i, theta in enumerate(grid[:, 0]):
+            point = ev.value_batch(np.array([theta]))
+            assert type(point) is np.ndarray and point.shape == (1,) and point.dtype == np.float64
+            assert np.array_equal(as_bits(point), as_bits(batch[i])), gain_kind
+            val, err = ev.evaluate(np.array([theta]))
+            assert np.array_equal(as_bits(val), as_bits(batch[i]))
+            assert np.array_equal(as_bits(ev.value(np.array([theta]))), as_bits(batch[i]))
+            assert err[0] == 0.0
 
 
 def test_value_batch_rejects_monte_carlo():
@@ -177,10 +205,53 @@ def test_integrate_flow_zero_horizon():
 
 
 def test_integrate_flow_aborts_on_blowup():
-    # dx/dt = x^2 from 1 escapes before t=2; the partial trajectory is kept
-    flow = integrate_flow(lambda th: th * th, [1.0], 2.0, 0.01)
+    # dx/dt = x^2 from 1 escapes before t=2; the partial trajectory is
+    # kept, and the overflow it handles itself is not reported as a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flow = integrate_flow(lambda th: th * th, [1.0], 2.0, 0.01)
     assert flow.times[-1] < 2.0
     assert np.all(np.isfinite(flow.states))
+
+
+def rk4_on_rows(ev, theta0, t_end, dt):
+    # the reference driver: classical RK4 with each field call a 1-row batch
+    def field(th):
+        return ev.value_batch(th[None, :])[0]
+
+    theta = np.atleast_1d(np.asarray(theta0, dtype=float))
+    states = [theta]
+    for _ in range(int(round(t_end / dt))):
+        k1 = field(theta)
+        k2 = field(theta + 0.5 * dt * k1)
+        k3 = field(theta + 0.5 * dt * k2)
+        k4 = field(theta + dt * k3)
+        theta = theta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(theta)
+    return np.stack(states)
+
+
+@pytest.mark.parametrize("mode", ["iid", "zigzag"])
+@pytest.mark.parametrize("method", ["two_point", "quadrature"])
+def test_integrate_flow_matches_rk4_on_rows(method, mode):
+    # the flow calls the field at (1,) points; its states equal those of
+    # 1-row batch calls bit for bit
+    base = RAD if method == "two_point" else UNI
+    ev = MeanFieldEvaluator(
+        objective=trig_quadratic_1d(), gain=active_gain(0.1), base=base, mode=mode, varsigma=VS, method=method
+    )
+    flow = integrate_flow(ev, [2.5], 0.5, 1e-2)
+    want = rk4_on_rows(ev, [2.5], 0.5, 1e-2)
+    assert flow.states.shape == want.shape == (51, 1)
+    assert np.array_equal(as_bits(flow.states), as_bits(want))
+
+
+def test_flow_and_equilibrium_reject_a_start_of_the_wrong_dimension():
+    ev = MeanFieldEvaluator(objective=trig_quadratic_1d(), gain=active_gain(0.1), base=RAD)
+    with pytest.raises(ValueError, match="shape"):
+        integrate_flow(ev, [1.0, 2.0], 1.0, 0.1)
+    with pytest.raises(ValueError, match="shape"):
+        find_equilibrium(ev, np.array([0.2, 0.1]))
 
 
 def test_integrate_flow_rejects_monte_carlo_field():

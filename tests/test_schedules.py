@@ -11,6 +11,7 @@ from spsa_lab import (
     quadratic_1d,
 )
 from spsa_lab.objectives import Objective
+from spsa_lab.schedules import _squared_norms
 
 
 def test_step_size_clamps_at_small_n():
@@ -161,3 +162,14 @@ def test_gain_rejects_nonpositive_row_scales(scales):
         CenterActiveGain(np.array(scales), np.array([0.0]))
     with pytest.raises(ValueError):
         ConstantGain(0.1).scaled(np.array(scales))
+
+
+@pytest.mark.parametrize("shape", [(3,), (1,), (5, 1), (5, 4)])
+def test_squared_norms_bitwise_equal_to_reduce(shape):
+    # at d = 1 the reduce is skipped; a sum of one term is that term, so
+    # every shape matches np.add.reduce bit for bit
+    theta = np.random.default_rng(3).normal(scale=7.0, size=shape)
+    got = _squared_norms(theta)
+    want = np.add.reduce(theta * theta, axis=-1)
+    assert np.shape(got) == want.shape
+    assert np.array_equal(np.asarray(got).view(np.uint64), want.view(np.uint64))
