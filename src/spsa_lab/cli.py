@@ -58,16 +58,21 @@ MODES = ("iid", "zigzag")
 
 
 def _fmt(x) -> str:
-    # 17 significant digits: round-trip exact for doubles
-    return format(float(x), ".17g")
+    # 17 significant digits: round-trip exact for doubles; "g" formats an int
+    # or a NumPy scalar as the float it converts to
+    return format(x, ".17g")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write ``rows`` under ``header``: strings as they are, numbers through ``_fmt``.
+
+    Callers pass Python floats and ints (``tolist``), which build their
+    rows faster than NumPy scalars and format to the same text.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
+        writer.writerows([c if isinstance(c, str) else _fmt(c) for c in row] for row in rows)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -143,10 +148,14 @@ def cmd_run(args) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     header = ["n"] + [f"theta_{i}" for i in range(objective.dim)] + ["alpha", "eps", "objective"]
-    rows = []
-    for k, idx in enumerate(result.record_indices):
-        theta, eps, value = result.thetas[0, k], result.gain_trace[0, k], result.objective_trace[0, k]
-        rows.append([int(idx), *theta, result.alpha_trace[k], eps, value])
+    columns = (
+        result.record_indices.tolist(),
+        result.thetas[0].tolist(),
+        result.alpha_trace.tolist(),
+        result.gain_trace[0].tolist(),
+        result.objective_trace[0].tolist(),
+    )
+    rows = [[idx, *theta, alpha, eps, value] for idx, theta, alpha, eps, value in zip(*columns)]
     _write_csv(out / "trajectory.csv", header, rows)
     summary = {
         "n_steps": result.n_steps,
@@ -312,7 +321,9 @@ def cmd_meanflow(args) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     fbar = evaluator.value_batch(grid[:, None])[:, 0]
-    _write_csv(out / "fbar_grid.csv", ["theta", "fbar", "stderr"], [[t, f, 0.0] for t, f in zip(grid, fbar)])
+    _write_csv(
+        out / "fbar_grid.csv", ["theta", "fbar", "stderr"], [[t, f, 0.0] for t, f in zip(grid.tolist(), fbar.tolist())]
+    )
     outputs = ["fbar_grid.csv", "eq_report.json"]
 
     if "meanflow.flow_theta0" in cfg:
@@ -326,7 +337,7 @@ def cmd_meanflow(args) -> int:
         _write_csv(
             out / "flow_mean.csv",
             ["t"] + [f"theta_{i}" for i in range(dim)],
-            [[t, *state] for t, state in zip(flow.times, flow.states)],
+            [[t, *state] for t, state in zip(flow.times.tolist(), flow.states.tolist())],
         )
         outputs.append("flow_mean.csv")
 

@@ -4,18 +4,20 @@ The update direction at a frozen iterate, averaged over the probe law,
 defines a vector field whose flow governs the recursion's long-run
 behavior.  This module evaluates that field with one node/weight rule
 against the probe law, whose nodes are the probe atoms (exact, finite
-probe support) or Gauss-Legendre nodes (uniform base noise).  The same
-code takes an (m, 1) batch of points or a single (1,) point; at a point
-the gain, the node weighting and the 1/eps scaling run on NumPy
-scalars, and only the objective's node evaluation is an array
-operation.  A Monte Carlo estimate is kept as an independent reference.
-The module integrates the associated flow and the plain gradient flow
+probe support) or Gauss-Legendre nodes (uniform base noise).  It takes
+an (m, 1) batch of points (``value_batch``) or one point given as a
+Python float (``value_at``), with the same floating-point operations on
+each; at a float point the gain, the two-point rule's node terms and the
+1/eps scaling run on Python floats, with no NumPy array operation.  A
+Monte Carlo estimate is kept as an independent reference.  The module
+integrates the associated flow (on floats) and the plain gradient flow
 with classical RK4, and locates the field's equilibrium together with
 its Jacobian spectrum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +93,9 @@ class MeanFieldEvaluator:
         if self.deterministic:
             self._nodes, weights = self._rule()
             self._weighted_nodes = weights * self._nodes
+            # the two-point rule's (node, weighted node) pairs as floats, for value_at
+            if self.method == "two_point":
+                self._float_rule = tuple(zip(self._nodes.tolist(), self._weighted_nodes.tolist()))
 
     @property
     def deterministic(self) -> bool:
@@ -126,14 +131,15 @@ class MeanFieldEvaluator:
         return self.evaluate(theta)[0]
 
     def evaluate(self, theta):
-        """Mean field and its standard error at one point.
+        """Mean field and its standard error at one (d,) point.
 
-        Deterministic methods are a point call of ``value_batch`` with a
-        zero standard error.
+        Deterministic methods are a ``value_at`` call at the point's
+        coordinate with a zero standard error.
         """
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if self.deterministic:
-            return self.value_batch(theta), np.zeros(1)
+            _check_point(self, theta)
+            return np.array([self.value_at(float(theta[0]))]), np.zeros(1)
         eps = float(self.gain.value(theta))
         xi = self._sample_probes(self.mc_samples)
         perturbed = theta[None, :] + eps * xi
@@ -150,21 +156,36 @@ class MeanFieldEvaluator:
         return self.varsigma * (w[:n] - w[n:])
 
     def value_batch(self, thetas: np.ndarray) -> np.ndarray:
-        """Mean field on an (m, 1) batch of points or at one (1,) point.
-
-        Returns (m, 1) for a batch and (1,) for a point; deterministic
-        methods only.  The gain is a float at a point and an (m,) array
-        for a batch, so one expression serves both shapes, with the same
-        floating-point operations on each row.
-        """
+        """Mean field on an (m, 1) batch of points, as (m, 1); deterministic methods only."""
         if not self.deterministic:
             raise ValueError("batch evaluation requires a deterministic method")
         thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2:
+            raise ValueError(f"value_batch takes an (m, 1) batch, got shape {thetas.shape}")
         eps = self.gain.value(thetas)
         # the perturbed points theta + eps * xi_k, one row per iterate (d = 1)
-        pts = thetas + np.multiply.outer(eps, self._nodes)
+        pts = thetas + eps[:, None] * self._nodes
         vals = self.objective.value_batch(pts.reshape(-1, 1)).reshape(pts.shape)
-        return (-np.add.reduce(vals * self._weighted_nodes, axis=-1) / eps)[..., None]
+        return (-np.add.reduce(vals * self._weighted_nodes, axis=1) / eps)[:, None]
+
+    def value_at(self, x: float) -> float:
+        """Mean field at one 1-d point ``x``, a float, as a float; deterministic methods only.
+
+        The floating-point operations are those of a ``value_batch`` row.
+        The two-point rule adds its two node terms in node order, as
+        ``np.add.reduce`` does with two terms, so the whole call runs on
+        Python floats.  Quadrature's 64 or 128 nodes stay one array
+        expression, which NumPy sums pairwise as it does a batch row.
+        """
+        eps = self.gain.value(x)
+        if self.method == "two_point":
+            (n0, w0), (n1, w1) = self._float_rule
+            value = self.objective.value
+            total = value(x + eps * n0) * w0 + value(x + eps * n1) * w1
+        else:
+            vals = self.objective.value_batch((x + eps * self._nodes)[:, None])
+            total = float(np.add.reduce(vals * self._weighted_nodes))
+        return -total / eps
 
 
 @dataclass
@@ -199,36 +220,42 @@ def _check_point(evaluator: MeanFieldEvaluator, theta: np.ndarray) -> None:
 def integrate_flow(field, theta0, t_end: float, dt: float) -> FlowTrajectory:
     """Classical 4th-order Runge-Kutta with a fixed step.
 
-    ``field`` is a callable theta -> dtheta/dt or a deterministic
-    MeanFieldEvaluator, whose ``value_batch`` is then called at each
-    (d,) state.  A non-finite state aborts integration and the partial
-    trajectory is returned; the overflow that produces it is not
-    reported as a warning.
+    ``field`` is a callable theta -> dtheta/dt on (d,) states, or a
+    deterministic MeanFieldEvaluator, whose flow then runs on Python
+    floats through ``value_at``.  A non-finite state aborts integration
+    and the partial trajectory is returned; the overflow that produces it
+    is not reported as a warning.
     """
     theta = np.atleast_1d(np.asarray(theta0, dtype=float))
+    finite = _all_finite
     if isinstance(field, MeanFieldEvaluator):
         if not field.deterministic:
             raise ValueError("flow integration requires a deterministic mean-field method")
         _check_point(field, theta)
-        field = field.value_batch
+        field, theta, finite = field.value_at, float(theta[0]), math.isfinite
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    # each state is a new array, never written to, so states holds no copies
+    # each state is a new value, never written to, so states holds no copies
     n_steps = int(round(t_end / dt)) if t_end > 0 else 0
+    half, sixth = 0.5 * dt, dt / 6.0
     times = [0.0]
     states = [theta]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             k1 = field(theta)
-            k2 = field(theta + 0.5 * dt * k1)
-            k3 = field(theta + 0.5 * dt * k2)
+            k2 = field(theta + half * k1)
+            k3 = field(theta + half * k2)
             k4 = field(theta + dt * k3)
-            theta = theta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(theta).all():
+            theta = theta + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not finite(theta):
                 break
             times.append((k + 1) * dt)
             states.append(theta)
-    return FlowTrajectory(np.asarray(times), np.stack(states))
+    return FlowTrajectory(np.asarray(times), np.array(states).reshape(len(states), -1))
+
+
+def _all_finite(theta: np.ndarray) -> bool:
+    return bool(np.isfinite(theta).all())
 
 
 @dataclass

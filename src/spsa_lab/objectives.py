@@ -3,8 +3,10 @@
 Built-ins cover the two desk problems: a pure quadratic and a quadratic
 with trigonometric terms that break its symmetry, plus a general
 positive-definite quadratic form.  An `Objective` is evaluated on batches
-of points only; each built-in states its value and gradient once, as a
-batch formula, and a single point is a 1-row batch.  User objectives are
+of points; each built-in states its value and gradient once.  A 1-d
+built-in states its value as an element-wise formula of the coordinate,
+which runs on an (m,) column for a batch and on a Python float at a
+point; any other single point is a 1-row batch.  User objectives are
 supplied the same way; there is no expression parser.
 """
 
@@ -43,8 +45,11 @@ class Objective:
 
     ``fn_batch`` maps an (m, d) batch to m values and ``grad_batch_fn`` to
     m gradient rows; ``grad`` falls back to central finite differences
-    when no closed form is given.  Metadata fields record a known
-    stationary point and a known lower bound when available.
+    when no closed form is given.  A 1-d objective may also give
+    ``fn_1d``, the element-wise formula of its coordinate that
+    ``fn_batch`` applies to ``ts[:, 0]``; ``value`` then runs it at a
+    float point.  Metadata fields record a known stationary point and a
+    known lower bound when available.
     """
 
     dim: int
@@ -53,9 +58,26 @@ class Objective:
     known_optimum: np.ndarray | None = None
     known_floor: float | None = None
     name: str = "custom"
+    fn_1d: Callable | None = None
+
+    def __post_init__(self):
+        if self.fn_1d is not None and self.dim != 1:
+            raise ValueError(f"fn_1d needs a 1-dimensional objective, got dim {self.dim}")
 
     def value(self, theta) -> float:
-        """Objective at one (d,) point: a 1-row ``value_batch``."""
+        """Objective at one point, a (d,) array or (for d = 1) a float.
+
+        A float runs through ``fn_1d`` on Python floats when the objective
+        gives it, with the same floor check as ``value_batch``; any other
+        point is a 1-row ``value_batch``.
+        """
+        if self.fn_1d is not None and isinstance(theta, float):
+            val = float(self.fn_1d(theta))
+            if self.known_floor is not None and val < self.known_floor - 1e-12:
+                raise ValueError(
+                    f"objective {val} below declared floor {self.known_floor} at theta={np.array([theta])}"
+                )
+            return val
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if theta.shape != (self.dim,):
             raise ValueError(f"theta has shape {theta.shape}, expected ({self.dim},)")
@@ -145,15 +167,28 @@ def bisect_root(fn, lo: float, hi: float, tol: float = 1e-14, max_iter: int = 20
     return 0.5 * (lo + hi)
 
 
+def _on_column(fn_1d):
+    """The batch form of a 1-d element-wise formula: ``fn_1d`` applied to ``ts[:, 0]``."""
+    return lambda ts: fn_1d(ts[:, 0])
+
+
+# The element-wise formulas run on floats too, so squares are written x * x:
+# on a Python float x**2 calls libm pow, which can differ from x * x in the
+# last bit, while on an array NumPy computes x**2 as x * x.
+def _square(x):
+    return x * x
+
+
 def quadratic_1d() -> Objective:
     """1-d quadratic, value theta^2, minimum 0 at the origin."""
     return Objective(
         dim=1,
-        fn_batch=lambda ts: ts[:, 0] ** 2,
+        fn_batch=_on_column(_square),
         grad_batch_fn=lambda ts: 2.0 * ts[:, :1],
         known_optimum=np.array([0.0]),
         known_floor=0.0,
         name="quadratic1d",
+        fn_1d=_square,
     )
 
 
@@ -166,9 +201,8 @@ def trig_quadratic_1d() -> Objective:
     optimum.
     """
 
-    def fb(ts):
-        x = ts[:, 0]
-        return x**2 - np.cos(x) - np.sin(5.0 * x) / 5.0 + 4.0
+    def f(x):
+        return x * x - np.cos(x) - np.sin(5.0 * x) / 5.0 + 4.0
 
     def gb(ts):
         x = ts[:, 0]
@@ -177,11 +211,12 @@ def trig_quadratic_1d() -> Objective:
     stationary = bisect_root(lambda x: gb(np.array([[x]]))[0, 0], 0.0, 0.5)
     return Objective(
         dim=1,
-        fn_batch=fb,
+        fn_batch=_on_column(f),
         grad_batch_fn=gb,
         known_optimum=np.array([stationary]),
         known_floor=2.8,
         name="trig_quadratic1d",
+        fn_1d=f,
     )
 
 

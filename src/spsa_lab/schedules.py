@@ -4,11 +4,16 @@ The step size decays polynomially under an initial clamp; exploration
 gains are either oblivious (functions of the iteration index only) or
 active (functions of the current iterate, bounded below by ``eps_bullet``,
 which is the stabilization mechanism).
+
+Every gain's ``value`` takes an (m, d) batch, one (d,) point, or a
+1-d point given as a Python float; a float runs the same expression as a
+batch row on Python floats and returns a float.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,19 +60,29 @@ class StepSizeSchedule:
         return float(out) if out.ndim == 0 else out
 
 
-def _squared_norms(theta: np.ndarray) -> np.ndarray:
-    """Squared row norms of a float array; identical arithmetic for (d,) and (m, d) inputs.
+def _squared_norms(theta):
+    """Squared row norms of a float array, or the square of a float; identical arithmetic for every shape.
 
     At d = 1 the sum of one term is that term, taken without a reduce; at
-    a (1,) point the result is then 0-d and what follows runs on scalars.
+    a (1,) point the result is then 0-d.  A float is a 1-d point, and its
+    squared norm is a float.
     """
     sq = theta * theta
+    if isinstance(sq, float):
+        return sq
     return sq[..., 0] if sq.shape[-1] == 1 else np.add.reduce(sq, axis=-1)
 
 
+def _sqrt(x):
+    """Square root of a float (``math.sqrt``) or of an array; both are correctly rounded, so they agree bit for bit."""
+    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
+
+
 def _oblivious(theta, eps):
-    """An oblivious gain ``eps`` for each row of an (m, d) batch, or ``eps`` itself for one (d,) point."""
-    return np.full(np.shape(theta)[0], eps) if np.ndim(theta) >= 2 else eps
+    """An oblivious gain ``eps`` for each row of an (m, d) batch, or ``eps`` itself for one point."""
+    if isinstance(theta, float) or np.ndim(theta) < 2:
+        return eps
+    return np.full(np.shape(theta)[0], eps)
 
 
 def _check_scale(gain) -> None:
@@ -82,9 +97,10 @@ class ExplorationGain:
     """Base class for exploration-gain schedules.
 
     Subclasses implement ``value(theta, n)``; ``theta`` may be a single
-    vector of shape (d,) or a batch of shape (m, d), in which case a
-    vector of per-row gains is returned.  ``eps_bullet`` is one scale for
-    every row or an (m,) array holding one scale per row of the batch.
+    vector of shape (d,), a 1-d point given as a float, or a batch of
+    shape (m, d), in which case a vector of per-row gains is returned.
+    ``eps_bullet`` is one scale for every row or an (m,) array holding one
+    scale per row of the batch.
     """
 
     eps_bullet: float
@@ -144,12 +160,14 @@ class CenterActiveGain(ExplorationGain):
         if not self.sigma_p > 0:
             raise ValueError(f"sigma_p must be positive, got {self.sigma_p}")
         object.__setattr__(self, "center", np.atleast_1d(np.asarray(self.center, dtype=float)))
+        # a float point is offset by the center's coordinate, so it stays a float
+        object.__setattr__(self, "_center_1d", float(self.center[0]) if self.center.size == 1 else None)
 
     def value(self, theta, n: int = 0):
-        # the float center makes theta - center a float array for any input
-        dist2 = _squared_norms(theta - self.center)
-        out = self.eps_bullet * np.sqrt(1.0 + dist2 / self.sigma_p**2)
-        return out if out.ndim else float(out)
+        # the float center makes theta - center a float array for any array input
+        offset = theta - (self._center_1d if isinstance(theta, float) else self.center)
+        out = self.eps_bullet * _sqrt(1.0 + _squared_norms(offset) / self.sigma_p**2)
+        return float(out) if isinstance(out, float) else out
 
 
 @dataclass(frozen=True)
@@ -161,18 +179,23 @@ class ObjectiveActiveGain(ExplorationGain):
     """
 
     eps_bullet: float
-    objective: "object"  # anything with value_batch, see objectives module
+    objective: "object"  # anything with value and value_batch, see objectives module
     floor: float
 
     def __post_init__(self):
         _check_scale(self)
 
     def value(self, theta, n: int = 0):
-        # a (d,) point is a 1-row batch
-        rows = np.atleast_2d(np.asarray(theta, dtype=float))
-        vals = self.objective.value_batch(rows)
-        bad = vals < self.floor
-        if np.any(bad):
-            raise GainFloorError(f"objective below declared floor {self.floor} at theta={rows[bad][0]}")
-        out = self.eps_bullet * np.sqrt(1.0 + vals - self.floor)
-        return out if np.ndim(theta) >= 2 else float(out[0])
+        # a float is evaluated at that point; a (d,) point is a 1-row batch
+        point = isinstance(theta, float)
+        if point:
+            vals = self.objective.value(theta)
+        else:
+            rows = np.atleast_2d(np.asarray(theta, dtype=float))
+            vals = self.objective.value_batch(rows)
+        below = vals < self.floor
+        if below if point else below.any():
+            at = np.array([theta]) if point else rows[below][0]
+            raise GainFloorError(f"objective below declared floor {self.floor} at theta={at}")
+        out = self.eps_bullet * _sqrt(1.0 + vals - self.floor)
+        return out if point or np.ndim(theta) >= 2 else float(out[0])

@@ -9,8 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spsa_lab.cli import main
+from spsa_lab.cli import _write_csv, main
 from spsa_lab.config import ConfigError, config_hash, load_config, validate_config
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 MEANFLOW_TRIG = json.loads((CONFIGS / "meanflow_trig.json").read_text())
@@ -110,7 +116,7 @@ def test_cli_run_writes_trajectory_and_manifest(tmp_path):
     cfg_path = write_cfg(tmp_path, run_cfg())
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-    rows = list(csv.reader(open(out / "trajectory.csv")))
+    rows = read_csv(out / "trajectory.csv")
     assert rows[0] == ["n", "theta_0", "alpha", "eps", "objective"]
     assert len(rows) == 202  # header + indices 0..200
     manifest = json.loads((out / "manifest.json").read_text())
@@ -124,7 +130,7 @@ def test_cli_run_round_trips_doubles(tmp_path):
     cfg_path = write_cfg(tmp_path, run_cfg(n=50))
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-    rows = list(csv.reader(open(out / "trajectory.csv")))[1:]
+    rows = read_csv(out / "trajectory.csv")[1:]
     from spsa_lab import (
         CenterActiveGain,
         ProbeGenerator,
@@ -158,7 +164,7 @@ def test_cli_run_divergence_exit_code(tmp_path):
     summary = json.loads((out / "run_summary.json").read_text())
     assert summary["diverged_at"] is not None
     # the trajectory ends on the trip index, with no row past it
-    n = [int(r[0]) for r in list(csv.reader(open(out / "trajectory.csv")))[1:]]
+    n = [int(r[0]) for r in read_csv(out / "trajectory.csv")[1:]]
     assert n[-1] == summary["diverged_at"] == max(n)
 
 
@@ -170,7 +176,7 @@ def test_cli_run_strided_divergence_stops_at_trip(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 3
     diverged_at = json.loads((out / "run_summary.json").read_text())["diverged_at"]
-    n = [int(r[0]) for r in list(csv.reader(open(out / "trajectory.csv")))[1:]]
+    n = [int(r[0]) for r in read_csv(out / "trajectory.csv")[1:]]
     assert diverged_at % 2 == 1
     assert n == list(range(0, diverged_at + 1, 2))
 
@@ -227,7 +233,7 @@ def test_cli_experiment_outputs_and_worker_determinism(tmp_path):
     assert main(["experiment", "--config", str(cfg_path), "--out", str(out8), "--workers", "8"]) == 0
     assert (out1 / "ensemble.csv").read_bytes() == (out8 / "ensemble.csv").read_bytes()
     assert (out1 / "scaling.json").read_bytes() == (out8 / "scaling.json").read_bytes()
-    rows = list(csv.reader(open(out1 / "ensemble.csv")))
+    rows = read_csv(out1 / "ensemble.csv")
     assert rows[0] == ["eps_bullet", "mode", "M_effective", "scaled_var_trace", "mean_bias_norm"]
     assert len(rows) == 7  # header + 2 modes x 3 gain values
     scaling = json.loads((out1 / "scaling.json").read_text())
@@ -335,10 +341,19 @@ def test_cli_seed_flag_overrides_master(tmp_path):
     assert (out1 / "ensemble.csv").read_bytes() != (out2 / "ensemble.csv").read_bytes()
 
 
+def test_write_csv_writes_each_number_as_its_float(tmp_path):
+    # ints (run's n), strings (experiment's mode), Python floats and NumPy
+    # scalars: a string as it is, a number as its float to 17 digits
+    cells = [7, "zigzag", 0.1, np.float64(1.0 / 3.0), np.int64(5), float("nan"), -0.0, 1e-300, 2**60]
+    _write_csv(tmp_path / "cells.csv", [f"c{i}" for i in range(len(cells))], [cells, cells])
+    want = [c if isinstance(c, str) else format(float(c), ".17g") for c in cells]
+    assert read_csv(tmp_path / "cells.csv")[1:] == [want, want]
+
+
 def test_cli_meanflow_outputs(tmp_path):
     out = tmp_path / "mf"
     assert main(["meanflow", "--config", str(CONFIGS / "meanflow_trig.json"), "--out", str(out)]) == 0
-    rows = list(csv.reader(open(out / "fbar_grid.csv")))
+    rows = read_csv(out / "fbar_grid.csv")
     assert rows[0] == ["theta", "fbar", "stderr"]
     assert len(rows) == 102  # header + 101 grid points
     thetas = [float(r[0]) for r in rows[1:]]
@@ -348,7 +363,7 @@ def test_cli_meanflow_outputs(tmp_path):
     assert abs(report["theta_star"][0] - 0.19094784751) < 1e-6
     assert report["eigs"][0] < 0
     assert 1.7 <= report["bias_sweep"]["slope"] <= 2.3
-    flow_rows = list(csv.reader(open(out / "flow_mean.csv")))
+    flow_rows = read_csv(out / "flow_mean.csv")
     assert len(flow_rows) == 1002  # header + 1001 time points
 
 

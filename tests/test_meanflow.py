@@ -121,27 +121,36 @@ def as_bits(x):
 @pytest.mark.parametrize("mode", ["iid", "zigzag"])
 @pytest.mark.parametrize("method", ["two_point", "quadrature"])
 def test_value_batch_matches_pointwise(method, mode):
-    # for every gain kind, a (1,) point and each row of an (m, 1) batch
-    # take the same floating-point operations, so they agree bit for bit;
-    # evaluate and value are point calls of value_batch, and rows do not
-    # interact
+    # for every gain kind, value_at at a float point takes the floating-point
+    # operations of a value_batch row, so they agree bit for bit on a dense
+    # grid (a float formula written with x**2, which calls libm pow, fails
+    # here); evaluate and value are value_at calls, and rows do not interact.
+    # Quadrature's node evaluation is an array expression at a point too, so
+    # it is checked on a tenth of the grid.
     base = RAD if method == "two_point" else UNI
-    grid = np.linspace(-3, 3, 17)[:, None]
+    grid = np.linspace(-3, 3, 20_001 if method == "two_point" else 2_001)
     for gain_kind in ("center_active", "objective_active", "constant", "decaying"):
         ev = MeanFieldEvaluator(
             objective=trig_quadratic_1d(), gain=make_gain(gain_kind, 0.05), base=base, mode=mode, varsigma=VS,
             method=method,
         )
-        batch = ev.value_batch(grid)
-        assert batch.shape == (17, 1) and batch.dtype == np.float64
-        for i, theta in enumerate(grid[:, 0]):
-            point = ev.value_batch(np.array([theta]))
-            assert type(point) is np.ndarray and point.shape == (1,) and point.dtype == np.float64
-            assert np.array_equal(as_bits(point), as_bits(batch[i])), gain_kind
-            val, err = ev.evaluate(np.array([theta]))
-            assert np.array_equal(as_bits(val), as_bits(batch[i]))
-            assert np.array_equal(as_bits(ev.value(np.array([theta]))), as_bits(batch[i]))
+        batch = ev.value_batch(grid[:, None])
+        assert batch.shape == (grid.size, 1) and batch.dtype == np.float64
+        points = [ev.value_at(x) for x in grid.tolist()]
+        assert all(type(p) is float for p in points), gain_kind
+        assert np.array_equal(as_bits(points), as_bits(batch[:, 0])), gain_kind
+        for i in range(0, grid.size, 500):
+            theta = np.array([grid[i]])
+            val, err = ev.evaluate(theta)
+            assert val.shape == (1,) and np.array_equal(as_bits(val), as_bits(batch[i]))
+            assert np.array_equal(as_bits(ev.value(theta)), as_bits(batch[i]))
             assert err[0] == 0.0
+
+
+def test_value_batch_takes_batches_only():
+    ev = MeanFieldEvaluator(objective=quadratic_1d(), gain=active_gain(0.1), base=RAD)
+    with pytest.raises(ValueError, match="batch"):
+        ev.value_batch(np.array([0.5]))
 
 
 def test_value_batch_rejects_monte_carlo():
@@ -214,6 +223,36 @@ def test_integrate_flow_aborts_on_blowup():
     assert np.all(np.isfinite(flow.states))
 
 
+def quartic_objective():
+    # value -x^4, written with products only: on floats they overflow to inf
+    # silently, where x**4 would raise OverflowError
+    def f(x):
+        sq = x * x
+        return -(sq * sq)
+
+    return Objective(dim=1, fn_batch=lambda ts: f(ts[:, 0]), fn_1d=f)
+
+
+@pytest.mark.parametrize("mode", ["iid", "zigzag"])
+def test_mean_flow_on_floats_stops_at_its_first_non_finite_state(mode):
+    # the two-point field of -x^4 is about 4 x^3, whose flow escapes in finite
+    # time (the active gain grows with |x|, so x +- eps stays apart from x);
+    # the float flow returns the finite prefix of the 1-row reference, ending
+    # just before its first non-finite state, with no warning and no exception
+    ev = MeanFieldEvaluator(
+        objective=quartic_objective(), gain=make_gain("center_active", 0.1), base=RAD, mode=mode, varsigma=VS
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flow = integrate_flow(ev, [1.0], 1.0, 0.01)
+    with np.errstate(all="ignore"):
+        want = rk4_on_rows(ev, [1.0], 1.0, 0.01)
+    first_bad = int(np.argmin(np.isfinite(want[:, 0])))
+    assert 0 < first_bad < 50
+    assert flow.states.shape == (first_bad, 1) and flow.times.shape == (first_bad,)
+    assert np.array_equal(as_bits(flow.states), as_bits(want[:first_bad]))
+
+
 def rk4_on_rows(ev, theta0, t_end, dt):
     # the reference driver: classical RK4 with each field call a 1-row batch
     def field(th):
@@ -234,8 +273,8 @@ def rk4_on_rows(ev, theta0, t_end, dt):
 @pytest.mark.parametrize("mode", ["iid", "zigzag"])
 @pytest.mark.parametrize("method", ["two_point", "quadrature"])
 def test_integrate_flow_matches_rk4_on_rows(method, mode):
-    # the flow calls the field at (1,) points; its states equal those of
-    # 1-row batch calls bit for bit
+    # the flow runs on Python floats; its states equal those of 1-row batch
+    # calls bit for bit
     base = RAD if method == "two_point" else UNI
     ev = MeanFieldEvaluator(
         objective=trig_quadratic_1d(), gain=active_gain(0.1), base=base, mode=mode, varsigma=VS, method=method

@@ -9,6 +9,7 @@ from spsa_lab import (
     ObjectiveActiveGain,
     StepSizeSchedule,
     quadratic_1d,
+    trig_quadratic_1d,
 )
 from spsa_lab.objectives import Objective
 from spsa_lab.schedules import _squared_norms
@@ -112,6 +113,28 @@ def test_gain_batch_shapes():
     assert DecayingGain(0.2, 0.5).value(thetas, 4).shape == (7,)
 
 
+@pytest.mark.parametrize(
+    "gain",
+    [
+        ConstantGain(0.1),
+        DecayingGain(0.1, 0.6),
+        CenterActiveGain(0.1, np.array([0.3]), 0.7),
+        ObjectiveActiveGain(0.1, trig_quadratic_1d(), -2.0),
+    ],
+    ids=["constant", "decaying", "center_active", "objective_active"],
+)
+def test_gain_at_a_float_point_is_a_float_equal_to_the_batch_row(gain):
+    # a float is a 1-d point: the gain runs on Python floats through the
+    # batch row's expression, so the two agree bit for bit on a dense grid
+    grid = np.linspace(-3.0, 3.0, 20_001)
+    for n in (0, 7):
+        batch = gain.value(grid[:, None], n)
+        points = [gain.value(x, n) for x in grid.tolist()]
+        assert all(type(p) is float for p in points)
+        assert np.array_equal(np.asarray(points).view(np.uint64), batch.view(np.uint64))
+        assert gain.value(np.array([grid[123]]), n) == points[123]
+
+
 def test_objective_active_gain_floor_violation_identifies_theta():
     # declare a floor above the actual objective values
     obj = Objective(dim=1, fn_batch=lambda ts: ts[:, 0] ** 2)
@@ -120,6 +143,10 @@ def test_objective_active_gain_floor_violation_identifies_theta():
         g.value(np.array([0.5]))
     with pytest.raises(GainFloorError, match="theta"):
         g.value(np.array([[0.5]]))
+    with pytest.raises(GainFloorError, match="theta"):
+        g.value(0.5)
+    with pytest.raises(GainFloorError, match="theta"):
+        ObjectiveActiveGain(0.1, quadratic_1d(), 1.0).value(0.5)
 
 
 @pytest.mark.parametrize(
