@@ -26,6 +26,7 @@ from .meanflow import (
     find_equilibrium,
     gradient_flow_field,
     integrate_flow,
+    monte_carlo_field,
 )
 from .objectives import (
     Objective,
@@ -75,6 +76,7 @@ __all__ = [
     "grad_check",
     "gradient_flow_field",
     "integrate_flow",
+    "monte_carlo_field",
     "quadratic_1d",
     "quadratic_nd",
     "regeneration_test",

@@ -5,7 +5,8 @@ probe-mode ensemble matrix), ``meanflow`` (field grid, flow trajectory,
 equilibrium report), ``equilibrium`` (report only), and ``probe-check``
 (probe-law diagnostics).  All outputs are CSV/JSON written under one
 directory together with a manifest sufficient to reproduce them
-bit-identically.
+bit-identically.  The JSON is strict: a non-finite number is written as
+null.
 
 Exit codes: 0 success, 2 invalid configuration, 3 divergence-guard trip,
 4 solver non-convergence.
@@ -23,8 +24,9 @@ output format, which the benchmark's output checks assert.
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -57,27 +59,35 @@ EXIT_SOLVER = 4
 MODES = ("iid", "zigzag")
 
 
-def _fmt(x) -> str:
-    # 17 significant digits: round-trip exact for doubles; "g" formats an int
-    # or a NumPy scalar as the float it converts to
-    return format(x, ".17g")
+def _write_csv(path: Path, header: list[str], rows: list) -> None:
+    """Write the nonempty list ``rows`` under ``header`` with one ``%`` format.
 
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write ``rows`` under ``header``: strings as they are, numbers through ``_fmt``.
-
-    Callers pass Python floats and ints (``tolist``), which build their
-    rows faster than NumPy scalars and format to the same text.
+    A column whose first cell is a string is written ``%s``, any other
+    ``%.17g``: 17 significant digits round-trip a double exactly, and an int
+    or a NumPy scalar is written as the float it converts to.  Callers pass
+    Python floats and ints (``tolist``), which build their rows fastest.
     """
+    line = ",".join("%s" if isinstance(c, str) else "%.17g" for c in rows[0]) + "\r\n"
+    text = ",".join(header) + "\r\n" + (line * len(rows)) % tuple(itertools.chain.from_iterable(rows))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([c if isinstance(c, str) else _fmt(c) for c in row] for row in rows)
+        fh.write(text)
+
+
+def _finite_or_null(value):
+    """``value`` with each non-finite float, at any depth, replaced by None (JSON null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
 
 
 def _write_json(path: Path, payload) -> None:
+    """Write ``payload`` as strict JSON: a non-finite float is written as null."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(_finite_or_null(payload), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -184,7 +194,8 @@ def cmd_experiment(args) -> int:
     def statistic(mode: str, lane_gain):
         if cfg["ensemble.statistic"] == "grad":
             return objective.grad_batch
-        return _mean_field(cfg, objective, lane_gain, base, mode).value_batch
+        ev = _mean_field(cfg, objective, lane_gain, base, mode)
+        return lambda theta: ev.evaluate(theta[:, 0])
 
     cells = run_ensemble_matrix(
         objective,
@@ -216,8 +227,8 @@ def cmd_experiment(args) -> int:
                 sv, bias = cell.scaled_var_trace, cell.mean_bias_norm
             else:
                 sv = bias = float("nan")
-            rows.append([_fmt(eps), mode, str(cell.m_effective), sv, bias])
-            seeds.setdefault(mode, {})[_fmt(eps)] = cell.seeds
+            rows.append([eps, mode, cell.m_effective, sv, bias])
+            seeds.setdefault(mode, {})[format(eps, ".17g")] = cell.seeds
             if cell.m_effective == cell.m_total:
                 eps_ok.append(eps)
                 var_ok.append(sv)
@@ -276,27 +287,26 @@ def _check_start_points(cfg: dict, dim: int) -> None:
 def _equilibrium_payload(cfg: dict, evaluator: MeanFieldEvaluator) -> dict:
     objective = evaluator.objective
     if "meanflow.theta_init" in cfg:
-        theta_init = np.asarray(cfg["meanflow.theta_init"], dtype=float)
+        theta_init = float(cfg["meanflow.theta_init"][0])
     elif objective.known_optimum is not None:
-        theta_init = objective.known_optimum
+        theta_init = float(objective.known_optimum[0])
     else:
-        theta_init = np.zeros(objective.dim)
+        theta_init = 0.0
     report = find_equilibrium(evaluator, theta_init, tol=cfg.get("meanflow.tol", 1e-10))
+    # in dimension 1 the Jacobian is the one eigenvalue
     payload = {
-        "theta_star": [float(x) for x in report.theta_star],
+        "theta_star": [report.theta_star],
         "residual": report.residual_norm,
-        "eigs": [float(x) for x in report.eigen_real_parts],
+        "eigs": [report.jacobian],
         "bias": report.bias_to_opt,
         "bias_to_origin": report.bias_to_origin,
     }
     if "meanflow.eps_sweep" in cfg:
-        if objective.dim != 1:
-            raise ConfigError("config key 'meanflow.eps_sweep' needs a one-dimensional objective")
-        ref = bisect_root(lambda x: float(objective.grad(np.array([x]))[0]), -1.0, 1.0)
+        ref = bisect_root(lambda x: float(objective.grad(x)[0]), -1.0, 1.0)
         biases, slope = bias_sweep(
             lambda eb: _build_evaluator(cfg, eps_bullet=eb),
             cfg["meanflow.eps_sweep"],
-            np.array([ref]),
+            ref,
             tol=cfg.get("meanflow.tol", 1e-10),
         )
         payload["bias_sweep"] = {
@@ -320,7 +330,7 @@ def cmd_meanflow(args) -> int:
         return EXIT_SOLVER
 
     out.mkdir(parents=True, exist_ok=True)
-    fbar = evaluator.value_batch(grid[:, None])[:, 0]
+    fbar = evaluator.evaluate(grid)
     _write_csv(
         out / "fbar_grid.csv", ["theta", "fbar", "stderr"], [[t, f, 0.0] for t, f in zip(grid.tolist(), fbar.tolist())]
     )
@@ -328,17 +338,12 @@ def cmd_meanflow(args) -> int:
 
     if "meanflow.flow_theta0" in cfg:
         flow = integrate_flow(
-            evaluator,
-            cfg["meanflow.flow_theta0"],
+            evaluator.evaluate,
+            cfg["meanflow.flow_theta0"][0],
             cfg.get("meanflow.flow_t_end", 1.0),
             cfg.get("meanflow.flow_dt", 1e-3),
         )
-        dim = evaluator.objective.dim
-        _write_csv(
-            out / "flow_mean.csv",
-            ["t"] + [f"theta_{i}" for i in range(dim)],
-            [[t, *state] for t, state in zip(flow.times.tolist(), flow.states.tolist())],
-        )
+        _write_csv(out / "flow_mean.csv", ["t", "theta_0"], list(zip(flow.times.tolist(), flow.states.tolist())))
         outputs.append("flow_mean.csv")
 
     _write_json(out / "eq_report.json", payload)

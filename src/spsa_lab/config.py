@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -65,6 +66,10 @@ def _is_matrix(v) -> bool:
     )
 
 
+# caps on what a mean-field config asks for: RK4 steps of the flow, points of the grid
+MAX_FLOW_STEPS = 10**6
+MAX_GRID_POINTS = 10**6
+
 # key -> (checker, human-readable expectation)
 KNOWN_KEYS: dict[str, tuple] = {
     "step.alpha0": (lambda v: _is_number(v) and v > 0, "a positive number"),
@@ -109,11 +114,11 @@ KNOWN_KEYS: dict[str, tuple] = {
         lambda v: (_is_vector(v) and len(v) == 2) or _is_matrix(v),
         "[lo, hi] or a per-dimension list of [lo, hi]",
     ),
-    # every command needs a deterministic field; monte_carlo stays a library method
+    # the mean field's two node/weight rules; Monte Carlo sampling is a test reference only
     "meanflow.method": (lambda v: v in ("two_point", "quadrature"), "two_point or quadrature"),
     "meanflow.grid": (
-        lambda v: _is_vector(v) and len(v) == 3 and v[0] < v[1] and _is_int(v[2]) and v[2] >= 2,
-        "[lo, hi, npoints] with lo < hi and integer npoints >= 2",
+        lambda v: _is_vector(v) and len(v) == 3 and v[0] < v[1] and _is_int(v[2]) and 2 <= v[2] <= MAX_GRID_POINTS,
+        f"[lo, hi, npoints] with lo < hi and integer npoints in [2, {MAX_GRID_POINTS}]",
     ),
     "meanflow.theta_init": (_is_vector, "a vector of numbers"),
     "meanflow.tol": (lambda v: _is_number(v) and 1e-12 <= v <= 1e-6, "a number in [1e-12, 1e-6]"),
@@ -187,6 +192,8 @@ def validate_config(cfg: dict, command: str) -> None:
         if command != "experiment" and "gain.eps_bullet" not in cfg:
             raise ConfigError("missing config key 'gain.eps_bullet'")
 
+    _check_derived(cfg)
+
     if cfg.get("objective.kind") == "quadratic_nd" and "objective.Q" not in cfg:
         raise ConfigError("missing config key 'objective.Q' (required for quadratic_nd)")
 
@@ -197,6 +204,21 @@ def validate_config(cfg: dict, command: str) -> None:
             raise ConfigError("config key 'ensemble.N0' must be below 'ensemble.N'")
         if len(cfg["ensemble.eps_grid"]) < 3:
             raise ConfigError("config key 'ensemble.eps_grid' needs at least 3 points for the scaling fit")
+
+
+def _check_derived(cfg: dict) -> None:
+    """Check what the program derives from keys that pass their own checks: a square, a doubled bound, a step count."""
+    if "gain.sigma_p" in cfg and not 0.0 < cfg["gain.sigma_p"] * cfg["gain.sigma_p"] < math.inf:
+        raise ConfigError(f"config key 'gain.sigma_p' is {cfg['gain.sigma_p']!r}; its square must be in (0, inf)")
+    if "probe.support" in cfg and not math.isfinite(2.0 * cfg["probe.support"]):
+        raise ConfigError(f"config key 'probe.support' is {cfg['probe.support']!r}; twice it must be finite")
+    if "meanflow.flow_t_end" in cfg or "meanflow.flow_dt" in cfg:
+        steps = cfg.get("meanflow.flow_t_end", 1.0) / cfg.get("meanflow.flow_dt", 1e-3)
+        if not steps <= MAX_FLOW_STEPS:
+            raise ConfigError(
+                f"config keys 'meanflow.flow_t_end' / 'meanflow.flow_dt' ask for {steps:.3g} RK4 steps; "
+                f"at most {MAX_FLOW_STEPS} are allowed"
+            )
 
 
 def config_hash(cfg: dict) -> str:

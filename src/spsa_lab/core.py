@@ -205,17 +205,17 @@ def run_batch(
             rec_obj[:, i] = objective.value_batch(current)
         n_recorded += 1
 
-    # eps always holds the gain at the current iterate: it drives the next
-    # step and is what a record at the current index stores
-    eps = lane_gains(theta, 0)
-    if stride > 0:
-        record(0, theta, schedule(0), eps)
-    accumulate(0, theta)
-
     # one chunk of probes, drawn lane by lane into the same buffer; step
     # major, so each step reads one contiguous (m, d) block
     xi_buf = np.empty((min(chunk, n_steps), m, d))
     with np.errstate(over="ignore", invalid="ignore"):
+        # eps always holds the gain at the current iterate: it drives the next
+        # step and is what a record at the current index stores
+        eps = lane_gains(theta, 0)
+        if stride > 0:
+            record(0, theta, schedule(0), eps)
+        accumulate(0, theta)
+
         n = 0
         stop = False  # set on the step where the last live lane trips
         while n < n_steps and not stop:

@@ -1,18 +1,15 @@
-"""Mean vector field of the single-sample update, flows, and equilibria.
+"""Mean field of the single-sample update, its flow, and its equilibrium.
 
 The update direction at a frozen iterate, averaged over the probe law,
-defines a vector field whose flow governs the recursion's long-run
-behavior.  This module evaluates that field with one node/weight rule
-against the probe law, whose nodes are the probe atoms (exact, finite
-probe support) or Gauss-Legendre nodes (uniform base noise).  It takes
-an (m, 1) batch of points (``value_batch``) or one point given as a
-Python float (``value_at``), with the same floating-point operations on
-each; at a float point the gain, the two-point rule's node terms and the
-1/eps scaling run on Python floats, with no NumPy array operation.  A
-Monte Carlo estimate is kept as an independent reference.  The module
-integrates the associated flow (on floats) and the plain gradient flow
-with classical RK4, and locates the field's equilibrium together with
-its Jacobian spectrum.
+defines a field whose flow governs the recursion's long-run behavior.
+``MeanFieldEvaluator.evaluate`` computes that field in dimension 1 with
+one node/weight rule against the probe law, whose nodes are the probe
+atoms (exact, finite probe support) or Gauss-Legendre nodes (uniform base
+noise).  It takes a Python float, giving a float, or an (m,) column of
+points, giving an (m,) array, with the same floating-point operations on
+each.  ``monte_carlo_field`` samples the field as an independent
+reference.  The flow (classical RK4), the equilibrium search and the bias
+sweep all run on Python floats.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exploration import BaseNoise, derive_seed
+from .exploration import BaseNoise
 from .objectives import Objective, bisect_root, central_difference
 from .schedules import ExplorationGain
 
@@ -31,6 +28,7 @@ __all__ = [
     "FlowTrajectory",
     "EquilibriumReport",
     "SolverError",
+    "monte_carlo_field",
     "integrate_flow",
     "gradient_flow_field",
     "find_equilibrium",
@@ -43,28 +41,23 @@ QUADRATURE_NODES = 64
 class SolverError(RuntimeError):
     """Equilibrium search failed to converge; carries the last iterate."""
 
-    def __init__(self, message: str, last_iterate: np.ndarray):
+    def __init__(self, message: str, last_iterate: float):
         super().__init__(message)
         self.last_iterate = last_iterate
 
 
 @dataclass
 class MeanFieldEvaluator:
-    """Averaged update direction of the single-sample recursion.
+    """Averaged update direction of the single-sample recursion in dimension 1.
 
-    The deterministic methods share one node/weight rule against the
-    marginal probe law, fbar(theta) = -sum_k w_k xi_k f(theta + eps xi_k) / eps:
-    method "two_point" takes the nonzero atoms of the probe law as nodes
-    (exact; requires rademacher base noise), method "quadrature" a
-    Gauss-Legendre rule against the uniform base law (for zigzag probes,
-    one rule per half of the triangular marginal); both are implemented
-    for dimension 1.
-    method "monte_carlo": sample mean over fresh probes from the
-    stationary probe law, any base law and dimension; returns a standard
-    error alongside the value.
-
-    The probe mode enters only through the marginal probe law (iid base
-    draws versus scaled differences of independent draws).
+    One node/weight rule against the marginal probe law gives
+    fbar(theta) = -sum_k w_k xi_k f(theta + eps xi_k) / eps, with eps the
+    gain at theta: method "two_point" takes the nonzero atoms of the probe
+    law as nodes (exact; requires rademacher base noise), method
+    "quadrature" a Gauss-Legendre rule against the uniform base law (for
+    zigzag probes, one rule per half of the triangular marginal).  The
+    probe mode enters only through the marginal probe law (iid base draws
+    versus scaled differences of independent draws).
     """
 
     objective: Objective
@@ -73,33 +66,22 @@ class MeanFieldEvaluator:
     mode: str = "iid"
     varsigma: float = 1.0 / np.sqrt(2.0)
     method: str = "two_point"
-    mc_samples: int = 100_000
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("iid", "zigzag"):
             raise ValueError(f"unknown probe mode {self.mode!r}")
-        if self.method not in ("two_point", "quadrature", "monte_carlo"):
+        if self.method not in ("two_point", "quadrature"):
             raise ValueError(f"unknown mean-field method {self.method!r}")
         if self.method == "two_point" and self.base.kind != "rademacher":
             raise ValueError("two_point method requires rademacher base noise")
         if self.method == "quadrature" and self.base.kind != "uniform":
             raise ValueError("quadrature method requires uniform base noise")
-        if self.deterministic and self.base.dim != 1:
-            raise ValueError("deterministic methods are implemented for dimension 1")
-        self._rng = np.random.Generator(
-            np.random.Philox(key=derive_seed(self.seed, "meanfield-mc"))
-        )
-        if self.deterministic:
-            self._nodes, weights = self._rule()
-            self._weighted_nodes = weights * self._nodes
-            # the two-point rule's (node, weighted node) pairs as floats, for value_at
-            if self.method == "two_point":
-                self._float_rule = tuple(zip(self._nodes.tolist(), self._weighted_nodes.tolist()))
-
-    @property
-    def deterministic(self) -> bool:
-        return self.method in ("two_point", "quadrature")
+        if self.base.dim != 1:
+            raise ValueError("the mean field is implemented for dimension 1")
+        self._nodes, weights = self._rule()
+        self._weighted_nodes = weights * self._nodes
+        # (node, weighted node) pairs as floats: the two-point rule's terms
+        self._float_rule = tuple(zip(self._nodes.tolist(), self._weighted_nodes.tolist()))
 
     def _rule(self):
         """Nodes and weights integrating against the marginal probe law.
@@ -126,243 +108,181 @@ class MeanFieldEvaluator:
         weights = np.concatenate([half_w[::-1], half_w])
         return nodes, weights
 
-    def value(self, theta) -> np.ndarray:
-        """Mean field at one point (value only)."""
-        return self.evaluate(theta)[0]
+    def evaluate(self, x):
+        """Mean field at a float ``x``, as a float, or on an (m,) column ``x``, as an (m,) array.
 
-    def evaluate(self, theta):
-        """Mean field and its standard error at one (d,) point.
-
-        Deterministic methods are a ``value_at`` call at the point's
-        coordinate with a zero standard error.
+        Each rule is one expression for both, so a float's field equals
+        its entry in a column bit for bit.  At a float the gain and the
+        two-point rule run on Python floats; quadrature's 64 or 128 node
+        values are one array per point, which NumPy sums pairwise either way.
         """
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if self.deterministic:
-            _check_point(self, theta)
-            return np.array([self.value_at(float(theta[0]))]), np.zeros(1)
-        eps = float(self.gain.value(theta))
-        xi = self._sample_probes(self.mc_samples)
-        perturbed = theta[None, :] + eps * xi
-        vals = self.objective.value_batch(perturbed)
-        draws = -(xi / eps) * vals[:, None]
-        mean = draws.mean(axis=0)
-        stderr = draws.std(axis=0, ddof=1) / np.sqrt(self.mc_samples)
-        return mean, stderr
-
-    def _sample_probes(self, n: int) -> np.ndarray:
-        if self.mode == "iid":
-            return self.base.sample(self._rng, n)
-        w = self.base.sample(self._rng, 2 * n)
-        return self.varsigma * (w[:n] - w[n:])
-
-    def value_batch(self, thetas: np.ndarray) -> np.ndarray:
-        """Mean field on an (m, 1) batch of points, as (m, 1); deterministic methods only."""
-        if not self.deterministic:
-            raise ValueError("batch evaluation requires a deterministic method")
-        thetas = np.asarray(thetas, dtype=float)
-        if thetas.ndim != 2:
-            raise ValueError(f"value_batch takes an (m, 1) batch, got shape {thetas.shape}")
-        eps = self.gain.value(thetas)
-        # the perturbed points theta + eps * xi_k, one row per iterate (d = 1)
-        pts = thetas + eps[:, None] * self._nodes
-        vals = self.objective.value_batch(pts.reshape(-1, 1)).reshape(pts.shape)
-        return (-np.add.reduce(vals * self._weighted_nodes, axis=1) / eps)[:, None]
-
-    def value_at(self, x: float) -> float:
-        """Mean field at one 1-d point ``x``, a float, as a float; deterministic methods only.
-
-        The floating-point operations are those of a ``value_batch`` row.
-        The two-point rule adds its two node terms in node order, as
-        ``np.add.reduce`` does with two terms, so the whole call runs on
-        Python floats.  Quadrature's 64 or 128 nodes stay one array
-        expression, which NumPy sums pairwise as it does a batch row.
-        """
-        eps = self.gain.value(x)
+        point = isinstance(x, float)
+        eps = self.gain.value(x if point else x[:, None])
         if self.method == "two_point":
+            f = self.objective.value if point else self._values
             (n0, w0), (n1, w1) = self._float_rule
-            value = self.objective.value
-            total = value(x + eps * n0) * w0 + value(x + eps * n1) * w1
+            total = f(x + eps * n0) * w0 + f(x + eps * n1) * w1
         else:
-            vals = self.objective.value_batch((x + eps * self._nodes)[:, None])
-            total = float(np.add.reduce(vals * self._weighted_nodes))
+            pts = np.expand_dims(x, -1) + np.expand_dims(eps, -1) * self._nodes
+            total = np.add.reduce(self._values(pts) * self._weighted_nodes, axis=-1)
+            if point:
+                total = float(total)
         return -total / eps
+
+    def _values(self, pts: np.ndarray) -> np.ndarray:
+        """The objective at an array of 1-d points, in the array's shape."""
+        return self.objective.value_batch(pts.reshape(-1, 1)).reshape(pts.shape)
+
+
+def monte_carlo_field(evaluator: MeanFieldEvaluator, x: float, n_samples: int, rng: np.random.Generator):
+    """Sampled mean field at a float ``x`` and its standard error, as two floats.
+
+    The sample mean of the update direction over ``n_samples`` fresh
+    probes from the stationary probe law of ``evaluator``, drawn from
+    ``rng``: an independent reference for the node/weight rules.
+    """
+    eps = evaluator.gain.value(x)
+    if evaluator.mode == "iid":
+        xi = evaluator.base.sample(rng, n_samples)
+    else:
+        w = evaluator.base.sample(rng, 2 * n_samples)
+        xi = evaluator.varsigma * (w[:n_samples] - w[n_samples:])
+    vals = evaluator.objective.value_batch(x + eps * xi)
+    draws = -(xi / eps) * vals[:, None]
+    stderr = draws.std(axis=0, ddof=1) / np.sqrt(n_samples)
+    return float(draws.mean(axis=0)[0]), float(stderr[0])
 
 
 @dataclass
 class FlowTrajectory:
-    """Fixed-step flow trajectory: times from 0, states per time."""
+    """Fixed-step flow trajectory: times from 0, and the state at each time."""
 
     times: np.ndarray
     states: np.ndarray
 
     @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
+    def final(self) -> float:
+        return float(self.states[-1])
 
 
 def gradient_flow_field(objective: Objective):
-    """Right-hand side of the steepest-descent flow."""
+    """Right-hand side of the steepest-descent flow of a 1-d objective, on floats."""
 
-    def field(theta: np.ndarray) -> np.ndarray:
-        return -objective.grad(theta)
+    def field(x: float) -> float:
+        return -float(objective.grad(x)[0])
 
     return field
 
 
-def _check_point(evaluator: MeanFieldEvaluator, theta: np.ndarray) -> None:
-    """Reject a start point whose shape is not the objective's (d,)."""
-    if theta.shape != (evaluator.objective.dim,):
-        raise ValueError(
-            f"start point has shape {theta.shape}, the objective is {evaluator.objective.dim}-dimensional"
-        )
+def integrate_flow(field, x0: float, t_end: float, dt: float) -> FlowTrajectory:
+    """Classical 4th-order Runge-Kutta with a fixed step, on Python floats.
 
-
-def integrate_flow(field, theta0, t_end: float, dt: float) -> FlowTrajectory:
-    """Classical 4th-order Runge-Kutta with a fixed step.
-
-    ``field`` is a callable theta -> dtheta/dt on (d,) states, or a
-    deterministic MeanFieldEvaluator, whose flow then runs on Python
-    floats through ``value_at``.  A non-finite state aborts integration
-    and the partial trajectory is returned; the overflow that produces it
-    is not reported as a warning.
+    ``field`` maps a float state to its float derivative, for example a
+    ``MeanFieldEvaluator.evaluate``.  A non-finite state aborts
+    integration and the partial trajectory is returned; the overflow that
+    produces it is not reported as a warning.
     """
-    theta = np.atleast_1d(np.asarray(theta0, dtype=float))
-    finite = _all_finite
-    if isinstance(field, MeanFieldEvaluator):
-        if not field.deterministic:
-            raise ValueError("flow integration requires a deterministic mean-field method")
-        _check_point(field, theta)
-        field, theta, finite = field.value_at, float(theta[0]), math.isfinite
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    # each state is a new value, never written to, so states holds no copies
+    x = float(x0)
     n_steps = int(round(t_end / dt)) if t_end > 0 else 0
     half, sixth = 0.5 * dt, dt / 6.0
     times = [0.0]
-    states = [theta]
+    states = [x]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            k1 = field(theta)
-            k2 = field(theta + half * k1)
-            k3 = field(theta + half * k2)
-            k4 = field(theta + dt * k3)
-            theta = theta + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not finite(theta):
+            k1 = field(x)
+            k2 = field(x + half * k1)
+            k3 = field(x + half * k2)
+            k4 = field(x + dt * k3)
+            x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not math.isfinite(x):
                 break
             times.append((k + 1) * dt)
-            states.append(theta)
-    return FlowTrajectory(np.asarray(times), np.array(states).reshape(len(states), -1))
-
-
-def _all_finite(theta: np.ndarray) -> bool:
-    return bool(np.isfinite(theta).all())
+            states.append(x)
+    return FlowTrajectory(np.asarray(times), np.asarray(states))
 
 
 @dataclass
 class EquilibriumReport:
-    """Root of the mean field with local linearization data."""
+    """Root of the mean field with its Jacobian, which in dimension 1 is the one eigenvalue."""
 
-    theta_star: np.ndarray
+    theta_star: float
     residual_norm: float
-    jacobian: np.ndarray
-    eigen_real_parts: np.ndarray
+    jacobian: float
     bias_to_opt: float | None = None
     bias_to_origin: float | None = None
 
 
-def _fd_jacobian(evaluator: MeanFieldEvaluator, theta: np.ndarray) -> np.ndarray:
+def _jacobian(evaluator: MeanFieldEvaluator, x: float) -> float:
     # the field is deterministic, so truncation dominates and a small step is safe
-    return central_difference(evaluator.value_batch, theta, 1e-5 * (1.0 + float(np.linalg.norm(theta))))
+    h = 1e-5 * (1.0 + abs(x))
+    return float(central_difference(lambda pts: evaluator.evaluate(pts[:, 0]), np.array([x]), h)[0])
 
 
 def find_equilibrium(
     evaluator: MeanFieldEvaluator,
-    theta_init,
+    theta_init: float,
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> EquilibriumReport:
-    """Damped Newton root search on the mean field.
+    """Damped Newton root search on the mean field, from a float start.
 
-    Newton steps are halved (up to 60 times) until the field norm
-    decreases; if Newton stalls in dimension 1, a sign-change bracket is
-    grown around the iterate and plain bisection finishes the job.
-    Raises SolverError with the last iterate if no root is found within
-    the budget.
+    Newton steps are halved (up to 60 times) until |field| decreases; if
+    Newton stalls, a sign-change bracket is grown around the iterate and
+    plain bisection finishes the job.  Raises SolverError with the last
+    iterate if no root is found within the budget.
     """
-    if not evaluator.deterministic:
-        raise ValueError("equilibrium search requires a deterministic mean-field method")
     if not 1e-12 <= tol <= 1e-6:
         raise ValueError(f"tol must lie in [1e-12, 1e-6], got {tol}")
-    theta = np.atleast_1d(np.asarray(theta_init, dtype=float)).copy()
-    _check_point(evaluator, theta)
-    fval = evaluator.value(theta)
-    fnorm = float(np.linalg.norm(fval))
-    converged = False
+    field = evaluator.evaluate
+    x = float(theta_init)
+    fval = field(x)
+    fnorm = abs(fval)
     for _ in range(max_iter):
         if fnorm <= tol:
-            converged = True
             break
-        jac = _fd_jacobian(evaluator, theta)
-        try:
-            step = np.linalg.solve(jac, -fval)
-        except np.linalg.LinAlgError:
-            step = -fval
-        improved = False
+        jac = _jacobian(evaluator, x)
+        step = -fval if jac == 0.0 else -fval / jac
         for _ in range(60):
-            cand = theta + step
-            cval = evaluator.value(cand)
-            cnorm = float(np.linalg.norm(cval))
-            if cnorm < fnorm:
-                theta, fval, fnorm = cand, cval, cnorm
-                improved = True
+            cand = x + step
+            cval = field(cand)
+            if abs(cval) < fnorm:
+                x, fval, fnorm = cand, cval, abs(cval)
                 break
             step *= 0.5
-        if not improved:
+        else:
             break
-    if not converged and fnorm > tol and theta.size == 1:
-        theta_b = _bisect_equilibrium(evaluator, float(theta[0]), tol)
-        if theta_b is not None:
-            theta = np.array([theta_b])
-            fval = evaluator.value(theta)
-            fnorm = float(np.linalg.norm(fval))
-    if fnorm > tol:
-        raise SolverError(
-            f"equilibrium search stalled at residual {fnorm:.3e} (tol {tol:.1e})", theta
-        )
-    jac = _fd_jacobian(evaluator, theta)
-    eigs = np.linalg.eigvals(jac)
+    # "not <=" also holds for a NaN residual, which is a failure too
+    if not fnorm <= tol:
+        root = _bisect_equilibrium(field, x, tol)
+        if root is not None:
+            x = root
+            fnorm = abs(field(x))
+    if not fnorm <= tol:
+        raise SolverError(f"equilibrium search stalled at residual {fnorm:.3e} (tol {tol:.1e})", x)
     opt = evaluator.objective.known_optimum
     return EquilibriumReport(
-        theta_star=theta,
+        theta_star=x,
         residual_norm=fnorm,
-        jacobian=jac,
-        eigen_real_parts=np.sort(eigs.real),
-        bias_to_opt=None if opt is None else float(np.linalg.norm(theta - opt)),
-        bias_to_origin=float(np.linalg.norm(theta)),
+        jacobian=_jacobian(evaluator, x),
+        bias_to_opt=None if opt is None else abs(x - float(opt[0])),
+        bias_to_origin=abs(x),
     )
 
 
-def _bisect_equilibrium(evaluator: MeanFieldEvaluator, center: float, tol: float):
+def _bisect_equilibrium(field, center: float, tol: float):
     """Grow a bracket around ``center`` and bisect; None if no sign change."""
-
-    def f(x: float) -> float:
-        return float(evaluator.value(np.array([x]))[0])
-
     for radius in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
         lo, hi = center - radius, center + radius
-        if f(lo) * f(hi) < 0:
-            root = bisect_root(f, lo, hi, tol=1e-15)
-            if abs(f(root)) <= tol:
+        if field(lo) * field(hi) < 0:
+            root = bisect_root(field, lo, hi, tol=1e-15)
+            if abs(field(root)) <= tol:
                 return root
     return None
 
 
-def bias_sweep(
-    make_evaluator,
-    eps_grid,
-    theta_ref: np.ndarray,
-    tol: float = 1e-10,
-):
+def bias_sweep(make_evaluator, eps_grid, theta_ref: float, tol: float = 1e-10):
     """Equilibrium offset versus gain scale, with a log-log slope fit.
 
     ``make_evaluator(eps_bullet)`` builds the mean-field evaluator at
@@ -376,11 +296,11 @@ def bias_sweep(
     eps_grid = np.asarray(list(eps_grid), dtype=float)
     if eps_grid.size < 3:
         raise ValueError("bias sweep needs at least 3 gain values")
-    theta_ref = np.atleast_1d(np.asarray(theta_ref, dtype=float))
-    biases = []
-    for eb in eps_grid:
-        report = find_equilibrium(make_evaluator(float(eb)), theta_ref, tol=tol)
-        biases.append(float(np.linalg.norm(report.theta_star - theta_ref)))
+    theta_ref = float(theta_ref)
+    biases = [
+        abs(find_equilibrium(make_evaluator(float(eb)), theta_ref, tol=tol).theta_star - theta_ref)
+        for eb in eps_grid
+    ]
     if min(biases) <= 0.0:
         return np.asarray(biases), None
     slope = float(np.polyfit(np.log(eps_grid), np.log(biases), 1)[0])

@@ -44,6 +44,7 @@ from spsa_lab import (
     find_equilibrium,
     gradient_flow_field,
     integrate_flow,
+    monte_carlo_field,
     quadratic_1d,
     run_batch,
     run_ensemble_matrix,
@@ -176,24 +177,15 @@ def test_criterion_4_meanfield_oracle_equivalence():
     worst_sigma = 0.0
     for obj in (quadratic_1d(), trig_quadratic_1d()):
         exact = MeanFieldEvaluator(objective=obj, gain=CenterActiveGain(0.1, np.array([0.0]), 1.0), base=base)
-        mc = MeanFieldEvaluator(
-            objective=obj,
-            gain=CenterActiveGain(0.1, np.array([0.0]), 1.0),
-            base=base,
-            method="monte_carlo",
-            mc_samples=1_000_000,
-            seed=derive_seed(MASTER, "oracle", obj.name),
-        )
-        for theta in grid:
-            ve, _ = exact.evaluate(np.array([theta]))
-            vm, se = mc.evaluate(np.array([theta]))
-            worst_sigma = max(worst_sigma, abs(vm[0] - ve[0]) / se[0])
+        seed = derive_seed(MASTER, "oracle", obj.name)
+        rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, "meanfield-mc")))
+        for theta in grid.tolist():
+            vm, se = monte_carlo_field(exact, theta, 1_000_000, rng)
+            worst_sigma = max(worst_sigma, abs(vm - exact.evaluate(theta)) / se)
     quad_exact = MeanFieldEvaluator(
         objective=quadratic_1d(), gain=CenterActiveGain(0.1, np.array([0.0]), 1.0), base=base
     )
-    worst_quad = max(
-        abs(quad_exact.evaluate(np.array([t]))[0][0] + 2.0 * t) for t in grid
-    )
+    worst_quad = max(abs(quad_exact.evaluate(t) + 2.0 * t) for t in grid.tolist())
     passed = worst_sigma <= 3.0 and worst_quad < 1e-12
     report(
         4,
@@ -215,7 +207,7 @@ def test_criterion_5_equilibrium_bias_order():
             base=BaseNoise("rademacher", 1),
         ),
         [0.025, 0.05, 0.1, 0.2],
-        np.array([ref]),
+        ref,
     )
     passed = 1.7 <= slope <= 2.3
     report(5, "equilibrium bias order", passed, f"log-log slope={slope:.3f} (band [1.7, 2.3])")
@@ -239,10 +231,10 @@ def test_criterion_6_telescoping_and_decomposition_identities():
     ev = MeanFieldEvaluator(
         objective=trig, gain=CenterActiveGain(0.1, np.array([0.0]), 1.0), base=BaseNoise("rademacher", 1)
     )
-    rep = find_equilibrium(ev, np.array([0.2]), tol=1e-10)
+    rep = find_equilibrium(ev, 0.2, tol=1e-10)
     gen2 = ProbeGenerator(BaseNoise("rademacher", 1), "zigzag", varsigma=VS, seed=derive_seed(MASTER, "delta"))
     xi = gen2.take(10_000)
-    eps_star = float(CenterActiveGain(0.1, np.array([0.0]), 1.0).value(rep.theta_star))
+    eps_star = CenterActiveGain(0.1, np.array([0.0]), 1.0).value(rep.theta_star)
     dec = delta_decompose(rep.theta_star, xi, trig, eps_star, gen2.probe_covariance())
     dec_err = float(np.max(np.abs(dec.nu + dec.omega + dec.psi - dec.delta)))
 
@@ -263,9 +255,9 @@ def test_criterion_7_batch_means_estimator_sanity():
     gain = CenterActiveGain(0.1, np.array([0.0]), 1.0)
     base = BaseNoise("rademacher", 1)
     ev = MeanFieldEvaluator(objective=trig, gain=gain, base=base)
-    rep = find_equilibrium(ev, np.array([0.2]), tol=1e-10)
+    rep = find_equilibrium(ev, 0.2, tol=1e-10)
     level = trig.value(rep.theta_star)
-    eps_star = float(gain.value(rep.theta_star))
+    eps_star = gain.value(rep.theta_star)
     n = 1_000_000
 
     xi_iid = ProbeGenerator(base, "iid", seed=derive_seed(MASTER, "bm-iid")).take(n)
@@ -297,17 +289,17 @@ def test_criterion_8_hurwitz_and_flow_checks():
     for obj in (quadratic_1d(), trig_quadratic_1d()):
         for eb in (0.05, 0.1):
             ev = MeanFieldEvaluator(objective=obj, gain=CenterActiveGain(eb, np.array([0.0]), 1.0), base=base)
-            rep = find_equilibrium(ev, obj.known_optimum, tol=1e-10)
-            eigs[(obj.name, eb)] = float(rep.eigen_real_parts.max())
-            hurwitz_ok &= bool(np.all(rep.eigen_real_parts < 0))
+            rep = find_equilibrium(ev, float(obj.known_optimum[0]), tol=1e-10)
+            eigs[(obj.name, eb)] = rep.jacobian
+            hurwitz_ok &= rep.jacobian < 0
 
-    flow = integrate_flow(gradient_flow_field(quadratic_1d()), [1.0], 1.0, 1e-3)
-    rk4_err = abs(flow.final[0] - np.exp(-2.0))
+    flow = integrate_flow(gradient_flow_field(quadratic_1d()), 1.0, 1.0, 1e-3)
+    rk4_err = abs(flow.final - np.exp(-2.0))
 
     ev_q = MeanFieldEvaluator(
         objective=quadratic_1d(), gain=CenterActiveGain(0.1, np.array([0.0]), 1.0), base=base
     )
-    mean_flow = integrate_flow(ev_q, [1.0], 1.0, 1e-3)
+    mean_flow = integrate_flow(ev_q.evaluate, 1.0, 1.0, 1e-3)
     agree = float(np.max(np.abs(mean_flow.states - flow.states)))
 
     passed = hurwitz_ok and rk4_err < 1e-6 and agree < 1e-9

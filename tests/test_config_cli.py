@@ -314,6 +314,60 @@ def test_cli_invalid_built_config_exits_2_naming_key(tmp_path, capsys, command, 
     assert not out.exists()
 
 
+MEANFLOW_QUADRATURE = dict(MEANFLOW_TRIG, **{"probe.base": "uniform", "meanflow.method": "quadrature"})
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("meanflow", dict(MEANFLOW_TRIG, **{"gain.sigma_p": 1e-200}), "gain.sigma_p"),
+        ("meanflow", dict(MEANFLOW_TRIG, **{"gain.sigma_p": 1e300}), "gain.sigma_p"),
+        ("run", run_cfg(**{"gain.sigma_p": 1e300}), "gain.sigma_p"),
+        ("meanflow", dict(MEANFLOW_TRIG, **{"meanflow.flow_t_end": 1.7e308}), "meanflow.flow_t_end"),
+        ("meanflow", dict(MEANFLOW_TRIG, **{"meanflow.flow_t_end": 1e300}), "meanflow.flow_t_end"),
+        ("meanflow", dict(MEANFLOW_TRIG, **{"meanflow.flow_dt": 1e-300}), "meanflow.flow_dt"),
+        ("meanflow", dict(MEANFLOW_TRIG, **{"meanflow.flow_t_end": 1001.0}), "meanflow.flow_t_end"),
+        ("meanflow", dict(MEANFLOW_TRIG, **{"meanflow.grid": [-3.0, 3.0, 10**6 + 1]}), "meanflow.grid"),
+        ("meanflow", dict(MEANFLOW_QUADRATURE, **{"probe.support": 1e308}), "probe.support"),
+        ("run", run_cfg(**{"probe.base": "uniform", "probe.support": 1e308}), "probe.support"),
+    ],
+    ids=[
+        "sigma_p_square_underflows", "sigma_p_square_overflows", "run_sigma_p_square_overflows",
+        "flow_steps_overflow", "flow_steps_above_cap", "flow_dt_steps_above_cap", "flow_steps_just_above_cap",
+        "grid_points_above_cap", "twice_support_overflows", "run_twice_support_overflows",
+    ],
+)
+def test_cli_derived_quantity_out_of_range_exits_2_naming_key(tmp_path, capsys, command, cfg, key):
+    # each key passes its own check, but a quantity derived from it (a square,
+    # a doubled bound, a step count, a grid size) is out of range or above its
+    # cap of 10**6; the config is rejected before any work starts
+    cfg_path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_with_non_finite_state_writes_strict_json(tmp_path):
+    # a center at 1e300 makes the first gain overflow to inf and the first
+    # step NaN: the guard trips (exit 3), with no warning, and the NaN final
+    # state is written as null
+    cfg_path = write_cfg(tmp_path, run_cfg(**{"gain.theta_ctr": [1e300]}))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
+
+    def reject(constant):
+        raise ValueError(f"the output holds the non-JSON constant {constant}")
+
+    summary = json.loads((out / "run_summary.json").read_text(), parse_constant=reject)
+    assert summary["diverged_at"] == 1 and summary["theta_final"] == [None]
+    json.loads((out / "manifest.json").read_text(), parse_constant=reject)
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats is loaded by probe-check's regeneration test only; the
     # other commands do not pay for its import

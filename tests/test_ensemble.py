@@ -239,7 +239,8 @@ def test_ensemble_matrix_cells_equal_single_cells(monkeypatch, statistic):
     def stat_for(mode, gain):
         if statistic == "grad":
             return obj.grad_batch
-        return MeanFieldEvaluator(obj, gain, base, mode=mode, varsigma=VS, method="quadrature").value_batch
+        ev = MeanFieldEvaluator(obj, gain, base, mode=mode, varsigma=VS, method="quadrature")
+        return lambda theta: ev.evaluate(theta[:, 0])
 
     def gain_at(eps):
         return CenterActiveGain(eps, np.array([0.0]), 1.0)
