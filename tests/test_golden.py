@@ -73,6 +73,12 @@ MEANFLOW_VARIANTS = {
 }
 
 SMALL_ENSEMBLE = {"ensemble.M": 4, "ensemble.N": 2500, "ensemble.N0": 800}
+QUADRATIC_ND = {
+    "objective.kind": "quadratic_nd",
+    "objective.Q": [[2.0, 0.5], [0.5, 1.0]],
+    "gain.theta_ctr": [0.0, 0.0],
+    "probe.base": "uniform",
+}
 
 CASES = {
     **{f"meanflow_{name}": ("meanflow", cfg) for name, cfg in MEANFLOW_VARIANTS.items()},
@@ -117,6 +123,45 @@ CASES = {
     "run_fig1_active": ("run", _config("fig1_active.json", **{"run.N": 5000})),
     "run_fig1_divergence": ("run", _config("fig1_divergence.json", **{"run.N": 3000})),
     "probe_check_zigzag": ("probe-check", _config("probe_check_zigzag.json", **{"probe_check.samples": 20_000})),
+    # the one-lane run on the trig objective (libm trig at a float) with
+    # uniform zigzag probes, across a chunk boundary, ending off the stride
+    "run_trig_zigzag": (
+        "run",
+        _config(
+            "fig1_active.json",
+            **{
+                "objective.kind": "trig_quadratic1d",
+                "probe.base": "uniform",
+                "probe.mode": "zigzag",
+                "run.N": 4500,
+                "run.stride": 7,
+            },
+        ),
+    ),
+    "run_2spsa": ("run", _config("fig1_active.json", **{"run.N": 3000, "run.algorithm": "2spsa"})),
+    "run_objective_active": (
+        "run",
+        _config(
+            "fig1_active.json",
+            **{
+                "objective.kind": "trig_quadratic1d",
+                "gain.kind": "objective_active",
+                "gain.obj_floor": 2.5,
+                "run.N": 3000,
+                "run.stride": 3,
+            },
+            **NO_CENTER,
+        ),
+    ),
+    # d = 2 keeps the (m, d) rows of the engine
+    "run_quadratic_nd": (
+        "run",
+        _config("fig1_active.json", **{"run.N": 3000, "run.stride": 5}, **QUADRATIC_ND),
+    ),
+    "experiment_quadratic_nd": (
+        "experiment",
+        _config("fig2_desk.json", **SMALL_ENSEMBLE, **QUADRATIC_ND, **{"ensemble.theta0_box": [-1.0, 1.0]}),
+    ),
 }
 
 
