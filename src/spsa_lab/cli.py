@@ -34,6 +34,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    PROBE_MODES,
     ConfigError,
     build_base_noise,
     build_gain,
@@ -55,8 +56,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_SOLVER = 4
-
-MODES = ("iid", "zigzag")
 
 
 def _write_csv(path: Path, header: list[str], rows: list) -> None:
@@ -201,7 +200,7 @@ def cmd_experiment(args) -> int:
         objective,
         schedule,
         base,
-        MODES,
+        PROBE_MODES,
         varsigma,
         build_gain(cfg, objective, eps_bullet=eps_grid[0]),
         eps_grid,
@@ -219,7 +218,7 @@ def cmd_experiment(args) -> int:
     rows = []
     seeds = {}
     scaling = {}
-    for mode in MODES:
+    for mode in PROBE_MODES:
         eps_ok, var_ok = [], []
         for i, eps in enumerate(eps_grid):
             cell = cells[(mode, i)]

@@ -66,9 +66,15 @@ def _is_matrix(v) -> bool:
     )
 
 
-# caps on what a mean-field config asks for: RK4 steps of the flow, points of the grid
+# caps on what a config asks for: RK4 steps of the flow, points of the grid,
+# rows of a run's record and lanes of an experiment
 MAX_FLOW_STEPS = 10**6
 MAX_GRID_POINTS = 10**6
+MAX_RECORD_ROWS = 10**6
+MAX_LANES = 10**6
+
+# experiment runs every cell in both probe modes
+PROBE_MODES = ("iid", "zigzag")
 
 # key -> (checker, human-readable expectation)
 KNOWN_KEYS: dict[str, tuple] = {
@@ -85,7 +91,7 @@ KNOWN_KEYS: dict[str, tuple] = {
     "gain.obj_floor": (_is_number, "a number"),
     "probe.base": (lambda v: v in ("rademacher", "uniform"), "rademacher or uniform"),
     "probe.support": (lambda v: _is_number(v) and v > 0, "a positive number"),
-    "probe.mode": (lambda v: v in ("iid", "zigzag"), "iid or zigzag"),
+    "probe.mode": (lambda v: v in PROBE_MODES, "iid or zigzag"),
     "probe.varsigma": (lambda v: _is_number(v) and v > 0, "a positive number"),
     "objective.kind": (
         lambda v: v in ("quadratic1d", "trig_quadratic1d", "quadratic_nd"),
@@ -192,7 +198,7 @@ def validate_config(cfg: dict, command: str) -> None:
         if command != "experiment" and "gain.eps_bullet" not in cfg:
             raise ConfigError("missing config key 'gain.eps_bullet'")
 
-    _check_derived(cfg)
+    _check_derived(cfg, command)
 
     if cfg.get("objective.kind") == "quadratic_nd" and "objective.Q" not in cfg:
         raise ConfigError("missing config key 'objective.Q' (required for quadratic_nd)")
@@ -206,18 +212,51 @@ def validate_config(cfg: dict, command: str) -> None:
             raise ConfigError("config key 'ensemble.eps_grid' needs at least 3 points for the scaling fit")
 
 
-def _check_derived(cfg: dict) -> None:
-    """Check what the program derives from keys that pass their own checks: a square, a doubled bound, a step count."""
+def _finite_product(a, b) -> bool:
+    """Whether ``a * b`` is a finite float (an int too large for a float is not)."""
+    try:
+        return math.isfinite(float(a) * float(b))
+    except OverflowError:
+        return False
+
+
+def _check_derived(cfg: dict, command: str) -> None:
+    """Check what the program derives from keys that pass their own checks.
+
+    A square, a doubled bound, the largest probe offset (gain scale times
+    probe support), and the sizes of the work and of the outputs: flow
+    steps, record rows and experiment lanes.
+    """
     if "gain.sigma_p" in cfg and not 0.0 < cfg["gain.sigma_p"] * cfg["gain.sigma_p"] < math.inf:
         raise ConfigError(f"config key 'gain.sigma_p' is {cfg['gain.sigma_p']!r}; its square must be in (0, inf)")
-    if "probe.support" in cfg and not math.isfinite(2.0 * cfg["probe.support"]):
-        raise ConfigError(f"config key 'probe.support' is {cfg['probe.support']!r}; twice it must be finite")
+    support = cfg.get("probe.support", 1.0)
+    if "probe.support" in cfg and not math.isfinite(2.0 * support):
+        raise ConfigError(f"config key 'probe.support' is {support!r}; twice it must be finite")
+    for key in ("gain.eps_bullet", "ensemble.eps_grid"):
+        if key in cfg and not _finite_product(np.max(cfg[key]), support):
+            raise ConfigError(
+                f"config key {key!r} is {cfg[key]!r}; times 'probe.support' {support!r} it must be finite"
+            )
     if "meanflow.flow_t_end" in cfg or "meanflow.flow_dt" in cfg:
         steps = cfg.get("meanflow.flow_t_end", 1.0) / cfg.get("meanflow.flow_dt", 1e-3)
         if not steps <= MAX_FLOW_STEPS:
             raise ConfigError(
                 f"config keys 'meanflow.flow_t_end' / 'meanflow.flow_dt' ask for {steps:.3g} RK4 steps; "
                 f"at most {MAX_FLOW_STEPS} are allowed"
+            )
+    if command == "run":
+        # index 0, every stride-th index and the last
+        rows = cfg["run.N"] // cfg.get("run.stride", 1) + 2
+        if rows > MAX_RECORD_ROWS:
+            raise ConfigError(
+                f"config keys 'run.N' / 'run.stride' ask for {rows} record rows; at most {MAX_RECORD_ROWS} are allowed"
+            )
+    if command == "experiment":
+        lanes = cfg["ensemble.M"] * len(PROBE_MODES) * len(cfg["ensemble.eps_grid"])
+        if lanes > MAX_LANES:
+            raise ConfigError(
+                f"config key 'ensemble.M' asks for {lanes} lanes ({len(PROBE_MODES)} probe modes x "
+                f"{len(cfg['ensemble.eps_grid'])} gain values x M); at most {MAX_LANES} are allowed"
             )
 
 

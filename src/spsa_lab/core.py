@@ -1,13 +1,33 @@
 """Single-sample and two-sample SPSA recursions and the trajectory engine.
 
 ``run_batch`` is the one way to run the recursion; a single trajectory is
-a one-lane batch.  The update rule lives in one function, the engine's
-increment of a batch of iterates.  The engine advances many independent
-trajectories in lock step (vectorized across runs), with per-run probe
-streams, a divergence guard that freezes runs whose iterates escape and
-ends the run once every lane has tripped, strided trajectory recording,
-and on-the-fly window statistics so long ensembles never store full
-trajectories.
+a one-lane batch.  The engine advances many independent trajectories in
+lock step (vectorized across runs), with per-run probe streams, a
+divergence guard that freezes runs whose iterates escape and ends the run
+once every lane has tripped, strided trajectory recording, and on-the-fly
+window statistics so long ensembles never store full trajectories.
+
+The update rule lives in one function, ``_increment``, written once as an
+element-wise expression.  The engine holds its iterates in one of three
+forms, and every form runs that expression, the guard and the record:
+
+- a Python float, for one lane at d = 1 whose objective gives an
+  element-wise ``fn_1d``.  Probes come from ``take(width)[:, 0].tolist()``
+  and step sizes from ``tolist()``; the objective and the gain run their
+  float formulas (``math`` on floats, see ``objectives``), so a step makes
+  no NumPy call.
+- an (m,) column, for any other run at d = 1.
+- (m, d) rows for d > 1, with each lane's gain and objective value as an
+  (m, 1) column.
+
+The forms agree bit for bit: each runs the same IEEE operations in the
+same order, and the float formulas keep to the rules of ``objectives``
+(``math`` at a float, NaN where ``math`` raises, squares as ``x * x``).
+The guard at d = 1 is ``abs(theta) <= threshold``.  Overflow gives inf or
+NaN in every form, without a warning, and the guard trips on it.  Python
+raises on a float division by zero, where an array gives inf or NaN, so a
+float lane whose gain has underflowed to 0.0 takes that step on a
+1-element column.
 """
 
 from __future__ import annotations
@@ -52,19 +72,20 @@ class DivergenceGuard:
             raise ValueError(f"guard threshold must be >= 1e3, got {self.threshold}")
 
 
-def _increment(objective: Objective, algorithm: str, theta, xi, eps, alpha) -> np.ndarray:
-    """The update increment of an (m, d) batch of iterates.
+def _increment(f, algorithm: str, theta, xi, eps, alpha):
+    """The update increment, one element-wise expression for every form of the iterate.
 
-    With probes ``xi`` (m, d), gains ``eps`` (m,) and step size ``alpha``,
-    1SPSA moves by -(alpha / eps) xi f(theta + eps xi), one objective
-    evaluation per row; 2SPSA by
+    With probe ``xi``, gain ``eps`` and step size ``alpha``, 1SPSA moves by
+    -(alpha / eps) xi f(theta + eps xi), one objective evaluation; 2SPSA by
     -(alpha / (2 eps)) xi (f(theta + eps xi) - f(theta - eps xi)), two.
+    ``f`` is the objective in the iterate's form: a float at a float, (m,)
+    values on an (m,) column, and an (m, 1) column on (m, d) rows, where
+    ``eps`` is an (m, 1) column too.
     """
-    y = objective.value_batch(theta + eps[:, None] * xi)
+    y = f(theta + eps * xi)
     if algorithm == "1spsa":
-        return -(alpha / eps)[:, None] * xi * y[:, None]
-    y_minus = objective.value_batch(theta - eps[:, None] * xi)
-    return -(alpha / (2.0 * eps))[:, None] * xi * (y - y_minus)[:, None]
+        return -(alpha / eps) * xi * y
+    return -(alpha / (2.0 * eps)) * xi * (y - f(theta - eps * xi))
 
 
 @dataclass(frozen=True)
@@ -148,7 +169,9 @@ def run_batch(
     trip index.  While no lane has tripped, a step adds the increment
     without masking.  With ``stride`` > 0 the iterate at every stride-th
     index (plus index 0 and the final index) is stored.  ``gain`` may
-    carry one scale per lane (``eps_bullet`` of shape (m,)).
+    carry one scale per lane (``eps_bullet`` of shape (m,)).  Statistic
+    functions see (m, d) rows in every form.  The iterate's form (see
+    the module docstring) does not change the result.
     """
     if algorithm not in ("1spsa", "2spsa"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -162,6 +185,59 @@ def run_batch(
         raise ValueError(f"need one probe generator per run: {len(probes)} != {m}")
     threshold = (guard or DivergenceGuard()).threshold
 
+    # the iterate's form: the objective, the gain and the norm in it, the
+    # (m, d) rows a statistic sees, and the probes of a chunk, one entry per
+    # step.  A lane runs on floats when its objective and gain have float
+    # formulas; a gain with one scale per lane keeps the column
+    def column_value(x):
+        return objective.value_batch(x[:, None])
+
+    lane = m == 1 and d == 1 and objective.fn_1d is not None and np.ndim(gain.eps_bullet) == 0
+    if lane:
+        theta = float(theta[0, 0])
+        value, gains, norm = objective.value, gain.value, abs
+
+        def rows(x):
+            return np.array([[x]])
+
+        def draw(width: int):
+            return probes[0].take(width)[:, 0].tolist()
+
+    else:
+        # one chunk of probes, drawn lane by lane into the same buffer; step
+        # major, so each step reads one contiguous block
+        xi_buf = np.empty((min(chunk, n_steps), m, d))
+        xi_steps = xi_buf if d > 1 else xi_buf[:, :, 0]
+
+        def draw(width: int):
+            for i, g in enumerate(probes):
+                xi_buf[:width, i] = g.take(width)
+            return xi_steps
+
+        if d == 1:
+            theta = theta[:, 0]
+            value, norm = column_value, np.abs
+
+            def rows(x):
+                return x[:, None]
+
+            def gains(x, n_index: int):
+                return np.asarray(gain.value(x[:, None], n_index), dtype=float)
+
+        else:
+
+            def value(x):
+                return objective.value_batch(x)[:, None]
+
+            def rows(x):
+                return x
+
+            def gains(x, n_index: int):
+                return np.asarray(gain.value(x, n_index), dtype=float)[:, None]
+
+            def norm(x):
+                return np.linalg.norm(x, axis=1)
+
     active = np.ones(m, dtype=bool)
     live = True  # no lane has tripped yet
     diverged_at = np.full(m, -1, dtype=int)
@@ -169,11 +245,11 @@ def run_batch(
     stat_sums = {s.name: None for s in statistics}
     stat_counts = {s.name: 0 for s in statistics}
 
-    def accumulate(n_index: int, current: np.ndarray):
+    def accumulate(n_index: int, current):
         # a frozen lane's sum is replaced by NaN at the end, so it needs no mask
         for s in statistics:
             if n_index >= s.start:
-                vals = np.asarray(s.fn(current), dtype=float)
+                vals = np.asarray(s.fn(rows(current)), dtype=float)
                 if vals.ndim == 1:
                     vals = vals[:, None]
                 if stat_sums[s.name] is None:
@@ -181,38 +257,34 @@ def run_batch(
                 stat_sums[s.name] += vals
                 stat_counts[s.name] += 1
 
-    def lane_gains(current: np.ndarray, n_index: int) -> np.ndarray:
-        return np.asarray(gain.value(current, n_index), dtype=float)
-
     # index 0, every stride-th index and the last index; fewer when every
     # lane trips before the end
     n_rec = 1 + n_steps // stride + (n_steps % stride > 0) if stride > 0 else 0
-    rec_idx = np.empty(n_rec, dtype=int)
-    rec_alpha = np.empty(n_rec)
-    rec_thetas = np.empty((m, n_rec, d))
-    rec_gain = np.empty((m, n_rec))
-    rec_obj = np.empty((m, n_rec)) if record_objective else None
     n_recorded = 0
 
-    def record(n_index: int, current: np.ndarray, alpha: float, eps: np.ndarray):
+    def record(n_index: int, current, alpha: float, eps):
+        # step-major, in the iterate's form: a float, an (m,) column or (m, d) rows
         nonlocal n_recorded
         i = n_recorded
         rec_idx[i] = n_index
         rec_alpha[i] = alpha
-        rec_thetas[:, i] = current
-        rec_gain[:, i] = eps
+        rec_thetas[i] = current
+        rec_gain[i] = eps
         if record_objective:
-            rec_obj[:, i] = objective.value_batch(current)
+            rec_obj[i] = value(current)
         n_recorded += 1
 
-    # one chunk of probes, drawn lane by lane into the same buffer; step
-    # major, so each step reads one contiguous (m, d) block
-    xi_buf = np.empty((min(chunk, n_steps), m, d))
     with np.errstate(over="ignore", invalid="ignore"):
         # eps always holds the gain at the current iterate: it drives the next
         # step and is what a record at the current index stores
-        eps = lane_gains(theta, 0)
+        eps = gains(theta, 0)
         if stride > 0:
+            rec_idx = np.empty(n_rec, dtype=int)
+            rec_alpha = np.empty(n_rec)
+            rec_thetas = np.empty((n_rec,) + np.shape(theta))
+            # the gain and the objective value have one shape in each form
+            rec_gain = np.empty((n_rec,) + np.shape(eps))
+            rec_obj = np.empty((n_rec,) + np.shape(eps)) if record_objective else None
             record(0, theta, schedule(0), eps)
         accumulate(0, theta)
 
@@ -220,22 +292,29 @@ def run_batch(
         stop = False  # set on the step where the last live lane trips
         while n < n_steps and not stop:
             width = min(chunk, n_steps - n)
-            for i, g in enumerate(probes):
-                xi_buf[:width, i] = g.take(width)
-            alphas = schedule(np.arange(n + 1, n + width + 1))
+            xi = draw(width)
+            alphas = schedule(np.arange(n + 1, n + width + 1)).tolist()
             for j in range(width):
                 k = n + j + 1  # index of the iterate produced this step
-                incr = _increment(objective, algorithm, theta, xi_buf[j], eps, alphas[j])
+                alpha = alphas[j]
+                try:
+                    incr = _increment(value, algorithm, theta, xi[j], eps, alpha)
+                except ZeroDivisionError:
+                    if not lane:
+                        raise
+                    # a zero gain: this step runs on a 1-element column, whose
+                    # IEEE division gives inf or NaN (with NumPy's warning)
+                    column = np.array([theta]), np.array([xi[j]]), np.array([eps])
+                    incr = float(_increment(column_value, algorithm, *column, alpha)[0])
                 if live:
                     theta += incr
                 else:
-                    theta = np.where(active[:, None], theta + incr, theta)
-                norms = np.abs(theta[:, 0]) if d == 1 else np.linalg.norm(theta, axis=1)
+                    theta = np.where(active if d == 1 else active[:, None], theta + incr, theta)
                 # one compare and one count in the common case; "not <=" is
-                # also true for NaN
-                within = norms <= threshold
-                if np.count_nonzero(within) < m:
-                    newly = active & ~within
+                # also true for NaN, and a float lane's compare gives True or False
+                within = norm(theta) <= threshold
+                if within is not True and np.count_nonzero(within) < m:
+                    newly = active & ~np.asarray(within)
                     if newly.any():
                         diverged_at[newly] = k
                         active &= within
@@ -244,26 +323,27 @@ def run_batch(
                 accumulate(k, theta)
                 recorded = stride > 0 and (k % stride == 0 or k == n_steps)
                 if k < n_steps or recorded:
-                    eps = lane_gains(theta, k)
+                    eps = gains(theta, k)
                 if recorded:
-                    record(k, theta, alphas[j], eps)
+                    record(k, theta, alpha, eps)
                 if stop:
                     break
             n += width
 
     result = BatchRunResult(
-        theta_final=theta,
+        theta_final=np.reshape(theta, (m, d)),
         diverged_at=diverged_at,
         n_steps=n_steps,
         stride=stride,
     )
     if stride > 0:
-        result.record_indices = rec_idx[:n_recorded]
-        result.thetas = rec_thetas[:, :n_recorded]  # (m, k, d)
-        result.alpha_trace = rec_alpha[:n_recorded]
-        result.gain_trace = rec_gain[:, :n_recorded]
+        k = n_recorded
+        result.record_indices = rec_idx[:k]
+        result.thetas = rec_thetas[:k].reshape(k, m, d).transpose(1, 0, 2)  # (m, k, d)
+        result.alpha_trace = rec_alpha[:k]
+        result.gain_trace = rec_gain[:k].reshape(k, m).T
         if record_objective:
-            result.objective_trace = rec_obj[:, :n_recorded]
+            result.objective_trace = rec_obj[:k].reshape(k, m).T
     for s in statistics:
         sums = stat_sums[s.name]
         if sums is None:
@@ -274,4 +354,3 @@ def run_batch(
         mean[result.diverged] = np.nan
         result.statistics[s.name] = mean
     return result
-

@@ -5,11 +5,25 @@ defines a field whose flow governs the recursion's long-run behavior.
 ``MeanFieldEvaluator.evaluate`` computes that field in dimension 1 with
 one node/weight rule against the probe law, whose nodes are the probe
 atoms (exact, finite probe support) or Gauss-Legendre nodes (uniform base
-noise).  It takes a Python float, giving a float, or an (m,) column of
-points, giving an (m,) array, with the same floating-point operations on
-each.  ``monte_carlo_field`` samples the field as an independent
+noise).  ``monte_carlo_field`` samples the field as an independent
 reference.  The flow (classical RK4), the equilibrium search and the bias
 sweep all run on Python floats.
+
+``evaluate`` takes either shape, with the same floating-point operations
+on each, so a float's field equals its entry in a column bit for bit:
+
+- a Python float, giving a float.  The two-point rule runs on Python
+  floats and ``math`` (through the gain's and the objective's float
+  formulas, which write squares as ``x * x``; see ``objectives``), with
+  no NumPy call; quadrature's 64 or 128 node values are one array per
+  point.
+- an (m,) column of points, giving an (m,) array.
+
+A non-finite or overflowing point gives inf or NaN, never an exception or
+a warning: the float formulas map libm's domain errors to NaN, and the
+array work runs with NumPy's overflow and invalid-value warnings off.
+Callers judge the result (a NaN residual fails the equilibrium search, a
+non-finite state ends the flow).
 """
 
 from __future__ import annotations
@@ -80,8 +94,13 @@ class MeanFieldEvaluator:
             raise ValueError("the mean field is implemented for dimension 1")
         self._nodes, weights = self._rule()
         self._weighted_nodes = weights * self._nodes
-        # (node, weighted node) pairs as floats: the two-point rule's terms
-        self._float_rule = tuple(zip(self._nodes.tolist(), self._weighted_nodes.tolist()))
+        # the two-point rule, bound once to the gain and the objective at a
+        # float and on a column
+        self._two_point_at = self._two_point_on = None
+        if self.method == "two_point":
+            nodes = self._nodes, self._weighted_nodes
+            self._two_point_at = _two_point_field(*nodes, self.objective.value, self.gain.value)
+            self._two_point_on = _two_point_field(*nodes, self._values, lambda x: self.gain.value(x[:, None]))
 
     def _rule(self):
         """Nodes and weights integrating against the marginal probe law.
@@ -111,27 +130,44 @@ class MeanFieldEvaluator:
     def evaluate(self, x):
         """Mean field at a float ``x``, as a float, or on an (m,) column ``x``, as an (m,) array.
 
-        Each rule is one expression for both, so a float's field equals
-        its entry in a column bit for bit.  At a float the gain and the
-        two-point rule run on Python floats; quadrature's 64 or 128 node
-        values are one array per point, which NumPy sums pairwise either way.
+        Each rule is one expression for both shapes (see the module
+        docstring); a NumPy float scalar is taken as a float.
         """
-        point = isinstance(x, float)
-        eps = self.gain.value(x if point else x[:, None])
-        if self.method == "two_point":
-            f = self.objective.value if point else self._values
-            (n0, w0), (n1, w1) = self._float_rule
-            total = f(x + eps * n0) * w0 + f(x + eps * n1) * w1
-        else:
+        if x.__class__ is not float and isinstance(x, float):
+            x = float(x)
+        point = x.__class__ is float
+        if point and self._two_point_at is not None:
+            return self._two_point_at(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self._two_point_on is not None:
+                return self._two_point_on(x)
+            eps = self.gain.value(x if point else x[:, None])
             pts = np.expand_dims(x, -1) + np.expand_dims(eps, -1) * self._nodes
             total = np.add.reduce(self._values(pts) * self._weighted_nodes, axis=-1)
             if point:
                 total = float(total)
-        return -total / eps
+            return -total / eps
 
     def _values(self, pts: np.ndarray) -> np.ndarray:
         """The objective at an array of 1-d points, in the array's shape."""
         return self.objective.value_batch(pts.reshape(-1, 1)).reshape(pts.shape)
+
+
+def _two_point_field(nodes: np.ndarray, weighted_nodes: np.ndarray, f, gain_at):
+    """The two-point field ``x -> -(f(x + eps n0) w0 + f(x + eps n1) w1) / eps``, with ``eps = gain_at(x)``.
+
+    One expression for a float and a column: ``f`` and ``gain_at`` are the
+    objective and the gain in the point's shape.  The nodes and weighted
+    nodes are Python floats bound in the closure, so at a float the field
+    makes no NumPy call.
+    """
+    (n0, n1), (w0, w1) = nodes.tolist(), weighted_nodes.tolist()
+
+    def field(x):
+        eps = gain_at(x)
+        return -(f(x + eps * n0) * w0 + f(x + eps * n1) * w1) / eps
+
+    return field
 
 
 def monte_carlo_field(evaluator: MeanFieldEvaluator, x: float, n_samples: int, rng: np.random.Generator):

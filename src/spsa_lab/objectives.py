@@ -2,16 +2,32 @@
 
 Built-ins cover the two desk problems: a pure quadratic and a quadratic
 with trigonometric terms that break its symmetry, plus a general
-positive-definite quadratic form.  An `Objective` is evaluated on batches
-of points; each built-in states its value and gradient once.  A 1-d
-built-in states its value as an element-wise formula of the coordinate,
-which runs on an (m,) column for a batch and on a Python float at a
-point; any other single point is a 1-row batch.  User objectives are
-supplied the same way; there is no expression parser.
+positive-definite quadratic form.  An `Objective` is evaluated on (m, d)
+batches of points; each built-in states its value and gradient once.
+
+A 1-d built-in states its value as one element-wise formula of the
+coordinate, ``fn_1d``, which takes either shape:
+
+- a Python float, giving a float: the formula runs on Python floats and
+  ``math``, with no NumPy call;
+- an (m,) column, giving an (m,) array: the same operations run as NumPy
+  ufuncs.
+
+The two agree bit for bit, by three rules.  The library is picked by
+``x.__class__ is float`` inside the helpers ``_cos`` and ``_sin``; NumPy's
+sin and cos on float64 arrays and libm's round the same.  A non-finite
+argument gives NaN on a float as on a column: ``math.cos(inf)`` raises
+where ``np.cos`` returns NaN, so the helpers catch that, and no formula
+calls ``math`` directly.  Squares are written ``x * x``: on a float
+``x**2`` calls libm ``pow``, which can differ from ``x * x`` in the last
+bit, while NumPy computes an array's ``x**2`` as ``x * x``.  Any other
+single point is a 1-row batch.  User objectives are supplied the same way;
+there is no expression parser.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,8 +64,8 @@ class Objective:
     when no closed form is given.  A 1-d objective may also give
     ``fn_1d``, the element-wise formula of its coordinate that
     ``fn_batch`` applies to ``ts[:, 0]``; ``value`` then runs it at a
-    float point.  Metadata fields record a known stationary point and a
-    known lower bound when available.
+    float point, where it must return a float.  Metadata fields record a
+    known stationary point and a known lower bound when available.
     """
 
     dim: int
@@ -69,10 +85,14 @@ class Objective:
 
         A float runs through ``fn_1d`` on Python floats when the objective
         gives it, with the same floor check as ``value_batch``; any other
-        point is a 1-row ``value_batch``.
+        point is a 1-row ``value_batch``.  A NumPy float scalar counts as a
+        float.
         """
-        if self.fn_1d is not None and isinstance(theta, float):
-            val = float(self.fn_1d(theta))
+        if theta.__class__ is not float and isinstance(theta, float):
+            theta = float(theta)
+        fn_1d = self.fn_1d
+        if fn_1d is not None and theta.__class__ is float:
+            val = fn_1d(theta)
             if self.known_floor is not None and val < self.known_floor - 1e-12:
                 raise ValueError(
                     f"objective {val} below declared floor {self.known_floor} at theta={np.array([theta])}"
@@ -172,11 +192,30 @@ def _on_column(fn_1d):
     return lambda ts: fn_1d(ts[:, 0])
 
 
-# The element-wise formulas run on floats too, so squares are written x * x:
-# on a Python float x**2 calls libm pow, which can differ from x * x in the
-# last bit, while on an array NumPy computes x**2 as x * x.
+# The element-wise formulas run on floats too (see the module docstring):
+# squares are written x * x, and sin and cos go through these helpers.
 def _square(x):
     return x * x
+
+
+def _cos(x):
+    """cos of a float by libm, NaN at an infinite float as on an array; of an array by ``np.cos``."""
+    if x.__class__ is float:
+        try:
+            return math.cos(x)
+        except ValueError:  # math.cos(±inf); np.cos gives NaN
+            return math.nan
+    return np.cos(x)
+
+
+def _sin(x):
+    """sin of a float by libm, NaN at an infinite float as on an array; of an array by ``np.sin``."""
+    if x.__class__ is float:
+        try:
+            return math.sin(x)
+        except ValueError:  # math.sin(±inf); np.sin gives NaN
+            return math.nan
+    return np.sin(x)
 
 
 def quadratic_1d() -> Objective:
@@ -202,7 +241,7 @@ def trig_quadratic_1d() -> Objective:
     """
 
     def f(x):
-        return x * x - np.cos(x) - np.sin(5.0 * x) / 5.0 + 4.0
+        return x * x - _cos(x) - _sin(5.0 * x) / 5.0 + 4.0
 
     def gb(ts):
         x = ts[:, 0]

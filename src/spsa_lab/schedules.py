@@ -6,8 +6,12 @@ active (functions of the current iterate, bounded below by ``eps_bullet``,
 which is the stabilization mechanism).
 
 Every gain's ``value`` takes an (m, d) batch, one (d,) point, or a
-1-d point given as a Python float; a float runs the same expression as a
-batch row on Python floats and returns a float.
+1-d point given as a Python float.  A float runs the same expression as a
+batch row on Python floats and ``math``, with no NumPy call, and returns
+a float equal to the row's gain bit for bit (a NumPy float scalar is
+taken as a float).  The square root goes through ``_sqrt``, which picks
+the library by ``x.__class__ is float`` and gives NaN on a float wherever
+``np.sqrt`` gives NaN on an array.
 """
 
 from __future__ import annotations
@@ -60,35 +64,50 @@ class StepSizeSchedule:
         return float(out) if out.ndim == 0 else out
 
 
-def _squared_norms(theta):
-    """Squared row norms of a float array, or the square of a float; identical arithmetic for every shape.
+def _squared_norms(theta: np.ndarray):
+    """Squared row norms of a float array; identical arithmetic for every shape.
 
-    At d = 1 the sum of one term is that term, taken without a reduce; at
-    a (1,) point the result is then 0-d.  A float is a 1-d point, and its
-    squared norm is a float.
+    At d = 1 the sum of one term is that term, taken without a reduce (as
+    for a float point, whose squared norm is ``x * x``); at a (1,) point
+    the result is then 0-d.
     """
     sq = theta * theta
-    if isinstance(sq, float):
-        return sq
     return sq[..., 0] if sq.shape[-1] == 1 else np.add.reduce(sq, axis=-1)
 
 
 def _sqrt(x):
-    """Square root of a float (``math.sqrt``) or of an array; both are correctly rounded, so they agree bit for bit."""
-    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
+    """Square root of a float by ``math.sqrt``, or of an array by ``np.sqrt``.
+
+    Both are correctly rounded, so they agree bit for bit.  Where
+    ``math.sqrt`` raises (a negative float) the result is NaN, as
+    ``np.sqrt`` gives.
+    """
+    if x.__class__ is float:
+        try:
+            return math.sqrt(x)
+        except ValueError:  # a negative float
+            return math.nan
+    return np.sqrt(x)
+
+
+def _point(theta):
+    """``theta`` as a Python float if it is a float or a NumPy float scalar, else unchanged."""
+    return float(theta) if isinstance(theta, float) else theta
 
 
 def _oblivious(theta, eps):
     """An oblivious gain ``eps`` for each row of an (m, d) batch, or ``eps`` itself for one point."""
-    if isinstance(theta, float) or np.ndim(theta) < 2:
+    if theta.__class__ is float or np.ndim(theta) < 2:
         return eps
     return np.full(np.shape(theta)[0], eps)
 
 
 def _check_scale(gain) -> None:
-    """Validate ``gain.eps_bullet``: a positive scalar, or an (m,) array of positive per-row scales."""
+    """Validate ``gain.eps_bullet``: a positive scalar, stored as a float, or an (m,) array of positive row scales."""
     if np.ndim(gain.eps_bullet) > 0:
         object.__setattr__(gain, "eps_bullet", np.asarray(gain.eps_bullet, dtype=float))
+    else:
+        object.__setattr__(gain, "eps_bullet", float(gain.eps_bullet))
     if not np.all(np.asarray(gain.eps_bullet) > 0):
         raise ValueError(f"eps_bullet must be positive, got {gain.eps_bullet}")
 
@@ -162,12 +181,24 @@ class CenterActiveGain(ExplorationGain):
         object.__setattr__(self, "center", np.atleast_1d(np.asarray(self.center, dtype=float)))
         # a float point is offset by the center's coordinate, so it stays a float
         object.__setattr__(self, "_center_1d", float(self.center[0]) if self.center.size == 1 else None)
+        # sigma_p**2 is taken once; a square that is 0 or inf would make the gain inf or NaN
+        try:
+            sigma_p2 = float(self.sigma_p) ** 2
+        except OverflowError:
+            sigma_p2 = math.inf
+        if not 0.0 < sigma_p2 < math.inf:
+            raise ValueError(f"sigma_p**2 must lie in (0, inf), got sigma_p {self.sigma_p}")
+        object.__setattr__(self, "_sigma_p2", sigma_p2)
 
     def value(self, theta, n: int = 0):
-        # the float center makes theta - center a float array for any array input
-        offset = theta - (self._center_1d if isinstance(theta, float) else self.center)
-        out = self.eps_bullet * _sqrt(1.0 + _squared_norms(offset) / self.sigma_p**2)
-        return float(out) if isinstance(out, float) else out
+        if theta.__class__ is not float:
+            theta = _point(theta)
+        if theta.__class__ is float:
+            offset = theta - self._center_1d
+            sq = offset * offset
+        else:
+            sq = _squared_norms(theta - self.center)
+        return self.eps_bullet * _sqrt(1.0 + sq / self._sigma_p2)
 
 
 @dataclass(frozen=True)
@@ -187,7 +218,9 @@ class ObjectiveActiveGain(ExplorationGain):
 
     def value(self, theta, n: int = 0):
         # a float is evaluated at that point; a (d,) point is a 1-row batch
-        point = isinstance(theta, float)
+        if theta.__class__ is not float:
+            theta = _point(theta)
+        point = theta.__class__ is float
         if point:
             vals = self.objective.value(theta)
         else:

@@ -330,17 +330,30 @@ MEANFLOW_QUADRATURE = dict(MEANFLOW_TRIG, **{"probe.base": "uniform", "meanflow.
         ("meanflow", dict(MEANFLOW_TRIG, **{"meanflow.grid": [-3.0, 3.0, 10**6 + 1]}), "meanflow.grid"),
         ("meanflow", dict(MEANFLOW_QUADRATURE, **{"probe.support": 1e308}), "probe.support"),
         ("run", run_cfg(**{"probe.base": "uniform", "probe.support": 1e308}), "probe.support"),
+        ("run", run_cfg(n=10**12), "run.N"),
+        ("run", run_cfg(n=10**7, **{"run.stride": 9}), "run.N"),
+        ("experiment", experiment_cfg(**{"ensemble.M": 10**9}), "ensemble.M"),
+        ("experiment", experiment_cfg(**{"ensemble.M": 166_667}), "ensemble.M"),
+        ("run", run_cfg(**{"gain.eps_bullet": 1e300, "probe.base": "uniform", "probe.support": 1e10}), "gain.eps_bullet"),
+        ("meanflow", dict(MEANFLOW_QUADRATURE, **{"gain.eps_bullet": 1e300, "probe.support": 1e10}), "gain.eps_bullet"),
+        ("run", run_cfg(**{"gain.eps_bullet": 10**400}), "gain.eps_bullet"),
+        ("experiment", experiment_cfg(**{"ensemble.eps_grid": [0.05, 0.1, 1e300], "probe.support": 1e10}),
+         "ensemble.eps_grid"),
     ],
     ids=[
         "sigma_p_square_underflows", "sigma_p_square_overflows", "run_sigma_p_square_overflows",
         "flow_steps_overflow", "flow_steps_above_cap", "flow_dt_steps_above_cap", "flow_steps_just_above_cap",
         "grid_points_above_cap", "twice_support_overflows", "run_twice_support_overflows",
+        "record_rows_overflow", "record_rows_above_cap", "ensemble_lanes_overflow", "ensemble_lanes_just_above_cap",
+        "run_probe_offset_overflows", "meanflow_probe_offset_overflows", "eps_bullet_int_too_large_for_a_float",
+        "eps_grid_probe_offset_overflows",
     ],
 )
 def test_cli_derived_quantity_out_of_range_exits_2_naming_key(tmp_path, capsys, command, cfg, key):
     # each key passes its own check, but a quantity derived from it (a square,
-    # a doubled bound, a step count, a grid size) is out of range or above its
-    # cap of 10**6; the config is rejected before any work starts
+    # a doubled bound, a probe offset, a step count, a grid size, the rows of
+    # a record, the lanes of an experiment) is out of range or above its cap
+    # of 10**6; the config is rejected before any work starts
     cfg_path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
     with warnings.catch_warnings():
@@ -348,6 +361,43 @@ def test_cli_derived_quantity_out_of_range_exits_2_naming_key(tmp_path, capsys, 
         assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_record_and_lane_caps_admit_their_limit():
+    # N // stride + 2 record rows, and 2 probe modes x 3 gains x M lanes, may reach 10**6
+    validate_config(run_cfg(n=10**6 - 2), "run")
+    validate_config(run_cfg(n=9 * (10**6 - 2) + 8, **{"run.stride": 9}), "run")
+    validate_config(experiment_cfg(**{"ensemble.M": 166_666}), "experiment")
+
+
+def child_env() -> dict:
+    """The environment of a child ``python``, with this checkout's package on its path."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.parametrize(
+    "changes, code",
+    [
+        ({"gain.eps_bullet": 1e300}, 4),
+        ({"meanflow.theta_init": [1e300]}, 4),
+        ({"meanflow.flow_theta0": [1e200]}, 0),
+        ({"meanflow.flow_theta0": [1e300]}, 0),
+    ],
+    ids=["eps_bullet_1e300", "theta_init_1e300", "flow_theta0_1e200", "flow_theta0_1e300"],
+)
+def test_cli_meanflow_meets_overflow_without_traceback_or_warning(tmp_path, changes, code):
+    # the field's float formulas meet inf and NaN here, where math.cos(inf)
+    # raises and np.cos gives NaN; the equilibrium search fails on a NaN
+    # residual (exit 4) and the flow stops at its first non-finite state
+    # (exit 0), and stderr holds nothing but the solver's error line
+    cfg_path = write_cfg(tmp_path, dict(MEANFLOW_TRIG, **changes))
+    cmd = [sys.executable, "-m", "spsa_lab.cli", "meanflow", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    proc = subprocess.run(cmd, env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr
+    want = "error: equilibrium search stalled at residual nan (tol 1.0e-10)\n" if code == 4 else ""
+    assert proc.stderr == want
 
 
 def test_cli_run_with_non_finite_state_writes_strict_json(tmp_path):
@@ -371,10 +421,8 @@ def test_cli_run_with_non_finite_state_writes_strict_json(tmp_path):
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats is loaded by probe-check's regeneration test only; the
     # other commands do not pay for its import
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     code = "import sys, spsa_lab.cli; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
 
 

@@ -4,7 +4,8 @@ Every name listed in an ``__all__`` must resolve, and every module-level
 import in ``src/spsa_lab`` must be used in its module or exported.  The
 benchmark's traced run (``bench/tracing.py``) patches methods by name and
 binds ``run_batch`` arguments by name, so those names must stay in the
-package.
+package.  ``math.sin``, ``math.cos`` and ``math.sqrt`` raise on arguments
+where NumPy gives NaN, so only the NaN-safe float helpers may call them.
 """
 
 import ast
@@ -78,3 +79,40 @@ def test_run_batch_keeps_traced_parameters():
     params = inspect.signature(importlib.import_module("spsa_lab.core").run_batch).parameters
     missing = [name for name in ("theta0", "n_steps", "chunk") if name not in params]
     assert not missing, f"run_batch lost the parameters {missing} that bench/tracing.py binds"
+
+
+# the NaN-safe float helpers: (module, function) -> the math functions it may call
+NAN_SAFE_HELPERS = {("objectives", "_cos"): {"cos"}, ("objectives", "_sin"): {"sin"}, ("schedules", "_sqrt"): {"sqrt"}}
+RAISING_MATH = {"sin", "cos", "sqrt"}
+
+
+def _math_calls(node: ast.AST, aliases: set[str]) -> list[tuple[str, int]]:
+    """The ``math.sin``/``cos``/``sqrt`` attributes used under ``node``, through any alias of ``math``."""
+    return [
+        (n.attr, n.lineno)
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute)
+        and n.attr in RAISING_MATH
+        and isinstance(n.value, ast.Name)
+        and n.value.id in aliases
+    ]
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_raising_math_functions_only_in_nan_safe_helpers(stem):
+    # math.cos(inf) and math.sqrt(-1.0) raise ValueError where np.cos and
+    # np.sqrt return NaN; a formula that called them directly would turn a
+    # non-finite float into a traceback where its column gives NaN
+    tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+    aliases = {"math"}
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname or a.name for a in node.names if a.name == "math"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            bad += [(a.name, node.lineno) for a in node.names if a.name in RAISING_MATH | {"*"}]
+    for node in tree.body:
+        allowed = NAN_SAFE_HELPERS.get((stem, getattr(node, "name", None)), set())
+        bad += [(name, line) for name, line in _math_calls(node, aliases) if name not in allowed]
+    assert not bad, f"{stem}.py uses math functions outside the NaN-safe helpers: {bad}"
+
