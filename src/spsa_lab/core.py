@@ -8,26 +8,25 @@ once every lane has tripped, strided trajectory recording, and on-the-fly
 window statistics so long ensembles never store full trajectories.
 
 The update rule lives in one function, ``_increment``, written once as an
-element-wise expression.  The engine holds its iterates in one of three
-forms, and every form runs that expression, the guard and the record:
+element-wise expression.  The engine holds its iterates in one of two
+forms, and both run that expression, the guard and the record:
 
 - a Python float, for one lane at d = 1 whose objective gives an
-  element-wise ``fn_1d``.  Probes come from ``take(width)[:, 0].tolist()``
-  and step sizes from ``tolist()``; the objective and the gain run their
-  float formulas (``math`` on floats, see ``objectives``), so a step makes
-  no NumPy call.
-- an (m,) column, for any other run at d = 1.
-- (m, d) rows for d > 1, with each lane's gain and objective value as an
-  (m, 1) column.
+  element-wise ``fn_1d`` and whose gain has one scale.  Probes come from
+  ``take(width)[:, 0].tolist()`` and step sizes from ``tolist()``; the
+  objective and the gain run their float formulas (``math`` on floats,
+  see ``objectives``), so a step makes no NumPy call.
+- (m, d) rows for every other run, with each lane's gain and objective
+  value as an (m, 1) column.
 
-The forms agree bit for bit: each runs the same IEEE operations in the
-same order, and the float formulas keep to the rules of ``objectives``
-(``math`` at a float, NaN where ``math`` raises, squares as ``x * x``).
-The guard at d = 1 is ``abs(theta) <= threshold``.  Overflow gives inf or
-NaN in every form, without a warning, and the guard trips on it.  Python
-raises on a float division by zero, where an array gives inf or NaN, so a
-float lane whose gain has underflowed to 0.0 takes that step on a
-1-element column.
+The two forms agree bit for bit: each runs the same IEEE operations in
+the same order, and the float formulas keep to the rules of
+``objectives`` (``math`` at a float, NaN where ``math`` raises, squares
+as ``x * x``).  The guard at d = 1 is ``abs(theta) <= threshold``.
+Overflow gives inf or NaN in both forms, without a warning, and the guard
+trips on it.  Python raises on a float division by zero, where an array
+gives inf or NaN, so a float lane whose gain has underflowed to 0.0 takes
+that step on a 1 x 1 row.
 """
 
 from __future__ import annotations
@@ -78,9 +77,8 @@ def _increment(f, algorithm: str, theta, xi, eps, alpha):
     With probe ``xi``, gain ``eps`` and step size ``alpha``, 1SPSA moves by
     -(alpha / eps) xi f(theta + eps xi), one objective evaluation; 2SPSA by
     -(alpha / (2 eps)) xi (f(theta + eps xi) - f(theta - eps xi)), two.
-    ``f`` is the objective in the iterate's form: a float at a float, (m,)
-    values on an (m,) column, and an (m, 1) column on (m, d) rows, where
-    ``eps`` is an (m, 1) column too.
+    ``f`` is the objective in the iterate's form: a float at a float, and
+    an (m, 1) column on (m, d) rows, where ``eps`` is an (m, 1) column too.
     """
     y = f(theta + eps * xi)
     if algorithm == "1spsa":
@@ -188,9 +186,9 @@ def run_batch(
     # the iterate's form: the objective, the gain and the norm in it, the
     # (m, d) rows a statistic sees, and the probes of a chunk, one entry per
     # step.  A lane runs on floats when its objective and gain have float
-    # formulas; a gain with one scale per lane keeps the column
-    def column_value(x):
-        return objective.value_batch(x[:, None])
+    # formulas; a gain with one scale per lane keeps the rows
+    def row_value(x):
+        return objective.value_batch(x)[:, None]
 
     lane = m == 1 and d == 1 and objective.fn_1d is not None and np.ndim(gain.eps_bullet) == 0
     if lane:
@@ -204,39 +202,24 @@ def run_batch(
             return probes[0].take(width)[:, 0].tolist()
 
     else:
+        value = row_value
         # one chunk of probes, drawn lane by lane into the same buffer; step
-        # major, so each step reads one contiguous block
+        # major, so each step reads one contiguous (m, d) block
         xi_buf = np.empty((min(chunk, n_steps), m, d))
-        xi_steps = xi_buf if d > 1 else xi_buf[:, :, 0]
 
         def draw(width: int):
             for i, g in enumerate(probes):
                 xi_buf[:width, i] = g.take(width)
-            return xi_steps
+            return xi_buf
 
-        if d == 1:
-            theta = theta[:, 0]
-            value, norm = column_value, np.abs
+        def rows(x):
+            return x
 
-            def rows(x):
-                return x[:, None]
+        def gains(x, n_index: int):
+            return np.asarray(gain.value(x, n_index), dtype=float)[:, None]
 
-            def gains(x, n_index: int):
-                return np.asarray(gain.value(x[:, None], n_index), dtype=float)
-
-        else:
-
-            def value(x):
-                return objective.value_batch(x)[:, None]
-
-            def rows(x):
-                return x
-
-            def gains(x, n_index: int):
-                return np.asarray(gain.value(x, n_index), dtype=float)[:, None]
-
-            def norm(x):
-                return np.linalg.norm(x, axis=1)
+        def norm(x):
+            return np.abs(x[:, 0]) if d == 1 else np.linalg.norm(x, axis=1)
 
     active = np.ones(m, dtype=bool)
     live = True  # no lane has tripped yet
@@ -263,7 +246,7 @@ def run_batch(
     n_recorded = 0
 
     def record(n_index: int, current, alpha: float, eps):
-        # step-major, in the iterate's form: a float, an (m,) column or (m, d) rows
+        # step-major, in the iterate's form: a float or (m, d) rows
         nonlocal n_recorded
         i = n_recorded
         rec_idx[i] = n_index
@@ -302,14 +285,14 @@ def run_batch(
                 except ZeroDivisionError:
                     if not lane:
                         raise
-                    # a zero gain: this step runs on a 1-element column, whose
-                    # IEEE division gives inf or NaN (with NumPy's warning)
-                    column = np.array([theta]), np.array([xi[j]]), np.array([eps])
-                    incr = float(_increment(column_value, algorithm, *column, alpha)[0])
+                    # a zero gain: this step runs on a 1 x 1 row, whose IEEE
+                    # division gives inf or NaN (with NumPy's warning)
+                    row = np.array([[theta]]), np.array([[xi[j]]]), np.array([[eps]])
+                    incr = float(_increment(row_value, algorithm, *row, alpha)[0, 0])
                 if live:
                     theta += incr
                 else:
-                    theta = np.where(active if d == 1 else active[:, None], theta + incr, theta)
+                    theta = np.where(active[:, None], theta + incr, theta)
                 # one compare and one count in the common case; "not <=" is
                 # also true for NaN, and a float lane's compare gives True or False
                 within = norm(theta) <= threshold

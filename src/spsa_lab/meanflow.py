@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exploration import BaseNoise
-from .objectives import Objective, bisect_root, central_difference
+from .objectives import Objective, as_point, bisect_root, central_difference
 from .schedules import ExplorationGain
 
 __all__ = [
@@ -94,13 +94,8 @@ class MeanFieldEvaluator:
             raise ValueError("the mean field is implemented for dimension 1")
         self._nodes, weights = self._rule()
         self._weighted_nodes = weights * self._nodes
-        # the two-point rule, bound once to the gain and the objective at a
-        # float and on a column
-        self._two_point_at = self._two_point_on = None
-        if self.method == "two_point":
-            nodes = self._nodes, self._weighted_nodes
-            self._two_point_at = _two_point_field(*nodes, self.objective.value, self.gain.value)
-            self._two_point_on = _two_point_field(*nodes, self._values, lambda x: self.gain.value(x[:, None]))
+        # (node, weighted node) pairs as floats: the two-point rule's terms
+        self._float_rule = tuple(zip(self._nodes.tolist(), self._weighted_nodes.tolist()))
 
     def _rule(self):
         """Nodes and weights integrating against the marginal probe law.
@@ -131,43 +126,34 @@ class MeanFieldEvaluator:
         """Mean field at a float ``x``, as a float, or on an (m,) column ``x``, as an (m,) array.
 
         Each rule is one expression for both shapes (see the module
-        docstring); a NumPy float scalar is taken as a float.
+        docstring); a NumPy float scalar is taken as a float.  The
+        two-point rule at a float makes no NumPy call and so needs no
+        ``np.errstate``; every rule with array work runs under one.
         """
-        if x.__class__ is not float and isinstance(x, float):
-            x = float(x)
-        point = x.__class__ is float
-        if point and self._two_point_at is not None:
-            return self._two_point_at(x)
+        if x.__class__ is not float:
+            x = as_point(x)
+        if x.__class__ is float and self.method == "two_point":
+            return self._field(x)
         with np.errstate(over="ignore", invalid="ignore"):
-            if self._two_point_on is not None:
-                return self._two_point_on(x)
-            eps = self.gain.value(x if point else x[:, None])
+            return self._field(x)
+
+    def _field(self, x):
+        point = x.__class__ is float
+        eps = self.gain.value(x if point else x[:, None])
+        if self.method == "two_point":
+            f = self.objective.value if point else self._values
+            (n0, w0), (n1, w1) = self._float_rule
+            total = f(x + eps * n0) * w0 + f(x + eps * n1) * w1
+        else:
             pts = np.expand_dims(x, -1) + np.expand_dims(eps, -1) * self._nodes
             total = np.add.reduce(self._values(pts) * self._weighted_nodes, axis=-1)
             if point:
                 total = float(total)
-            return -total / eps
+        return -total / eps
 
     def _values(self, pts: np.ndarray) -> np.ndarray:
         """The objective at an array of 1-d points, in the array's shape."""
         return self.objective.value_batch(pts.reshape(-1, 1)).reshape(pts.shape)
-
-
-def _two_point_field(nodes: np.ndarray, weighted_nodes: np.ndarray, f, gain_at):
-    """The two-point field ``x -> -(f(x + eps n0) w0 + f(x + eps n1) w1) / eps``, with ``eps = gain_at(x)``.
-
-    One expression for a float and a column: ``f`` and ``gain_at`` are the
-    objective and the gain in the point's shape.  The nodes and weighted
-    nodes are Python floats bound in the closure, so at a float the field
-    makes no NumPy call.
-    """
-    (n0, n1), (w0, w1) = nodes.tolist(), weighted_nodes.tolist()
-
-    def field(x):
-        eps = gain_at(x)
-        return -(f(x + eps * n0) * w0 + f(x + eps * n1) * w1) / eps
-
-    return field
 
 
 def monte_carlo_field(evaluator: MeanFieldEvaluator, x: float, n_samples: int, rng: np.random.Generator):

@@ -48,6 +48,15 @@ __all__ = [
 _FLOAT64 = np.dtype(np.float64)
 
 
+def as_point(x):
+    """``x`` as a Python float if it is a float or a NumPy float scalar, else unchanged.
+
+    The float formulas take Python floats only; every place that accepts
+    a float point calls this when ``x.__class__ is not float``.
+    """
+    return float(x) if isinstance(x, float) else x
+
+
 def _fd_step(theta: np.ndarray, h: float | None) -> float:
     # balances truncation and rounding for smooth objectives in double precision
     if h is not None:
@@ -88,8 +97,8 @@ class Objective:
         point is a 1-row ``value_batch``.  A NumPy float scalar counts as a
         float.
         """
-        if theta.__class__ is not float and isinstance(theta, float):
-            theta = float(theta)
+        if theta.__class__ is not float:
+            theta = as_point(theta)
         fn_1d = self.fn_1d
         if fn_1d is not None and theta.__class__ is float:
             val = fn_1d(theta)

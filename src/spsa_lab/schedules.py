@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .objectives import as_point
+
 __all__ = [
     "StepSizeSchedule",
     "ExplorationGain",
@@ -88,11 +90,6 @@ def _sqrt(x):
         except ValueError:  # a negative float
             return math.nan
     return np.sqrt(x)
-
-
-def _point(theta):
-    """``theta`` as a Python float if it is a float or a NumPy float scalar, else unchanged."""
-    return float(theta) if isinstance(theta, float) else theta
 
 
 def _oblivious(theta, eps):
@@ -192,7 +189,7 @@ class CenterActiveGain(ExplorationGain):
 
     def value(self, theta, n: int = 0):
         if theta.__class__ is not float:
-            theta = _point(theta)
+            theta = as_point(theta)
         if theta.__class__ is float:
             offset = theta - self._center_1d
             sq = offset * offset
@@ -219,7 +216,7 @@ class ObjectiveActiveGain(ExplorationGain):
     def value(self, theta, n: int = 0):
         # a float is evaluated at that point; a (d,) point is a 1-row batch
         if theta.__class__ is not float:
-            theta = _point(theta)
+            theta = as_point(theta)
         point = theta.__class__ is float
         if point:
             vals = self.objective.value(theta)

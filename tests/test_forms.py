@@ -1,12 +1,13 @@
-"""A float and an (m,) column give the same bits, in every 1-d formula and in the engine.
+"""A float gives the same bits as an array, in every 1-d formula and in the engine.
 
 Every 1-d formula of the package is one element-wise expression that runs
 on a Python float (with ``math``) and on an (m,) column (with NumPy).  The
 objectives, the gains and both mean-field rules must give a float equal to
 its column entry bit for bit (NaN for NaN), on about 10**5 points in
 [-1e3, 1e3] and at the non-finite and overflowing points.  The engine runs
-one lane on floats and a d = 1 batch on a column; both must reproduce a
-reference recursion on (m, 1) rows, guard trips included.
+one lane on floats and a d = 1 batch on (m, 1) rows; both must reproduce
+a reference recursion on (m, 1) rows written out here, guard trips
+included.
 
 A libm or NumPy change can move last bits, so a mismatch names the Python
 and NumPy versions.
@@ -105,7 +106,7 @@ def test_mean_field_float_equals_column(name, method, mode):
         assert_same_bits(floats, ev.evaluate(points), f"{method} {mode} field, {kind} gain, on {name}")
 
 
-# --- the engine: a float lane and a column batch against (m, 1) rows ---------
+# --- the engine: a float lane and a batch against (m, 1) rows -----------------
 
 
 def reference_rows(objective, schedule, gain, probes, theta0, n_steps, algorithm, threshold):
@@ -199,7 +200,7 @@ def assert_run_matches(got, ref, rows, what: str) -> None:
     assert_same_bits(got.theta_final.ravel().tolist(), thetas[rows, k - 1].ravel(), f"{what}: final iterates")
 
 
-def test_float_lane_and_column_batch_match_rows_over_many_seeds():
+def test_float_lane_and_batch_match_rows_over_many_seeds():
     tripped = finished = 0
     for seed in range(40):
         c = case(seed)
@@ -208,7 +209,7 @@ def test_float_lane_and_column_batch_match_rows_over_many_seeds():
             c["objective"], c["schedule"], c["gain"], probes_for(c, lanes), c["theta0"], N_STEPS, c["algorithm"],
             THRESHOLD,
         )
-        assert_run_matches(engine(c, lanes), ref, slice(None), f"seed {seed}, column batch")
+        assert_run_matches(engine(c, lanes), ref, slice(None), f"seed {seed}, batch")
         # each lane alone runs on floats; it ends at its own trip
         for i in lanes:
             assert_run_matches(engine(c, [i]), ref, [i], f"seed {seed}, float lane {i}")
@@ -217,12 +218,12 @@ def test_float_lane_and_column_batch_match_rows_over_many_seeds():
     assert tripped >= 20 and finished >= 20, (tripped, finished)
 
 
-def test_float_lane_with_a_zero_gain_steps_as_a_column():
+def test_float_lane_with_a_zero_gain_steps_as_a_row():
     # at the minimum of the quadratic a tiny gain leaves the iterate at 0
     # (the objective at eps * xi underflows to 0), until the decaying gain
     # itself underflows to 0.0 at n = 2.  A float division by zero raises,
-    # so that step runs on a column, which gives inf * 0 = NaN and NumPy's
-    # warning, and the lane trips at index 3 as the column batch does
+    # so that step runs on a 1 x 1 row, which gives inf * 0 = NaN and NumPy's
+    # warning, and the lane trips at index 3 as the batch does
     c = {
         "objective": quadratic_1d(),
         "schedule": StepSizeSchedule(0.1, 0.6),
@@ -238,7 +239,7 @@ def test_float_lane_with_a_zero_gain_steps_as_a_column():
             c["objective"], c["schedule"], c["gain"], probes_for(c, [0, 1]), c["theta0"], N_STEPS, "1spsa", THRESHOLD
         )
     assert list(ref[3]) == [3, 3]
-    for lanes, what in (([0, 1], "column batch"), ([0], "float lane")):
+    for lanes, what in (([0, 1], "batch"), ([0], "float lane")):
         with pytest.warns(RuntimeWarning, match="divide by zero"):
             got = engine(c, lanes)
         assert_run_matches(got, ref, lanes, what)
