@@ -145,7 +145,9 @@ class MeanFieldEvaluator:
             (n0, w0), (n1, w1) = self._float_rule
             total = f(x + eps * n0) * w0 + f(x + eps * n1) * w1
         else:
-            pts = np.expand_dims(x, -1) + np.expand_dims(eps, -1) * self._nodes
+            # a float meets the nodes as it is; a column meets them as (m, 1)
+            at, scale = (x, eps) if point else (x[:, None], eps[:, None])
+            pts = at + scale * self._nodes
             total = np.add.reduce(self._values(pts) * self._weighted_nodes, axis=-1)
             if point:
                 total = float(total)
