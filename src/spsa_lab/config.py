@@ -67,11 +67,14 @@ def _is_matrix(v) -> bool:
 
 
 # caps on what a config asks for: RK4 steps of the flow, points of the grid,
-# rows of a run's record and lanes of an experiment
+# rows of a run's record, lanes of an experiment, steps of a run and
+# lane-steps of an experiment (configs/fig2_full.json asks for 5 * 10**8)
 MAX_FLOW_STEPS = 10**6
 MAX_GRID_POINTS = 10**6
 MAX_RECORD_ROWS = 10**6
 MAX_LANES = 10**6
+MAX_RUN_STEPS = 10**8
+MAX_LANE_STEPS = 2 * 10**9
 
 # experiment runs every cell in both probe modes
 PROBE_MODES = ("iid", "zigzag")
@@ -225,7 +228,7 @@ def _check_derived(cfg: dict, command: str) -> None:
 
     A square, a doubled bound, the largest probe offset (gain scale times
     probe support), and the sizes of the work and of the outputs: flow
-    steps, record rows and experiment lanes.
+    steps, run steps, record rows, experiment lanes and lane-steps.
     """
     if "gain.sigma_p" in cfg and not 0.0 < cfg["gain.sigma_p"] * cfg["gain.sigma_p"] < math.inf:
         raise ConfigError(f"config key 'gain.sigma_p' is {cfg['gain.sigma_p']!r}; its square must be in (0, inf)")
@@ -245,6 +248,8 @@ def _check_derived(cfg: dict, command: str) -> None:
                 f"at most {MAX_FLOW_STEPS} are allowed"
             )
     if command == "run":
+        if cfg["run.N"] > MAX_RUN_STEPS:
+            raise ConfigError(f"config key 'run.N' asks for {cfg['run.N']} steps; at most {MAX_RUN_STEPS} are allowed")
         # index 0, every stride-th index and the last
         rows = cfg["run.N"] // cfg.get("run.stride", 1) + 2
         if rows > MAX_RECORD_ROWS:
@@ -257,6 +262,11 @@ def _check_derived(cfg: dict, command: str) -> None:
             raise ConfigError(
                 f"config key 'ensemble.M' asks for {lanes} lanes ({len(PROBE_MODES)} probe modes x "
                 f"{len(cfg['ensemble.eps_grid'])} gain values x M); at most {MAX_LANES} are allowed"
+            )
+        if lanes * cfg["ensemble.N"] > MAX_LANE_STEPS:
+            raise ConfigError(
+                f"config key 'ensemble.N' asks for {lanes * cfg['ensemble.N']} lane-steps ({lanes} lanes x N); "
+                f"at most {MAX_LANE_STEPS} are allowed"
             )
 
 

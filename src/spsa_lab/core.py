@@ -14,19 +14,20 @@ forms, and both run that expression, the guard and the record:
 - a Python float, for one lane at d = 1 whose objective gives an
   element-wise ``fn_1d`` and whose gain has one scale.  Probes come from
   ``take(width)[:, 0].tolist()`` and step sizes from ``tolist()``; the
-  objective and the gain run their float formulas (``math`` on floats,
-  see ``objectives``), so a step makes no NumPy call.
+  step calls the objective's and the gain's float forms (``at_float``,
+  bound at construction) directly, so it makes no NumPy call.
 - (m, d) rows for every other run, with each lane's gain and objective
   value as an (m, 1) column.
 
 The two forms agree bit for bit: each runs the same IEEE operations in
-the same order, and the float formulas keep to the rules of
-``objectives`` (``math`` at a float, NaN where ``math`` raises, squares
-as ``x * x``).  The guard at d = 1 is ``abs(theta) <= threshold``.
-Overflow gives inf or NaN in both forms, without a warning, and the guard
-trips on it.  Python raises on a float division by zero, where an array
-gives inf or NaN, so a float lane whose gain has underflowed to 0.0 takes
-that step on a 1 x 1 row.
+the same order.  Each 1-d formula is written once and takes its library:
+``numpy`` on rows, ``math`` at a float, where ``objectives.float_form``
+catches libm's domain errors once and gives NaN as NumPy does; squares
+are written ``x * x`` (see ``objectives``).  The guard at d = 1 is
+``abs(theta) <= threshold``.  Overflow gives inf or NaN in both forms,
+without a warning, and the guard trips on it.  Python raises on a float
+division by zero, where an array gives inf or NaN, so a float lane whose
+gain has underflowed to 0.0 takes that step on a 1 x 1 row.
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ def run_batch(
     lane = m == 1 and d == 1 and objective.fn_1d is not None and np.ndim(gain.eps_bullet) == 0
     if lane:
         theta = float(theta[0, 0])
-        value, gains, norm = objective.value, gain.value, abs
+        value, gains, norm = objective.at_float, gain.at_float, abs
 
         def rows(x):
             return np.array([[x]])

@@ -7,20 +7,23 @@ one node/weight rule against the probe law, whose nodes are the probe
 atoms (exact, finite probe support) or Gauss-Legendre nodes (uniform base
 noise).  ``monte_carlo_field`` samples the field as an independent
 reference.  The flow (classical RK4), the equilibrium search and the bias
-sweep all run on Python floats.
+sweep all run on Python floats, through ``evaluate``.
 
 ``evaluate`` takes either shape, with the same floating-point operations
 on each, so a float's field equals its entry in a column bit for bit:
 
-- a Python float, giving a float.  The two-point rule runs on Python
-  floats and ``math`` (through the gain's and the objective's float
-  formulas, which write squares as ``x * x``; see ``objectives``), with
-  no NumPy call; quadrature's 64 or 128 node values are one array per
-  point.
-- an (m,) column of points, giving an (m,) array.
+- a Python float, giving a float.  The two-point rule runs inline on the
+  gain's and the objective's float forms, bound at construction: each
+  1-d formula takes its library and runs on ``math`` there, through the
+  one ``objectives.float_form``, which catches libm's domain errors once
+  and gives NaN; squares are written ``x * x`` (see ``objectives``).  No
+  NumPy call is made.  Quadrature's 64 or 128 node values are one array
+  per point.
+- an (m,) column of points, giving an (m,) array: the same formulas on
+  ``numpy``.
 
 A non-finite or overflowing point gives inf or NaN, never an exception or
-a warning: the float formulas map libm's domain errors to NaN, and the
+a warning: the float forms map libm's domain errors to NaN, and the
 array work runs with NumPy's overflow and invalid-value warnings off.
 Callers judge the result (a NaN residual fails the equilibrium search, a
 non-finite state ends the flow).
@@ -60,7 +63,7 @@ class SolverError(RuntimeError):
         self.last_iterate = last_iterate
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeanFieldEvaluator:
     """Averaged update direction of the single-sample recursion in dimension 1.
 
@@ -92,10 +95,17 @@ class MeanFieldEvaluator:
             raise ValueError("quadrature method requires uniform base noise")
         if self.base.dim != 1:
             raise ValueError("the mean field is implemented for dimension 1")
-        self._nodes, weights = self._rule()
-        self._weighted_nodes = weights * self._nodes
+        nodes, weights = self._rule()
+        object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "_weighted_nodes", weights * nodes)
         # (node, weighted node) pairs as floats: the two-point rule's terms
-        self._float_rule = tuple(zip(self._nodes.tolist(), self._weighted_nodes.tolist()))
+        float_rule = tuple(zip(nodes.tolist(), self._weighted_nodes.tolist()))
+        object.__setattr__(self, "_float_rule", float_rule)
+        # the two-point rule at a float: the gain's and the objective's float
+        # forms and its terms (the fields are frozen, so these stay current)
+        two_point = self.method == "two_point"
+        at_float = (self.gain.at_float, self.objective.at_float, *float_rule) if two_point else None
+        object.__setattr__(self, "_at_float", at_float)
 
     def _rule(self):
         """Nodes and weights integrating against the marginal probe law.
@@ -125,25 +135,27 @@ class MeanFieldEvaluator:
     def evaluate(self, x):
         """Mean field at a float ``x``, as a float, or on an (m,) column ``x``, as an (m,) array.
 
-        Each rule is one expression for both shapes (see the module
-        docstring); a NumPy float scalar is taken as a float.  The
-        two-point rule at a float makes no NumPy call and so needs no
+        A NumPy float scalar is taken as a float.  The two-point rule at a
+        float runs here, on the gain's and the objective's float forms
+        (taken at construction), and makes no NumPy call, so it needs no
         ``np.errstate``; every rule with array work runs under one.
         """
         if x.__class__ is not float:
             x = as_point(x)
-        if x.__class__ is float and self.method == "two_point":
-            return self._field(x)
+        if x.__class__ is float and self._at_float is not None:
+            gain_at, f, (n0, w0), (n1, w1) = self._at_float
+            eps = gain_at(x)
+            return -(f(x + eps * n0) * w0 + f(x + eps * n1) * w1) / eps
         with np.errstate(over="ignore", invalid="ignore"):
             return self._field(x)
 
     def _field(self, x):
+        """The two-point rule on a column, or quadrature at a float or on a column."""
         point = x.__class__ is float
         eps = self.gain.value(x if point else x[:, None])
         if self.method == "two_point":
-            f = self.objective.value if point else self._values
             (n0, w0), (n1, w1) = self._float_rule
-            total = f(x + eps * n0) * w0 + f(x + eps * n1) * w1
+            total = self._values(x + eps * n0) * w0 + self._values(x + eps * n1) * w1
         else:
             # a float meets the nodes as it is; a column meets them as (m, 1)
             at, scale = (x, eps) if point else (x[:, None], eps[:, None])
@@ -211,10 +223,9 @@ def integrate_flow(field, x0: float, t_end: float, dt: float) -> FlowTrajectory:
     x = float(x0)
     n_steps = int(round(t_end / dt)) if t_end > 0 else 0
     half, sixth = 0.5 * dt, dt / 6.0
-    times = [0.0]
     states = [x]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
+        for _ in range(n_steps):
             k1 = field(x)
             k2 = field(x + half * k1)
             k3 = field(x + half * k2)
@@ -222,9 +233,10 @@ def integrate_flow(field, x0: float, t_end: float, dt: float) -> FlowTrajectory:
             x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not math.isfinite(x):
                 break
-            times.append((k + 1) * dt)
             states.append(x)
-    return FlowTrajectory(np.asarray(times), np.asarray(states))
+        # the time of state k is k * dt, taken after the loop
+        times = np.arange(len(states)) * dt
+    return FlowTrajectory(times, np.asarray(states))
 
 
 @dataclass

@@ -5,24 +5,28 @@ with trigonometric terms that break its symmetry, plus a general
 positive-definite quadratic form.  An `Objective` is evaluated on (m, d)
 batches of points; each built-in states its value and gradient once.
 
-A 1-d built-in states its value as one element-wise formula of the
-coordinate, ``fn_1d``, which takes either shape:
+A 1-d formula (an objective's ``fn_1d``, an active gain's) is written
+once, as an element-wise expression of the coordinate that takes its
+library as an argument: ``formula(x, lib)``, for example
+``x * x - lib.cos(x) - lib.sin(5.0 * x) / 5.0 + 4.0``.
 
-- a Python float, giving a float: the formula runs on Python floats and
-  ``math``, with no NumPy call;
-- an (m,) column, giving an (m,) array: the same operations run as NumPy
-  ufuncs.
+- On an (m,) column it runs with ``lib`` = ``numpy`` and gives an (m,)
+  array.
+- At a Python float it runs with ``lib`` = ``math`` and gives a float,
+  with no NumPy call.  Each objective and active gain binds this float
+  form once, at construction, through ``float_form``.
 
-The two agree bit for bit, by three rules.  The library is picked by
-``x.__class__ is float`` inside the helpers ``_cos`` and ``_sin``; NumPy's
-sin and cos on float64 arrays and libm's round the same.  A non-finite
-argument gives NaN on a float as on a column: ``math.cos(inf)`` raises
-where ``np.cos`` returns NaN, so the helpers catch that, and no formula
-calls ``math`` directly.  Squares are written ``x * x``: on a float
-``x**2`` calls libm ``pow``, which can differ from ``x * x`` in the last
-bit, while NumPy computes an array's ``x**2`` as ``x * x``.  Any other
-single point is a 1-row batch.  User objectives are supplied the same way;
-there is no expression parser.
+The two agree bit for bit, by three rules.  NumPy's sin, cos and sqrt on
+float64 arrays round as libm's do.  A non-finite argument gives NaN on a
+float as on a column: ``math.cos(inf)`` and ``math.sqrt(-1.0)`` raise
+``ValueError`` where NumPy returns NaN, and ``float_form`` is the one place
+that hands ``math`` to a formula and catches that error, once per call; a
+formula is an arithmetic expression, so one NaN term makes the whole value
+NaN.  Squares are written ``x * x``: on a float ``x**2`` calls libm
+``pow``, which can differ from ``x * x`` in the last bit, while NumPy
+computes an array's ``x**2`` as ``x * x``.  Any other single point is a
+1-row batch.  User objectives are supplied the same way; there is no
+expression parser.
 """
 
 from __future__ import annotations
@@ -64,17 +68,21 @@ def _fd_step(theta: np.ndarray, h: float | None) -> float:
     return 1e-4 * (1.0 + float(np.linalg.norm(theta)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Objective:
     """Scalar objective on R^d, evaluated on (m, d) batches of points.
 
     ``fn_batch`` maps an (m, d) batch to m values and ``grad_batch_fn`` to
     m gradient rows; ``grad`` falls back to central finite differences
     when no closed form is given.  A 1-d objective may also give
-    ``fn_1d``, the element-wise formula of its coordinate that
-    ``fn_batch`` applies to ``ts[:, 0]``; ``value`` then runs it at a
-    float point, where it must return a float.  Metadata fields record a
-    known stationary point and a known lower bound when available.
+    ``fn_1d(x, lib)``, the element-wise formula of its coordinate that
+    ``fn_batch`` applies to ``ts[:, 0]`` with ``lib`` = ``numpy`` (see the
+    module docstring).  ``at_float``, bound at construction, is the
+    objective at a float point: ``fn_1d`` on ``math`` through
+    ``float_form``, with the floor check of ``value_batch``, or a 1-row
+    batch when there is no ``fn_1d``; the fields are frozen, so it cannot
+    go stale.  Metadata fields record a known stationary point and a known
+    lower bound when available.
     """
 
     dim: int
@@ -86,27 +94,30 @@ class Objective:
     fn_1d: Callable | None = None
 
     def __post_init__(self):
-        if self.fn_1d is not None and self.dim != 1:
+        if self.fn_1d is None:
+            object.__setattr__(self, "at_float", self.value)
+            return
+        if self.dim != 1:
             raise ValueError(f"fn_1d needs a 1-dimensional objective, got dim {self.dim}")
+        known_floor = self.known_floor
+
+        def below(theta, val):
+            return ValueError(f"objective {val} below declared floor {known_floor} at theta={np.array([theta])}")
+
+        floor = -math.inf if known_floor is None else known_floor - 1e-12
+        object.__setattr__(self, "at_float", float_form(self.fn_1d, floor, below))
 
     def value(self, theta) -> float:
         """Objective at one point, a (d,) array or (for d = 1) a float.
 
-        A float runs through ``fn_1d`` on Python floats when the objective
-        gives it, with the same floor check as ``value_batch``; any other
-        point is a 1-row ``value_batch``.  A NumPy float scalar counts as a
-        float.
+        A float runs ``at_float`` when the objective gives ``fn_1d``; any
+        other point is a 1-row ``value_batch``.  A NumPy float scalar counts
+        as a float.
         """
         if theta.__class__ is not float:
             theta = as_point(theta)
-        fn_1d = self.fn_1d
-        if fn_1d is not None and theta.__class__ is float:
-            val = fn_1d(theta)
-            if self.known_floor is not None and val < self.known_floor - 1e-12:
-                raise ValueError(
-                    f"objective {val} below declared floor {self.known_floor} at theta={np.array([theta])}"
-                )
-            return val
+        if theta.__class__ is float and self.fn_1d is not None:
+            return self.at_float(theta)
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if theta.shape != (self.dim,):
             raise ValueError(f"theta has shape {theta.shape}, expected ({self.dim},)")
@@ -196,35 +207,37 @@ def bisect_root(fn, lo: float, hi: float, tol: float = 1e-14, max_iter: int = 20
     return 0.5 * (lo + hi)
 
 
+def float_form(formula, floor: float = -math.inf, below=None):
+    """The float form of a 1-d formula: ``formula(x, math)`` at a Python float ``x``.
+
+    This is the one place that hands ``math`` to a formula.  Where ``math``
+    raises ``ValueError`` (``cos(inf)``, ``sqrt(-1.0)``) NumPy gives NaN, so
+    the form returns NaN.  A value below ``floor`` raises ``below(x,
+    value)``; that check sits outside the ``try``, so its error is not taken
+    for a domain error, and NaN passes it, as in a batch.  The form also
+    takes an iteration index ``n`` and ignores it, so that a gain's float
+    form has the signature of its ``value``.
+    """
+
+    def at(x, n=0):
+        try:
+            val = formula(x, math)
+        except ValueError:
+            val = math.nan
+        if val < floor:
+            raise below(x, val)
+        return val
+
+    return at
+
+
 def _on_column(fn_1d):
-    """The batch form of a 1-d element-wise formula: ``fn_1d`` applied to ``ts[:, 0]``."""
-    return lambda ts: fn_1d(ts[:, 0])
+    """The batch form of a 1-d formula: ``fn_1d`` applied to ``ts[:, 0]`` with NumPy."""
+    return lambda ts: fn_1d(ts[:, 0], np)
 
 
-# The element-wise formulas run on floats too (see the module docstring):
-# squares are written x * x, and sin and cos go through these helpers.
-def _square(x):
+def _square(x, lib):
     return x * x
-
-
-def _cos(x):
-    """cos of a float by libm, NaN at an infinite float as on an array; of an array by ``np.cos``."""
-    if x.__class__ is float:
-        try:
-            return math.cos(x)
-        except ValueError:  # math.cos(±inf); np.cos gives NaN
-            return math.nan
-    return np.cos(x)
-
-
-def _sin(x):
-    """sin of a float by libm, NaN at an infinite float as on an array; of an array by ``np.sin``."""
-    if x.__class__ is float:
-        try:
-            return math.sin(x)
-        except ValueError:  # math.sin(±inf); np.sin gives NaN
-            return math.nan
-    return np.sin(x)
 
 
 def quadratic_1d() -> Objective:
@@ -249,8 +262,8 @@ def trig_quadratic_1d() -> Objective:
     optimum.
     """
 
-    def f(x):
-        return x * x - _cos(x) - _sin(5.0 * x) / 5.0 + 4.0
+    def f(x, lib):
+        return x * x - lib.cos(x) - lib.sin(5.0 * x) / 5.0 + 4.0
 
     def gb(ts):
         x = ts[:, 0]

@@ -6,12 +6,14 @@ active (functions of the current iterate, bounded below by ``eps_bullet``,
 which is the stabilization mechanism).
 
 Every gain's ``value`` takes an (m, d) batch, one (d,) point, or a
-1-d point given as a Python float.  A float runs the same expression as a
-batch row on Python floats and ``math``, with no NumPy call, and returns
-a float equal to the row's gain bit for bit (a NumPy float scalar is
-taken as a float).  The square root goes through ``_sqrt``, which picks
-the library by ``x.__class__ is float`` and gives NaN on a float wherever
-``np.sqrt`` gives NaN on an array.
+1-d point given as a Python float (a NumPy float scalar is taken as a
+float).  At a float it returns ``at_float(x, n)``, the gain's float form,
+bound once at construction and equal to the gain of a batch row bit for
+bit.  An active gain states its square root once, as a formula that takes
+its library (``eps * lib.sqrt(...)``, see ``objectives``): on NumPy arrays
+for a batch, and on ``math`` at a float through ``objectives.float_form``,
+which gives NaN where ``math.sqrt`` raises, as ``np.sqrt`` does.  Squares
+are written ``x * x``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import as_point
+from .objectives import Objective, as_point, float_form
 
 __all__ = [
     "StepSizeSchedule",
@@ -67,29 +69,8 @@ class StepSizeSchedule:
 
 
 def _squared_norms(theta: np.ndarray):
-    """Squared row norms of a float array; identical arithmetic for every shape.
-
-    At d = 1 the sum of one term is that term, taken without a reduce (as
-    for a float point, whose squared norm is ``x * x``); at a (1,) point
-    the result is then 0-d.
-    """
-    sq = theta * theta
-    return sq[..., 0] if sq.shape[-1] == 1 else np.add.reduce(sq, axis=-1)
-
-
-def _sqrt(x):
-    """Square root of a float by ``math.sqrt``, or of an array by ``np.sqrt``.
-
-    Both are correctly rounded, so they agree bit for bit.  Where
-    ``math.sqrt`` raises (a negative float) the result is NaN, as
-    ``np.sqrt`` gives.
-    """
-    if x.__class__ is float:
-        try:
-            return math.sqrt(x)
-        except ValueError:  # a negative float
-            return math.nan
-    return np.sqrt(x)
+    """Squared row norms of a float array (the squared norm of a (d,) point is 0-d)."""
+    return np.add.reduce(theta * theta, axis=-1)
 
 
 def _oblivious(theta, eps):
@@ -116,13 +97,18 @@ class ExplorationGain:
     vector of shape (d,), a 1-d point given as a float, or a batch of
     shape (m, d), in which case a vector of per-row gains is returned.
     ``eps_bullet`` is one scale for every row or an (m,) array holding one
-    scale per row of the batch.
+    scale per row of the batch.  ``at_float(x, n)`` is the gain at a float
+    point; the built-in gains bind it at construction (see the module
+    docstring), and by default it is ``value``.
     """
 
     eps_bullet: float
 
     def value(self, theta, n: int = 0):
         raise NotImplementedError
+
+    def at_float(self, x: float, n: int = 0) -> float:
+        return self.value(x, n)
 
     def scaled(self, eps_bullet) -> "ExplorationGain":
         """The same gain at scale ``eps_bullet`` (a scalar or one scale per row)."""
@@ -137,6 +123,8 @@ class ConstantGain(ExplorationGain):
 
     def __post_init__(self):
         _check_scale(self)
+        eps = self.eps_bullet
+        object.__setattr__(self, "at_float", lambda x, n=0: eps)
 
     def value(self, theta, n: int = 0):
         return _oblivious(theta, self.eps_bullet)
@@ -153,9 +141,15 @@ class DecayingGain(ExplorationGain):
         _check_scale(self)
         if self.kappa < 0:
             raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
+        eps, kappa = self.eps_bullet, self.kappa
+
+        def at_float(x, n=0):
+            return eps * (max(n, 1) ** -kappa if n >= 1 else 1.0)
+
+        object.__setattr__(self, "at_float", at_float)
 
     def value(self, theta, n: int = 0):
-        return _oblivious(theta, self.eps_bullet * (max(n, 1) ** -self.kappa if n >= 1 else 1.0))
+        return _oblivious(theta, self.at_float(theta, n))
 
 
 @dataclass(frozen=True)
@@ -164,7 +158,9 @@ class CenterActiveGain(ExplorationGain):
 
     eps(theta) = eps_bullet * sqrt(1 + ||theta - center||^2 / sigma_p^2),
     so eps >= eps_bullet everywhere.  ``center`` is an a-priori guess of
-    the minimizer and ``sigma_p`` quantifies its uncertainty.
+    the minimizer and ``sigma_p`` quantifies its uncertainty.  At d = 1 the
+    gain is one formula of the coordinate, on floats and on columns; at
+    d > 1 it takes the squared norm of each row's offset.
     """
 
     eps_bullet: float
@@ -176,8 +172,6 @@ class CenterActiveGain(ExplorationGain):
         if not self.sigma_p > 0:
             raise ValueError(f"sigma_p must be positive, got {self.sigma_p}")
         object.__setattr__(self, "center", np.atleast_1d(np.asarray(self.center, dtype=float)))
-        # a float point is offset by the center's coordinate, so it stays a float
-        object.__setattr__(self, "_center_1d", float(self.center[0]) if self.center.size == 1 else None)
         # sigma_p**2 is taken once; a square that is 0 or inf would make the gain inf or NaN
         try:
             sigma_p2 = float(self.sigma_p) ** 2
@@ -186,16 +180,25 @@ class CenterActiveGain(ExplorationGain):
         if not 0.0 < sigma_p2 < math.inf:
             raise ValueError(f"sigma_p**2 must lie in (0, inf), got sigma_p {self.sigma_p}")
         object.__setattr__(self, "_sigma_p2", sigma_p2)
+        # at d = 1 a point is offset by the center's coordinate, so a float stays a float
+        eps, center = self.eps_bullet, float(self.center[0]) if self.center.size == 1 else None
+
+        def formula(x, lib):
+            offset = x - center
+            return eps * lib.sqrt(1.0 + offset * offset / sigma_p2)
+
+        object.__setattr__(self, "_formula", formula)
+        object.__setattr__(self, "at_float", float_form(formula))
 
     def value(self, theta, n: int = 0):
         if theta.__class__ is not float:
             theta = as_point(theta)
         if theta.__class__ is float:
-            offset = theta - self._center_1d
-            sq = offset * offset
-        else:
-            sq = _squared_norms(theta - self.center)
-        return self.eps_bullet * _sqrt(1.0 + sq / self._sigma_p2)
+            return self.at_float(theta)
+        theta = np.asarray(theta)
+        if theta.shape[-1] == 1 and self.center.size == 1:
+            return self._formula(theta[..., 0], np)
+        return self.eps_bullet * np.sqrt(1.0 + _squared_norms(theta - self.center) / self._sigma_p2)
 
 
 @dataclass(frozen=True)
@@ -204,28 +207,41 @@ class ObjectiveActiveGain(ExplorationGain):
 
     eps(theta) = eps_bullet * sqrt(1 + objective(theta) - floor); requires
     objective(theta) >= floor everywhere, which is checked per evaluation.
+    At a float the objective runs its own float form (``Objective.at_float``).
     """
 
     eps_bullet: float
-    objective: "object"  # anything with value and value_batch, see objectives module
+    objective: Objective
     floor: float
 
     def __post_init__(self):
         _check_scale(self)
+        eps, floor, objective_at = self.eps_bullet, self.floor, self.objective.at_float
+
+        def formula(vals, lib):
+            return eps * lib.sqrt(1.0 + vals - floor)
+
+        root = float_form(formula)
+
+        def at_float(x, n=0):
+            val = objective_at(x)
+            if val < floor:
+                raise GainFloorError(f"objective below declared floor {floor} at theta={np.array([x])}")
+            return root(val)
+
+        object.__setattr__(self, "_formula", formula)
+        object.__setattr__(self, "at_float", at_float)
 
     def value(self, theta, n: int = 0):
         # a float is evaluated at that point; a (d,) point is a 1-row batch
         if theta.__class__ is not float:
             theta = as_point(theta)
-        point = theta.__class__ is float
-        if point:
-            vals = self.objective.value(theta)
-        else:
-            rows = np.atleast_2d(np.asarray(theta, dtype=float))
-            vals = self.objective.value_batch(rows)
+        if theta.__class__ is float:
+            return self.at_float(theta)
+        rows = np.atleast_2d(np.asarray(theta, dtype=float))
+        vals = self.objective.value_batch(rows)
         below = vals < self.floor
-        if below if point else below.any():
-            at = np.array([theta]) if point else rows[below][0]
-            raise GainFloorError(f"objective below declared floor {self.floor} at theta={at}")
-        out = self.eps_bullet * _sqrt(1.0 + vals - self.floor)
-        return out if point or np.ndim(theta) >= 2 else float(out[0])
+        if below.any():
+            raise GainFloorError(f"objective below declared floor {self.floor} at theta={rows[below][0]}")
+        out = self._formula(vals, np)
+        return out if np.ndim(theta) >= 2 else float(out[0])

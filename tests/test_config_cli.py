@@ -203,6 +203,10 @@ def test_cli_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
 
 
+# 2 probe modes x 5 gains x M lanes = 1000 lanes
+FIG2_FULL_SHAPE = {"ensemble.M": 100, "ensemble.eps_grid": [0.05, 0.0707, 0.1, 0.1414, 0.2]}
+
+
 def experiment_cfg(**overrides):
     cfg = {
         "objective.kind": "trig_quadratic1d",
@@ -334,6 +338,9 @@ MEANFLOW_QUADRATURE = dict(MEANFLOW_TRIG, **{"probe.base": "uniform", "meanflow.
         ("run", run_cfg(n=10**7, **{"run.stride": 9}), "run.N"),
         ("experiment", experiment_cfg(**{"ensemble.M": 10**9}), "ensemble.M"),
         ("experiment", experiment_cfg(**{"ensemble.M": 166_667}), "ensemble.M"),
+        ("run", run_cfg(n=10**12, **{"run.stride": 10**7}), "run.N"),
+        ("run", run_cfg(n=10**8 + 1, **{"run.stride": 1000}), "run.N"),
+        ("experiment", experiment_cfg(**FIG2_FULL_SHAPE, **{"ensemble.N": 2 * 10**6 + 1}), "ensemble.N"),
         ("run", run_cfg(**{"gain.eps_bullet": 1e300, "probe.base": "uniform", "probe.support": 1e10}), "gain.eps_bullet"),
         ("meanflow", dict(MEANFLOW_QUADRATURE, **{"gain.eps_bullet": 1e300, "probe.support": 1e10}), "gain.eps_bullet"),
         ("run", run_cfg(**{"gain.eps_bullet": 10**400}), "gain.eps_bullet"),
@@ -345,6 +352,7 @@ MEANFLOW_QUADRATURE = dict(MEANFLOW_TRIG, **{"probe.base": "uniform", "meanflow.
         "flow_steps_overflow", "flow_steps_above_cap", "flow_dt_steps_above_cap", "flow_steps_just_above_cap",
         "grid_points_above_cap", "twice_support_overflows", "run_twice_support_overflows",
         "record_rows_overflow", "record_rows_above_cap", "ensemble_lanes_overflow", "ensemble_lanes_just_above_cap",
+        "run_steps_far_above_cap_with_few_rows", "run_steps_just_above_cap", "ensemble_lane_steps_just_above_cap",
         "run_probe_offset_overflows", "meanflow_probe_offset_overflows", "eps_bullet_int_too_large_for_a_float",
         "eps_grid_probe_offset_overflows",
     ],
@@ -352,8 +360,9 @@ MEANFLOW_QUADRATURE = dict(MEANFLOW_TRIG, **{"probe.base": "uniform", "meanflow.
 def test_cli_derived_quantity_out_of_range_exits_2_naming_key(tmp_path, capsys, command, cfg, key):
     # each key passes its own check, but a quantity derived from it (a square,
     # a doubled bound, a probe offset, a step count, a grid size, the rows of
-    # a record, the lanes of an experiment) is out of range or above its cap
-    # of 10**6; the config is rejected before any work starts
+    # a record, the lanes or lane-steps of an experiment) is out of range or
+    # above its cap; the config is rejected before any work starts.  A run of
+    # 10**12 steps recorded every 10**7 has few rows but would take a month
     cfg_path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
     with warnings.catch_warnings():
@@ -361,6 +370,13 @@ def test_cli_derived_quantity_out_of_range_exits_2_naming_key(tmp_path, capsys, 
         assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_step_caps_admit_their_limit():
+    # a run may take 10**8 steps, and an experiment 2 * 10**9 lane-steps: 2 probe
+    # modes x 5 gains x M=100 lanes (the configs/fig2_full.json shape) x N=2 * 10**6
+    validate_config(run_cfg(n=10**8, **{"run.stride": 1000}), "run")
+    validate_config(experiment_cfg(**FIG2_FULL_SHAPE, **{"ensemble.N": 2 * 10**6}), "experiment")
 
 
 def test_record_and_lane_caps_admit_their_limit():

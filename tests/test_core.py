@@ -395,13 +395,20 @@ def test_window_statistic_is_nan_for_diverged_lanes():
 
 def test_run_batch_records_alpha_and_gain_per_index():
     # the recorded step size is alpha(n) and the recorded gain is the gain
-    # at the recorded iterate, one gain evaluation per step
+    # at the recorded iterate, one gain evaluation per step; a one-lane d = 1
+    # run evaluates the gain through its float form
     calls = {"n": 0}
 
     class CountingGain(CenterActiveGain):
-        def value(self, theta, n=0):
-            calls["n"] += 1
-            return super().value(theta, n)
+        def __post_init__(self):
+            super().__post_init__()
+            at_float = self.at_float
+
+            def counted(x, n=0):
+                calls["n"] += 1
+                return at_float(x, n)
+
+            object.__setattr__(self, "at_float", counted)
 
     sched = StepSizeSchedule(0.1, 0.6)
     gain = CountingGain(0.1, np.array([0.0]), 1.0)

@@ -1,9 +1,10 @@
 """A float gives the same bits as an array, in every 1-d formula and in the engine.
 
-Every 1-d formula of the package is one element-wise expression that runs
-on a Python float (with ``math``) and on an (m,) column (with NumPy).  The
-objectives, the gains and both mean-field rules must give a float equal to
-its column entry bit for bit (NaN for NaN), on about 10**5 points in
+Every 1-d formula of the package is one element-wise expression that takes
+its library and runs on a Python float (with ``math``) and on an (m,)
+column (with NumPy).  The objectives, the gains (their ``value`` and their
+float forms) and both mean-field rules must give a float equal to its
+column entry bit for bit (NaN for NaN), on about 10**5 points in
 [-1e3, 1e3] and at the non-finite and overflowing points.  The engine runs
 one lane on floats and a d = 1 batch on (m, 1) rows; both must reproduce
 a reference recursion on (m, 1) rows written out here, guard trips
@@ -26,10 +27,14 @@ from spsa_lab import (
     ConstantGain,
     DecayingGain,
     DivergenceGuard,
+    ExplorationGain,
+    GainFloorError,
     MeanFieldEvaluator,
+    Objective,
     ObjectiveActiveGain,
     ProbeGenerator,
     StepSizeSchedule,
+    integrate_flow,
     quadratic_1d,
     run_batch,
     trig_quadratic_1d,
@@ -69,12 +74,14 @@ def assert_same_bits(floats: list, column: np.ndarray, what: str) -> None:
 
 @pytest.mark.parametrize("name", sorted(OBJECTIVES))
 def test_objective_float_equals_column(name):
+    # value at a float and the float form bound at construction
     obj = OBJECTIVES[name]
-    floats = [obj.value(x) for x in POINTS.tolist()]
-    assert all(type(v) is float for v in floats)
     with np.errstate(all="ignore"):  # the column overflows where the floats give inf silently
         column = obj.value_batch(POINTS[:, None])
-    assert_same_bits(floats, column, name)
+    for form in (obj.value, obj.at_float):
+        floats = [form(x) for x in POINTS.tolist()]
+        assert all(type(v) is float for v in floats)
+        assert_same_bits(floats, column, f"{name} {form.__name__}")
 
 
 @pytest.mark.parametrize("kind", GAIN_KINDS)
@@ -82,11 +89,32 @@ def test_objective_float_equals_column(name):
 def test_gain_float_equals_column(name, kind):
     gain = make_gain(kind, OBJECTIVES[name])
     for n in (0, 7):
-        floats = [gain.value(x, n) for x in POINTS.tolist()]
-        assert all(type(v) is float for v in floats), kind
         with np.errstate(all="ignore"):
             column = gain.value(POINTS[:, None], n)
-        assert_same_bits(floats, column, f"{kind} gain at n={n} on {name}")
+        for form in (gain.value, gain.at_float):
+            floats = [form(x, n) for x in POINTS.tolist()]
+            assert all(type(v) is float for v in floats), kind
+            assert_same_bits(floats, column, f"{kind} gain {form.__name__} at n={n} on {name}")
+
+
+def raised(fn, *args) -> tuple:
+    """The type and message of the exception ``fn(*args)`` raises."""
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_float_form_raises_below_the_floor_as_the_batch_does():
+    # the floor check sits outside the float form's NaN catch, so it raises
+    # the batch's exception, with the same message; NaN passes it in both
+    obj = Objective(dim=1, fn_batch=lambda ts: ts[:, 0], known_floor=10.0, fn_1d=lambda x, lib: x)
+    assert raised(obj.at_float, 9.0) == raised(obj.value_batch, np.array([[9.0]]))
+    assert raised(obj.at_float, 9.0)[0] is ValueError
+    assert np.isnan(obj.at_float(np.nan)) and np.isnan(obj.value_batch(np.array([[np.nan]]))[0])
+    # an objective-active gain whose floor lies above the objective's values
+    gain = ObjectiveActiveGain(0.1, quadratic_1d(), 1.0)
+    assert raised(gain.at_float, 0.5) == raised(gain.value, np.array([[0.5]]))
+    assert raised(gain.at_float, 0.5)[0] is GainFloorError
 
 
 @pytest.mark.parametrize("mode", ["iid", "zigzag"])
@@ -243,3 +271,42 @@ def test_float_lane_with_a_zero_gain_steps_as_a_row():
         with pytest.warns(RuntimeWarning, match="divide by zero"):
             got = engine(c, lanes)
         assert_run_matches(got, ref, lanes, what)
+
+
+def test_objective_without_a_formula_runs_on_one_row_batches():
+    # a user objective that gives only fn_batch has a float form that is a
+    # 1-row batch: the mean flow and a one-lane run still work, and NumPy's
+    # cos and sin round as libm's do, so both match the built-in bit for bit
+    trig = OBJECTIVES["trig_quadratic1d"]
+    batch_only = Objective(dim=1, fn_batch=trig.fn_batch, known_floor=trig.known_floor)
+    assert batch_only.at_float(0.3) == trig.at_float(0.3)
+    gain, base = make_gain("center_active", trig), BaseNoise("rademacher")
+    flows = [integrate_flow(MeanFieldEvaluator(obj, gain, base).evaluate, 2.0, 0.2, 1e-3) for obj in (batch_only, trig)]
+    assert_same_bits(flows[0].states.tolist(), flows[1].states, "flow")
+    c = case(0)
+    c.update(objective=batch_only, gain=gain, base=base, theta0=[1.5])
+    got = engine(c, [0])
+    c["objective"] = trig
+    assert_same_bits(got.thetas.ravel().tolist(), engine(c, [0]).thetas.ravel(), "one-lane run")
+
+
+def test_gain_without_a_float_form_runs_through_value():
+    # a user gain that implements only value: its float form defaults to
+    # value, so the float lane and the float field still run, and match a
+    # built-in gain with the same value bit for bit
+    class Scaled(ExplorationGain):
+        eps_bullet = 0.05
+
+        def value(self, theta, n=0):
+            return make_gain("constant", None).value(theta, n)
+
+    trig, base = OBJECTIVES["trig_quadratic1d"], BaseNoise("rademacher")
+    user, builtin = Scaled(), make_gain("constant", trig)
+    assert user.at_float(0.3, 5) == builtin.at_float(0.3, 5) == 0.05
+    fields = [MeanFieldEvaluator(trig, g, base).evaluate(0.3) for g in (user, builtin)]
+    assert fields[0] == fields[1]
+    c = case(1)
+    c.update(objective=trig, gain=user, base=base, theta0=[1.5])
+    got = engine(c, [0])
+    c["gain"] = builtin
+    assert_same_bits(got.thetas.ravel().tolist(), engine(c, [0]).thetas.ravel(), "one-lane run")

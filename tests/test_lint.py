@@ -5,7 +5,8 @@ import in ``src/spsa_lab`` must be used in its module or exported.  The
 benchmark's traced run (``bench/tracing.py``) patches methods by name and
 binds ``run_batch`` arguments by name, so those names must stay in the
 package.  ``math.sin``, ``math.cos`` and ``math.sqrt`` raise on arguments
-where NumPy gives NaN, so only the NaN-safe float helpers may call them.
+where NumPy gives NaN, so a formula reaches them only through the one
+NaN-catching float binding, ``objectives.float_form``.
 """
 
 import ast
@@ -81,29 +82,43 @@ def test_run_batch_keeps_traced_parameters():
     assert not missing, f"run_batch lost the parameters {missing} that bench/tracing.py binds"
 
 
-# the NaN-safe float helpers: (module, function) -> the math functions it may call
-NAN_SAFE_HELPERS = {("objectives", "_cos"): {"cos"}, ("objectives", "_sin"): {"sin"}, ("schedules", "_sqrt"): {"sqrt"}}
+# math.sin, math.cos and math.sqrt raise ValueError where NumPy returns NaN;
+# a formula reaches them only as lib.sin, lib.cos and lib.sqrt, and this one
+# function hands it lib = math inside a try that catches that error
+FLOAT_BINDING = ("objectives", "float_form")
 RAISING_MATH = {"sin", "cos", "sqrt"}
 
 
-def _math_calls(node: ast.AST, aliases: set[str]) -> list[tuple[str, int]]:
-    """The ``math.sin``/``cos``/``sqrt`` attributes used under ``node``, through any alias of ``math``."""
-    return [
-        (n.attr, n.lineno)
-        for n in ast.walk(node)
-        if isinstance(n, ast.Attribute)
-        and n.attr in RAISING_MATH
-        and isinstance(n.value, ast.Name)
-        and n.value.id in aliases
-    ]
+def _catches_value_error(handler: ast.ExceptHandler) -> bool:
+    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(n, ast.Name) and n.id == "ValueError" for n in caught)
+
+
+def _handed_over_by_binding(stem: str, name: ast.Name, parents: dict) -> bool:
+    """Whether a bare ``math`` is an argument of a call in a ``try`` catching ValueError, inside the binding."""
+    call = parents[name]
+    if not (isinstance(call, ast.Call) and name in call.args):
+        return False
+    node, in_try, top = call, False, None
+    while node in parents:
+        parent = parents[node]
+        if isinstance(parent, ast.Try) and node in parent.body:
+            in_try = in_try or any(_catches_value_error(h) for h in parent.handlers)
+        if isinstance(parent, ast.FunctionDef):
+            top = parent.name
+        node = parent
+    return in_try and (stem, top) == FLOAT_BINDING
 
 
 @pytest.mark.parametrize("stem", MODULES)
 def test_raising_math_functions_only_in_nan_safe_helpers(stem):
-    # math.cos(inf) and math.sqrt(-1.0) raise ValueError where np.cos and
-    # np.sqrt return NaN; a formula that called them directly would turn a
-    # non-finite float into a traceback where its column gives NaN
+    # math.cos(inf) and math.sqrt(-1.0) raise where np.cos and np.sqrt return
+    # NaN; a formula that reached them other than through the binding would
+    # turn a non-finite float into a traceback where its column gives NaN.
+    # So math.sin, math.cos and math.sqrt are never named, and math itself is
+    # only passed on, as a formula's library, by the binding
     tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     aliases = {"math"}
     bad = []
     for node in ast.walk(tree):
@@ -111,8 +126,13 @@ def test_raising_math_functions_only_in_nan_safe_helpers(stem):
             aliases |= {a.asname or a.name for a in node.names if a.name == "math"}
         elif isinstance(node, ast.ImportFrom) and node.module == "math":
             bad += [(a.name, node.lineno) for a in node.names if a.name in RAISING_MATH | {"*"}]
-    for node in tree.body:
-        allowed = NAN_SAFE_HELPERS.get((stem, getattr(node, "name", None)), set())
-        bad += [(name, line) for name, line in _math_calls(node, aliases) if name not in allowed]
-    assert not bad, f"{stem}.py uses math functions outside the NaN-safe helpers: {bad}"
-
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Name) and node.id in aliases):
+            continue
+        parent = parents[node]
+        if isinstance(parent, ast.Attribute):
+            if parent.attr in RAISING_MATH:
+                bad.append((f"math.{parent.attr}", node.lineno))
+        elif not _handed_over_by_binding(stem, node, parents):
+            bad.append(("math", node.lineno))
+    assert not bad, f"{stem}.py reaches math other than through {'.'.join(FLOAT_BINDING)}: {bad}"

@@ -200,11 +200,11 @@ def test_integrate_flow_aborts_on_blowup():
 def quartic_objective():
     # value -x^4, written with products only: on floats they overflow to inf
     # silently, where x**4 would raise OverflowError
-    def f(x):
+    def f(x, lib):
         sq = x * x
         return -(sq * sq)
 
-    return Objective(dim=1, fn_batch=lambda ts: f(ts[:, 0]), fn_1d=f)
+    return Objective(dim=1, fn_batch=lambda ts: f(ts[:, 0], np), fn_1d=f)
 
 
 @pytest.mark.parametrize("mode", ["iid", "zigzag"])

@@ -110,7 +110,7 @@ def test_value_at_a_float_runs_the_batch_formula_on_floats(obj):
 def test_value_at_a_float_checks_declared_floor():
     # the formula's floor check is a scalar compare; NaN passes it, as in a
     # batch, and an objective without fn_1d takes a 1-row batch at a float
-    bad = Objective(dim=1, fn_batch=lambda ts: ts[:, 0], known_floor=10.0, fn_1d=lambda x: x)
+    bad = Objective(dim=1, fn_batch=lambda ts: ts[:, 0], known_floor=10.0, fn_1d=lambda x, lib: x)
     with pytest.raises(ValueError, match="floor"):
         bad.value(9.0)
     assert bad.value(12.0) == 12.0
@@ -120,7 +120,7 @@ def test_value_at_a_float_checks_declared_floor():
         batch_only.value(9.0)
     assert batch_only.value(12.0) == 12.0
     with pytest.raises(ValueError, match="fn_1d"):
-        Objective(dim=2, fn_batch=lambda ts: ts[:, 0], fn_1d=lambda x: x)
+        Objective(dim=2, fn_batch=lambda ts: ts[:, 0], fn_1d=lambda x, lib: x)
 
 
 def test_value_batch_checks_declared_floor():

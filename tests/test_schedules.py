@@ -193,8 +193,7 @@ def test_gain_rejects_nonpositive_row_scales(scales):
 
 @pytest.mark.parametrize("shape", [(3,), (1,), (5, 1), (5, 4)])
 def test_squared_norms_bitwise_equal_to_reduce(shape):
-    # at d = 1 the reduce is skipped; a sum of one term is that term, so
-    # every shape matches np.add.reduce bit for bit
+    # every shape, d = 1 included, matches np.add.reduce bit for bit
     theta = np.random.default_rng(3).normal(scale=7.0, size=shape)
     got = _squared_norms(theta)
     want = np.add.reduce(theta * theta, axis=-1)
