@@ -24,7 +24,6 @@ output format, which the benchmark's output checks assert.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -58,16 +57,26 @@ EXIT_DIVERGED = 3
 EXIT_SOLVER = 4
 
 
-def _write_csv(path: Path, header: list[str], rows: list) -> None:
-    """Write the nonempty list ``rows`` under ``header`` with one ``%`` format.
+def _write_csv(path: Path, header: list[str], columns: list) -> None:
+    """Write ``columns`` under ``header``, one ``%`` format for the whole table.
 
-    A column whose first cell is a string is written ``%s``, any other
-    ``%.17g``: 17 significant digits round-trip a double exactly, and an int
-    or a NumPy scalar is written as the float it converts to.  Callers pass
-    Python floats and ints (``tolist``), which build their rows fastest.
+    A column is a nonempty list of cells, every list of one length, or a
+    string: a constant column, written verbatim on each row.  A list whose
+    first cell is a string is written ``%s``, any other ``%.17g``: 17
+    significant digits round-trip a double exactly, and an int or a NumPy
+    scalar is written as the float it converts to.  Callers pass Python
+    floats and ints (``tolist``).  The cells are laid out row by row in one
+    flat list by strided slice assignment, so no object is built per row.
     """
-    line = ",".join("%s" if isinstance(c, str) else "%.17g" for c in rows[0]) + "\r\n"
-    text = ",".join(header) + "\r\n" + (line * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+    lists = [c for c in columns if not isinstance(c, str)]
+    k = len(lists)
+    cells = [None] * (k * len(lists[0]))
+    for i, column in enumerate(lists):
+        cells[i::k] = column
+    line = ",".join(
+        c.replace("%", "%%") if isinstance(c, str) else "%s" if isinstance(c[0], str) else "%.17g" for c in columns
+    )
+    text = ",".join(header) + "\r\n" + ((line + "\r\n") * len(lists[0])) % tuple(cells)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -157,15 +166,14 @@ def cmd_run(args) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     header = ["n"] + [f"theta_{i}" for i in range(objective.dim)] + ["alpha", "eps", "objective"]
-    columns = (
+    columns = [
         result.record_indices.tolist(),
-        result.thetas[0].tolist(),
+        *result.thetas[0].T.tolist(),
         result.alpha_trace.tolist(),
         result.gain_trace[0].tolist(),
         result.objective_trace[0].tolist(),
-    )
-    rows = [[idx, *theta, alpha, eps, value] for idx, theta, alpha, eps, value in zip(*columns)]
-    _write_csv(out / "trajectory.csv", header, rows)
+    ]
+    _write_csv(out / "trajectory.csv", header, columns)
     summary = {
         "n_steps": result.n_steps,
         "diverged_at": diverged_at if diverged_at >= 0 else None,
@@ -215,7 +223,7 @@ def cmd_experiment(args) -> int:
     )
 
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
+    table = {name: [] for name in ("eps_bullet", "mode", "M_effective", "scaled_var_trace", "mean_bias_norm")}
     seeds = {}
     scaling = {}
     for mode in PROBE_MODES:
@@ -226,7 +234,11 @@ def cmd_experiment(args) -> int:
                 sv, bias = cell.scaled_var_trace, cell.mean_bias_norm
             else:
                 sv = bias = float("nan")
-            rows.append([eps, mode, cell.m_effective, sv, bias])
+            table["eps_bullet"].append(eps)
+            table["mode"].append(mode)
+            table["M_effective"].append(cell.m_effective)
+            table["scaled_var_trace"].append(sv)
+            table["mean_bias_norm"].append(bias)
             seeds.setdefault(mode, {})[format(eps, ".17g")] = cell.seeds
             if cell.m_effective == cell.m_total:
                 eps_ok.append(eps)
@@ -243,11 +255,7 @@ def cmd_experiment(args) -> int:
             "intercept": fit.loglog_intercept,
             "r_squared": fit.r_squared,
         }
-    _write_csv(
-        out / "ensemble.csv",
-        ["eps_bullet", "mode", "M_effective", "scaled_var_trace", "mean_bias_norm"],
-        rows,
-    )
+    _write_csv(out / "ensemble.csv", list(table), list(table.values()))
     _write_json(out / "scaling.json", scaling)
     _write_manifest(out, "experiment", cfg, ["ensemble.csv", "scaling.json"], seeds)
     return EXIT_OK
@@ -269,9 +277,9 @@ def _mean_field(cfg: dict, objective, gain, base, mode: str) -> MeanFieldEvaluat
         raise ConfigError(f"config key 'meanflow.method' is {method!r}, which does not fit the config: {exc}") from exc
 
 
-def _build_evaluator(cfg: dict, eps_bullet: float | None = None) -> MeanFieldEvaluator:
+def _build_evaluator(cfg: dict) -> MeanFieldEvaluator:
     objective = build_objective(cfg)
-    gain = build_gain(cfg, objective, eps_bullet=eps_bullet)
+    gain = build_gain(cfg, objective)
     base = build_base_noise(cfg, objective.dim)
     return _mean_field(cfg, objective, gain, base, cfg.get("probe.mode", "iid"))
 
@@ -302,8 +310,11 @@ def _equilibrium_payload(cfg: dict, evaluator: MeanFieldEvaluator) -> dict:
     }
     if "meanflow.eps_sweep" in cfg:
         ref = bisect_root(lambda x: float(objective.grad(x)[0]), -1.0, 1.0)
+        # one objective and one base noise for every gain scale
         biases, slope = bias_sweep(
-            lambda eb: _build_evaluator(cfg, eps_bullet=eb),
+            lambda eb: _mean_field(
+                cfg, objective, build_gain(cfg, objective, eps_bullet=eb), evaluator.base, evaluator.mode
+            ),
             cfg["meanflow.eps_sweep"],
             ref,
             tol=cfg.get("meanflow.tol", 1e-10),
@@ -330,19 +341,17 @@ def cmd_meanflow(args) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     fbar = evaluator.evaluate(grid)
-    _write_csv(
-        out / "fbar_grid.csv", ["theta", "fbar", "stderr"], [[t, f, 0.0] for t, f in zip(grid.tolist(), fbar.tolist())]
-    )
+    _write_csv(out / "fbar_grid.csv", ["theta", "fbar", "stderr"], [grid.tolist(), fbar.tolist(), "0"])
     outputs = ["fbar_grid.csv", "eq_report.json"]
 
     if "meanflow.flow_theta0" in cfg:
         flow = integrate_flow(
-            evaluator.evaluate,
+            evaluator.at_float,
             cfg["meanflow.flow_theta0"][0],
             cfg.get("meanflow.flow_t_end", 1.0),
             cfg.get("meanflow.flow_dt", 1e-3),
         )
-        _write_csv(out / "flow_mean.csv", ["t", "theta_0"], list(zip(flow.times.tolist(), flow.states.tolist())))
+        _write_csv(out / "flow_mean.csv", ["t", "theta_0"], [flow.times.tolist(), flow.states.tolist()])
         outputs.append("flow_mean.csv")
 
     _write_json(out / "eq_report.json", payload)

@@ -169,7 +169,8 @@ def run_batch(
     without masking.  With ``stride`` > 0 the iterate at every stride-th
     index (plus index 0 and the final index) is stored.  ``gain`` may
     carry one scale per lane (``eps_bullet`` of shape (m,)).  Statistic
-    functions see (m, d) rows in every form.  The iterate's form (see
+    functions see (m, d) rows in every form; with none, a step makes no
+    statistic pass.  The iterate's form (see
     the module docstring) does not change the result.
     """
     if algorithm not in ("1spsa", "2spsa"):
@@ -270,7 +271,8 @@ def run_batch(
             rec_gain = np.empty((n_rec,) + np.shape(eps))
             rec_obj = np.empty((n_rec,) + np.shape(eps)) if record_objective else None
             record(0, theta, schedule(0), eps)
-        accumulate(0, theta)
+        if statistics:
+            accumulate(0, theta)
 
         n = 0
         stop = False  # set on the step where the last live lane trips
@@ -304,7 +306,8 @@ def run_batch(
                         active &= within
                         live = False
                         stop = not active.any()
-                accumulate(k, theta)
+                if statistics:
+                    accumulate(k, theta)
                 recorded = stride > 0 and (k % stride == 0 or k == n_steps)
                 if k < n_steps or recorded:
                     eps = gains(theta, k)

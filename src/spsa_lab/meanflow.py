@@ -7,18 +7,20 @@ one node/weight rule against the probe law, whose nodes are the probe
 atoms (exact, finite probe support) or Gauss-Legendre nodes (uniform base
 noise).  ``monte_carlo_field`` samples the field as an independent
 reference.  The flow (classical RK4), the equilibrium search and the bias
-sweep all run on Python floats, through ``evaluate``.
+sweep all run on Python floats, through the evaluator's ``at_float``: the
+field at a float, bound once at construction.
 
 ``evaluate`` takes either shape, with the same floating-point operations
 on each, so a float's field equals its entry in a column bit for bit:
 
-- a Python float, giving a float.  The two-point rule runs inline on the
-  gain's and the objective's float forms, bound at construction: each
-  1-d formula takes its library and runs on ``math`` there, through the
-  one ``objectives.float_form``, which catches libm's domain errors once
-  and gives NaN; squares are written ``x * x`` (see ``objectives``).  No
-  NumPy call is made.  Quadrature's 64 or 128 node values are one array
-  per point.
+- a Python float, giving a float, through ``at_float``.  The two-point
+  rule is one closure over the gain's float form and the objective's 1-d
+  formula, which it runs on ``math`` itself (``_two_point_field``): it
+  catches libm's domain errors per value and gives NaN, as
+  ``objectives.float_form`` does, and checks the objective's floor.  No
+  NumPy call is made, and squares are written ``x * x`` (see
+  ``objectives``).  Quadrature's 64 or 128 node values are one array per
+  point.
 - an (m,) column of points, giving an (m,) array: the same formulas on
   ``numpy``.
 
@@ -74,7 +76,8 @@ class MeanFieldEvaluator:
     "quadrature" a Gauss-Legendre rule against the uniform base law (for
     zigzag probes, one rule per half of the triangular marginal).  The
     probe mode enters only through the marginal probe law (iid base draws
-    versus scaled differences of independent draws).
+    versus scaled differences of independent draws).  ``at_float(x)`` is
+    the field at a float, bound at construction (see the module docstring).
     """
 
     objective: Objective
@@ -101,11 +104,35 @@ class MeanFieldEvaluator:
         # (node, weighted node) pairs as floats: the two-point rule's terms
         float_rule = tuple(zip(nodes.tolist(), self._weighted_nodes.tolist()))
         object.__setattr__(self, "_float_rule", float_rule)
-        # the two-point rule at a float: the gain's and the objective's float
-        # forms and its terms (the fields are frozen, so these stay current)
-        two_point = self.method == "two_point"
-        at_float = (self.gain.at_float, self.objective.at_float, *float_rule) if two_point else None
-        object.__setattr__(self, "_at_float", at_float)
+        # the field at a float, bound once (the fields are frozen, so it stays current)
+        object.__setattr__(self, "at_float", self._bind_at_float())
+
+    def _bind_at_float(self):
+        """The field at a float, as one closure over the gain's float form.
+
+        two_point: the rule on the objective's 1-d formula, on ``math``
+        (``_two_point_field``), or on its float form when it has no formula.
+        quadrature: the node values are one array per point; that array
+        work runs under its caller's ``np.errstate``.
+        """
+        gain_at, objective = self.gain.at_float, self.objective
+        if self.method == "quadrature":
+            nodes, weighted_nodes, values = self._nodes, self._weighted_nodes, self._values
+
+            def quadrature(x):
+                eps = gain_at(x)
+                return -float(np.add.reduce(values(x + eps * nodes) * weighted_nodes, axis=-1)) / eps
+
+            return quadrature
+        if objective.fn_1d is not None:
+            return _two_point_field(gain_at, objective.fn_1d, *objective.float_floor(), self._float_rule)
+        f, ((n0, w0), (n1, w1)) = objective.at_float, self._float_rule
+
+        def two_point(x):
+            eps = gain_at(x)
+            return -(f(x + eps * n0) * w0 + f(x + eps * n1) * w1) / eps
+
+        return two_point
 
     def _rule(self):
         """Nodes and weights integrating against the marginal probe law.
@@ -135,39 +162,69 @@ class MeanFieldEvaluator:
     def evaluate(self, x):
         """Mean field at a float ``x``, as a float, or on an (m,) column ``x``, as an (m,) array.
 
-        A NumPy float scalar is taken as a float.  The two-point rule at a
-        float runs here, on the gain's and the objective's float forms
-        (taken at construction), and makes no NumPy call, so it needs no
-        ``np.errstate``; every rule with array work runs under one.
+        A NumPy float scalar is taken as a float, and runs ``at_float``.  The
+        two-point rule at a float makes no NumPy call, so it needs no
+        ``np.errstate``; every rule with array work runs under one, entered
+        here on each call.  A loop over floats calls ``at_float`` under one
+        guard of its own instead, as the flow and the equilibrium search do.
         """
         if x.__class__ is not float:
             x = as_point(x)
-        if x.__class__ is float and self._at_float is not None:
-            gain_at, f, (n0, w0), (n1, w1) = self._at_float
-            eps = gain_at(x)
-            return -(f(x + eps * n0) * w0 + f(x + eps * n1) * w1) / eps
+        if x.__class__ is float and self.method == "two_point":
+            return self.at_float(x)
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._field(x)
+            return self.at_float(x) if x.__class__ is float else self._field(x)
 
     def _field(self, x):
-        """The two-point rule on a column, or quadrature at a float or on a column."""
-        point = x.__class__ is float
-        eps = self.gain.value(x if point else x[:, None])
+        """The field on an (m,) column."""
+        eps = self.gain.value(x[:, None])
         if self.method == "two_point":
             (n0, w0), (n1, w1) = self._float_rule
             total = self._values(x + eps * n0) * w0 + self._values(x + eps * n1) * w1
         else:
-            # a float meets the nodes as it is; a column meets them as (m, 1)
-            at, scale = (x, eps) if point else (x[:, None], eps[:, None])
-            pts = at + scale * self._nodes
+            pts = x[:, None] + eps[:, None] * self._nodes
             total = np.add.reduce(self._values(pts) * self._weighted_nodes, axis=-1)
-            if point:
-                total = float(total)
         return -total / eps
 
     def _values(self, pts: np.ndarray) -> np.ndarray:
         """The objective at an array of 1-d points, in the array's shape."""
         return self.objective.value_batch(pts.reshape(-1, 1)).reshape(pts.shape)
+
+
+def _two_point_field(gain_at, formula, floor: float, below, rule):
+    """The two-point field at a float, on the gain's float form and the objective's 1-d formula.
+
+    With ``objectives.float_form`` this is one of the two places that hand
+    ``math`` to a formula.  Each of the two objective values is
+    ``formula(point, math)`` in its own ``try``: where ``math`` raises
+    ``ValueError`` NumPy gives NaN, so the value is NaN.  The floor check
+    sits outside the ``try``, and a value below ``floor`` raises
+    ``below(point, value)`` (``Objective.float_floor``), as the objective's
+    float form and ``value_batch`` do.  With the center-active gain one call
+    takes five Python frames: this field, the gain's form and formula, and
+    the objective's formula twice.
+    """
+    (n0, w0), (n1, w1) = rule
+
+    def field(x):
+        eps = gain_at(x)
+        x0 = x + eps * n0
+        try:
+            f0 = formula(x0, math)
+        except ValueError:
+            f0 = math.nan
+        if f0 < floor:
+            raise below(x0, f0)
+        x1 = x + eps * n1
+        try:
+            f1 = formula(x1, math)
+        except ValueError:
+            f1 = math.nan
+        if f1 < floor:
+            raise below(x1, f1)
+        return -(f0 * w0 + f1 * w1) / eps
+
+    return field
 
 
 def monte_carlo_field(evaluator: MeanFieldEvaluator, x: float, n_samples: int, rng: np.random.Generator):
@@ -214,9 +271,11 @@ def integrate_flow(field, x0: float, t_end: float, dt: float) -> FlowTrajectory:
     """Classical 4th-order Runge-Kutta with a fixed step, on Python floats.
 
     ``field`` maps a float state to its float derivative, for example a
-    ``MeanFieldEvaluator.evaluate``.  A non-finite state aborts
-    integration and the partial trajectory is returned; the overflow that
-    produces it is not reported as a warning.
+    ``MeanFieldEvaluator``'s ``at_float``.  The whole loop runs under one
+    ``np.errstate``, so a field with array work (quadrature) needs no guard
+    of its own.  A non-finite state aborts integration and the partial
+    trajectory is returned; the overflow that produces it is not reported
+    as a warning.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -266,35 +325,37 @@ def find_equilibrium(
 
     Newton steps are halved (up to 60 times) until |field| decreases; if
     Newton stalls, a sign-change bracket is grown around the iterate and
-    plain bisection finishes the job.  Raises SolverError with the last
-    iterate if no root is found within the budget.
+    plain bisection finishes the job.  The field runs on floats, through
+    ``evaluator.at_float``, under one ``np.errstate``.  Raises SolverError
+    with the last iterate if no root is found within the budget.
     """
     if not 1e-12 <= tol <= 1e-6:
         raise ValueError(f"tol must lie in [1e-12, 1e-6], got {tol}")
-    field = evaluator.evaluate
+    field = evaluator.at_float
     x = float(theta_init)
-    fval = field(x)
-    fnorm = abs(fval)
-    for _ in range(max_iter):
-        if fnorm <= tol:
-            break
-        jac = _jacobian(evaluator, x)
-        step = -fval if jac == 0.0 else -fval / jac
-        for _ in range(60):
-            cand = x + step
-            cval = field(cand)
-            if abs(cval) < fnorm:
-                x, fval, fnorm = cand, cval, abs(cval)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fval = field(x)
+        fnorm = abs(fval)
+        for _ in range(max_iter):
+            if fnorm <= tol:
                 break
-            step *= 0.5
-        else:
-            break
-    # "not <=" also holds for a NaN residual, which is a failure too
-    if not fnorm <= tol:
-        root = _bisect_equilibrium(field, x, tol)
-        if root is not None:
-            x = root
-            fnorm = abs(field(x))
+            jac = _jacobian(evaluator, x)
+            step = -fval if jac == 0.0 else -fval / jac
+            for _ in range(60):
+                cand = x + step
+                cval = field(cand)
+                if abs(cval) < fnorm:
+                    x, fval, fnorm = cand, cval, abs(cval)
+                    break
+                step *= 0.5
+            else:
+                break
+        # "not <=" also holds for a NaN residual, which is a failure too
+        if not fnorm <= tol:
+            root = _bisect_equilibrium(field, x, tol)
+            if root is not None:
+                x = root
+                fnorm = abs(field(x))
     if not fnorm <= tol:
         raise SolverError(f"equilibrium search stalled at residual {fnorm:.3e} (tol {tol:.1e})", x)
     opt = evaluator.objective.known_optimum

@@ -19,8 +19,10 @@ library as an argument: ``formula(x, lib)``, for example
 The two agree bit for bit, by three rules.  NumPy's sin, cos and sqrt on
 float64 arrays round as libm's do.  A non-finite argument gives NaN on a
 float as on a column: ``math.cos(inf)`` and ``math.sqrt(-1.0)`` raise
-``ValueError`` where NumPy returns NaN, and ``float_form`` is the one place
-that hands ``math`` to a formula and catches that error, once per call; a
+``ValueError`` where NumPy returns NaN.  ``float_form`` hands ``math`` to a
+formula and catches that error, once per call; the one other place that
+does so is the mean field's two-point binding (``meanflow``), which runs an
+objective's formula twice per field value, each in its own ``try``.  A
 formula is an arithmetic expression, so one NaN term makes the whole value
 NaN.  Squares are written ``x * x``: on a float ``x**2`` calls libm
 ``pow``, which can differ from ``x * x`` in the last bit, while NumPy
@@ -99,13 +101,21 @@ class Objective:
             return
         if self.dim != 1:
             raise ValueError(f"fn_1d needs a 1-dimensional objective, got dim {self.dim}")
+        object.__setattr__(self, "at_float", float_form(self.fn_1d, *self.float_floor()))
+
+    def float_floor(self):
+        """The floor check of ``value_batch`` at a float: ``(floor, below)``.
+
+        A value below ``floor`` is below the declared floor, and
+        ``below(theta, value)`` is the error ``value_batch`` raises for it,
+        with the same message.  Without a declared floor, ``floor`` is -inf.
+        """
         known_floor = self.known_floor
 
         def below(theta, val):
             return ValueError(f"objective {val} below declared floor {known_floor} at theta={np.array([theta])}")
 
-        floor = -math.inf if known_floor is None else known_floor - 1e-12
-        object.__setattr__(self, "at_float", float_form(self.fn_1d, floor, below))
+        return (-math.inf if known_floor is None else known_floor - 1e-12), below
 
     def value(self, theta) -> float:
         """Objective at one point, a (d,) array or (for d = 1) a float.
@@ -210,13 +220,14 @@ def bisect_root(fn, lo: float, hi: float, tol: float = 1e-14, max_iter: int = 20
 def float_form(formula, floor: float = -math.inf, below=None):
     """The float form of a 1-d formula: ``formula(x, math)`` at a Python float ``x``.
 
-    This is the one place that hands ``math`` to a formula.  Where ``math``
-    raises ``ValueError`` (``cos(inf)``, ``sqrt(-1.0)``) NumPy gives NaN, so
-    the form returns NaN.  A value below ``floor`` raises ``below(x,
-    value)``; that check sits outside the ``try``, so its error is not taken
-    for a domain error, and NaN passes it, as in a batch.  The form also
-    takes an iteration index ``n`` and ignores it, so that a gain's float
-    form has the signature of its ``value``.
+    This and the mean field's two-point binding are the two places that
+    hand ``math`` to a formula.  Where ``math`` raises ``ValueError``
+    (``cos(inf)``, ``sqrt(-1.0)``) NumPy gives NaN, so the form returns NaN.
+    A value below ``floor`` raises ``below(x, value)``; that check sits
+    outside the ``try``, so its error is not taken for a domain error, and
+    NaN passes it, as in a batch.  The form also takes an iteration index
+    ``n`` and ignores it, so that a gain's float form has the signature of
+    its ``value``.
     """
 
     def at(x, n=0):

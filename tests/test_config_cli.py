@@ -463,7 +463,7 @@ def test_write_csv_writes_each_number_as_its_float(tmp_path):
     # ints (run's n), strings (experiment's mode), Python floats and NumPy
     # scalars: a string as it is, a number as its float to 17 digits
     cells = [7, "zigzag", 0.1, np.float64(1.0 / 3.0), np.int64(5), float("nan"), -0.0, 1e-300, 2**60]
-    _write_csv(tmp_path / "cells.csv", [f"c{i}" for i in range(len(cells))], [cells, cells])
+    _write_csv(tmp_path / "cells.csv", [f"c{i}" for i in range(len(cells))], [[c, c] for c in cells])
     want = [c if isinstance(c, str) else format(float(c), ".17g") for c in cells]
     assert read_csv(tmp_path / "cells.csv")[1:] == [want, want]
 
@@ -502,6 +502,40 @@ def test_cli_meanflow_zero_bias_sweep_writes_strict_json(tmp_path):
     report = json.loads((out / "eq_report.json").read_text(), parse_constant=reject)
     assert report["bias_sweep"]["bias"] == [0.0] * len(cfg["meanflow.eps_sweep"])
     assert report["bias_sweep"]["slope"] is None
+
+
+# meanflow_trig on a small grid and a short flow; each numeric key, or one
+# entry of a numeric list, set to a tiny, a huge and the largest decimal value
+SWEEP_CFG = dict(MEANFLOW_TRIG, **{"meanflow.grid": [-3.0, 3.0, 11], "meanflow.flow_t_end": 0.01})
+SWEEP_SLOTS = [
+    (key, i)
+    for key, value in SWEEP_CFG.items()
+    for i in (range(len(value)) if isinstance(value, list) else [None])
+    if not isinstance(value, str)
+]
+
+
+@pytest.mark.parametrize("key, index", SWEEP_SLOTS, ids=[k if i is None else f"{k}[{i}]" for k, i in SWEEP_SLOTS])
+def test_cli_meanflow_bad_number_exits_cleanly(tmp_path, capsys, key, index):
+    # each ends in success, a config error, a guard trip or a solver failure,
+    # with no traceback and no warning, and every JSON it writes is strict
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    for value in (1e-300, 1e300, 1.7e308):
+        cfg = json.loads(json.dumps(SWEEP_CFG))
+        if index is None:
+            cfg[key] = value
+        else:
+            cfg[key][index] = value
+        out = tmp_path / f"out{value:g}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["meanflow", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)])
+        assert code in (0, 2, 3, 4), (key, index, value, code)
+        assert "Traceback" not in capsys.readouterr().err
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=reject)
 
 
 def test_cli_meanflow_rejects_monte_carlo_for_equilibrium(tmp_path):

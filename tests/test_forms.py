@@ -39,6 +39,7 @@ from spsa_lab import (
     run_batch,
     trig_quadratic_1d,
 )
+from spsa_lab.cli import _write_csv
 
 VERSIONS = f"Python {platform.python_version()}, NumPy {np.__version__}"
 
@@ -132,6 +133,46 @@ def test_mean_field_float_equals_column(name, method, mode):
         floats = [ev.evaluate(x) for x in points.tolist()]
         assert all(type(v) is float for v in floats), kind
         assert_same_bits(floats, ev.evaluate(points), f"{method} {mode} field, {kind} gain, on {name}")
+
+
+@pytest.mark.parametrize("mode", ["iid", "zigzag"])
+@pytest.mark.parametrize("method", ["two_point", "quadrature"])
+@pytest.mark.parametrize("name", sorted(OBJECTIVES))
+def test_bound_field_equals_evaluate_and_column(name, method, mode):
+    # the field at a float bound at construction (two-point: one closure that
+    # runs the objective's formula on math itself) equals evaluate at a float
+    # and the column entry bit for bit, on every point for two-point and a
+    # 100th of them for quadrature, whose array work runs under its caller's
+    # guard
+    objective = OBJECTIVES[name]
+    base = BaseNoise("rademacher" if method == "two_point" else "uniform")
+    points = POINTS if method == "two_point" else np.concatenate([POINTS[:-len(SPECIAL):100], SPECIAL])
+    for kind in GAIN_KINDS:
+        ev = MeanFieldEvaluator(objective, make_gain(kind, objective), base, mode=mode, method=method)
+        column = ev.evaluate(points)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = [ev.at_float(x) for x in points.tolist()]
+        assert all(type(v) is float for v in bound), kind
+        assert_same_bits(bound, column, f"bound {method} {mode} field, {kind} gain, on {name}")
+        evaluated = [ev.evaluate(x) for x in points.tolist()]
+        assert_same_bits(bound, evaluated, f"bound {method} {mode} field against evaluate, {kind} gain, on {name}")
+
+
+def test_bound_field_raises_below_the_floor_as_the_batch_does():
+    # an objective whose declared floor is wrong: the bound field checks each
+    # node value outside its NaN catch and raises value_batch's exception,
+    # with its message, at the first node below the floor
+    for sign, floor in ((1.0, 10.0), (-1.0, -10.0)):
+        obj = Objective(
+            dim=1, fn_batch=lambda ts, s=sign: s * ts[:, 0], known_floor=floor, fn_1d=lambda x, lib, s=sign: s * x
+        )
+        ev = MeanFieldEvaluator(obj, ConstantGain(0.05), BaseNoise("rademacher"))
+        x = 10.0
+        node = x + 0.05 * -1.0 if sign > 0 else x + 0.05 * 1.0
+        want = raised(obj.value_batch, np.array([[node]]))
+        assert want[0] is ValueError
+        assert raised(ev.at_float, x) == raised(ev.evaluate, x) == raised(ev.evaluate, np.array([x])) == want
+        assert np.isnan(ev.at_float(np.nan))
 
 
 # --- the engine: a float lane and a batch against (m, 1) rows -----------------
@@ -310,3 +351,25 @@ def test_gain_without_a_float_form_runs_through_value():
     got = engine(c, [0])
     c["gain"] = builtin
     assert_same_bits(got.thetas.ravel().tolist(), engine(c, [0]).thetas.ravel(), "one-lane run")
+
+
+# --- the CSV writer: columns give the bytes rows gave --------------------------
+
+
+def rowwise_csv_text(header: list, rows: list) -> str:
+    """The CSV text written row by row: one ``%`` format per row, ``%s`` for a string cell."""
+    line = ",".join("%s" if isinstance(c, str) else "%.17g" for c in rows[0]) + "\r\n"
+    return ",".join(header) + "\r\n" + "".join(line % tuple(row) for row in rows)
+
+
+def test_csv_from_columns_equals_csv_from_rows(tmp_path):
+    # a str, a float, an int and a constant column: the constant is written
+    # verbatim, and "0" is the bytes of 0.0 at 17 digits
+    rng = np.random.default_rng(3)
+    floats = rng.standard_normal(500).tolist() + [0.0, -0.0, 1e300, -1e-300, np.inf, -np.inf, np.nan, 2.0**60]
+    n = len(floats)
+    strs = [str(rng.choice(["iid", "zigzag", "a%b"])) for _ in range(n)]
+    ints = rng.integers(-(10**12), 10**12, n).tolist()
+    _write_csv(tmp_path / "cols.csv", ["s", "f", "i", "zero"], [strs, floats, ints, "0"])
+    want = rowwise_csv_text(["s", "f", "i", "zero"], [[s, f, i, 0.0] for s, f, i in zip(strs, floats, ints)])
+    assert (tmp_path / "cols.csv").read_bytes() == want.encode("utf-8")

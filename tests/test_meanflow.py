@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -256,6 +257,43 @@ def test_integrate_flow_matches_rk4_on_rows(method, mode):
     want = rk4_on_columns(ev, 2.5, 0.5, 1e-2)
     assert flow.states.shape == want.shape == (51,)
     assert np.array_equal(as_bits(flow.states), as_bits(want))
+
+
+def errstate_entries(fn) -> int:
+    """The times ``fn()`` enters ``np.errstate``, counted with ``sys.setprofile``."""
+    enter, entries = np.errstate.__enter__.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is enter:
+            entries.append(frame)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return len(entries)
+
+
+@pytest.mark.parametrize("mode", ["iid", "zigzag"])
+def test_quadrature_flow_on_the_bound_field_holds_one_errstate(mode):
+    # the bound quadrature field does its node-array work under the flow's
+    # one guard: the same states as the flow through evaluate, which enters
+    # a guard per call, no warning where the field overflows, and a number
+    # of guard entries that does not grow with the step count
+    ev = MeanFieldEvaluator(
+        objective=trig_quadratic_1d(), gain=active_gain(0.1), base=UNI, mode=mode, varsigma=VS, method="quadrature"
+    )
+    flow = integrate_flow(ev.at_float, 2.5, 0.5, 1e-3)
+    want = integrate_flow(ev.evaluate, 2.5, 0.5, 1e-3)
+    assert flow.states.shape == (501,)
+    assert np.array_equal(as_bits(flow.states), as_bits(want.states))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for start in (1e160, 1e300, -1.7e308):
+            assert integrate_flow(ev.at_float, start, 0.5, 1e-3).states.tolist() == [start]
+    counts = [errstate_entries(lambda n=n: integrate_flow(ev.at_float, 2.5, n * 1e-3, 1e-3)) for n in (50, 500)]
+    assert counts[0] == counts[1] <= 2, counts
 
 
 def test_flow_and_equilibrium_reject_a_start_of_the_wrong_dimension():
