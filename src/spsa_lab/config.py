@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -47,7 +48,8 @@ class ConfigError(ValueError):
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # a finite float, or an int that converts to one
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _is_int(v) -> bool:
@@ -67,14 +69,16 @@ def _is_matrix(v) -> bool:
 
 
 # caps on what a config asks for: RK4 steps of the flow, points of the grid,
-# rows of a run's record, lanes of an experiment, steps of a run and
-# lane-steps of an experiment (configs/fig2_full.json asks for 5 * 10**8)
+# rows of a run's record, lanes of an experiment, steps of a run, lane-steps
+# of an experiment (configs/fig2_full.json asks for 5 * 10**8), and each
+# sample count of a probe check, whose probes are held in memory at once
 MAX_FLOW_STEPS = 10**6
 MAX_GRID_POINTS = 10**6
 MAX_RECORD_ROWS = 10**6
 MAX_LANES = 10**6
 MAX_RUN_STEPS = 10**8
 MAX_LANE_STEPS = 2 * 10**9
+MAX_PROBE_SAMPLES = 10**7
 
 # experiment runs every cell in both probe modes
 PROBE_MODES = ("iid", "zigzag")
@@ -215,20 +219,13 @@ def validate_config(cfg: dict, command: str) -> None:
             raise ConfigError("config key 'ensemble.eps_grid' needs at least 3 points for the scaling fit")
 
 
-def _finite_product(a, b) -> bool:
-    """Whether ``a * b`` is a finite float (an int too large for a float is not)."""
-    try:
-        return math.isfinite(float(a) * float(b))
-    except OverflowError:
-        return False
-
-
 def _check_derived(cfg: dict, command: str) -> None:
     """Check what the program derives from keys that pass their own checks.
 
     A square, a doubled bound, the largest probe offset (gain scale times
-    probe support), and the sizes of the work and of the outputs: flow
-    steps, run steps, record rows, experiment lanes and lane-steps.
+    probe support), the probe check's third-moment sum, and the sizes of the
+    work and of the outputs: flow steps, run steps, record rows, experiment
+    lanes and lane-steps, and probe-check samples.
     """
     if "gain.sigma_p" in cfg and not 0.0 < cfg["gain.sigma_p"] * cfg["gain.sigma_p"] < math.inf:
         raise ConfigError(f"config key 'gain.sigma_p' is {cfg['gain.sigma_p']!r}; its square must be in (0, inf)")
@@ -236,7 +233,7 @@ def _check_derived(cfg: dict, command: str) -> None:
     if "probe.support" in cfg and not math.isfinite(2.0 * support):
         raise ConfigError(f"config key 'probe.support' is {support!r}; twice it must be finite")
     for key in ("gain.eps_bullet", "ensemble.eps_grid"):
-        if key in cfg and not _finite_product(np.max(cfg[key]), support):
+        if key in cfg and not math.isfinite(float(np.max(cfg[key])) * support):
             raise ConfigError(
                 f"config key {key!r} is {cfg[key]!r}; times 'probe.support' {support!r} it must be finite"
             )
@@ -246,6 +243,27 @@ def _check_derived(cfg: dict, command: str) -> None:
             raise ConfigError(
                 f"config keys 'meanflow.flow_t_end' / 'meanflow.flow_dt' ask for {steps:.3g} RK4 steps; "
                 f"at most {MAX_FLOW_STEPS} are allowed"
+            )
+    if command == "probe-check":
+        for key in ("probe_check.samples", "probe_check.regen_samples"):
+            if cfg.get(key, 0) > MAX_PROBE_SAMPLES:
+                raise ConfigError(
+                    f"config key {key!r} asks for {cfg[key]} samples; at most {MAX_PROBE_SAMPLES} are allowed"
+                )
+        # the diagnostics square the base bound and varsigma, and sum one
+        # third-moment product per sample, each at most the probe bound cubed
+        zigzag, varsigma = cfg["probe.mode"] == "zigzag", get_varsigma(cfg)
+        base_bound = support if cfg["probe.base"] == "uniform" else 1.0
+        bound = base_bound * 2.0 * varsigma if zigzag else base_bound
+        keys = "'probe.support' / 'probe.varsigma'" if zigzag else "'probe.support'"
+        if not math.isfinite(base_bound * base_bound):
+            raise ConfigError(f"config key 'probe.support' is {support!r}; its square must be finite")
+        if zigzag and not math.isfinite(varsigma * varsigma):
+            raise ConfigError(f"config key 'probe.varsigma' is {varsigma!r}; its square must be finite")
+        if not math.isfinite(cfg.get("probe_check.samples", 100_000) * bound * bound * bound):
+            raise ConfigError(
+                f"config keys {keys} give a probe bound of {bound:.3g}; "
+                "'probe_check.samples' times its cube must be finite"
             )
     if command == "run":
         if cfg["run.N"] > MAX_RUN_STEPS:

@@ -4,18 +4,19 @@
 a one-lane batch.  The engine advances many independent trajectories in
 lock step (vectorized across runs), with per-run probe streams, a
 divergence guard that freezes runs whose iterates escape and ends the run
-once every lane has tripped, strided trajectory recording, and on-the-fly
-window statistics so long ensembles never store full trajectories.
+once every lane has tripped, strided trajectory recording, and an on-the-fly
+window statistic so long ensembles never store full trajectories.
 
 The update rule lives in one function, ``_increment``, written once as an
 element-wise expression.  The engine holds its iterates in one of two
 forms, and both run that expression, the guard and the record:
 
-- a Python float, for one lane at d = 1 whose objective gives an
-  element-wise ``fn_1d`` and whose gain has one scale.  Probes come from
-  ``take(width)[:, 0].tolist()`` and step sizes from ``tolist()``; the
-  step calls the objective's and the gain's float forms (``at_float``,
-  bound at construction) directly, so it makes no NumPy call.
+- a Python float, for one lane at d = 1 with no window statistic, whose
+  objective gives an element-wise ``fn_1d`` and whose gain has one scale.
+  Probes come from ``take(width)[:, 0].tolist()`` and step sizes from
+  ``tolist()``; the step calls the objective's and the gain's float forms
+  (``at_float``, bound at construction) directly, so it makes no NumPy
+  call.
 - (m, d) rows for every other run, with each lane's gain and objective
   value as an (m, 1) column.
 
@@ -32,7 +33,7 @@ gain has underflowed to 0.0 takes that step on a 1 x 1 row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -91,12 +92,11 @@ def _increment(f, algorithm: str, theta, xi, eps, alpha):
 class WindowStatistic:
     """On-the-fly average of ``fn(theta)`` over iterates with index >= start.
 
-    ``fn`` maps an (m, d) batch of iterates to an (m, p) array; the
+    ``fn`` maps the (m, d) rows of iterates to an (m, p) or (m,) array; the
     engine accumulates its sum over the window without storing
     trajectories.
     """
 
-    name: str
     start: int
     fn: Callable[[np.ndarray], np.ndarray]
 
@@ -114,7 +114,7 @@ class BatchRunResult:
     objective_trace: np.ndarray | None = None  # (m, k)
     alpha_trace: np.ndarray | None = None  # (k,)
     gain_trace: np.ndarray | None = None  # (m, k)
-    statistics: dict[str, np.ndarray] = field(default_factory=dict)  # name -> (m, p) means
+    window_mean: np.ndarray | None = None  # (m, p), the window statistic's mean
 
     @property
     def diverged(self) -> np.ndarray:
@@ -148,7 +148,7 @@ def run_batch(
     guard: DivergenceGuard | None = None,
     stride: int = 0,
     record_objective: bool = False,
-    statistics: Sequence[WindowStatistic] = (),
+    statistic: WindowStatistic | None = None,
     chunk: int = ENGINE_CHUNK,
 ) -> BatchRunResult:
     """Advance ``m`` independent trajectories in lock step.
@@ -159,7 +159,7 @@ def run_batch(
     threshold: a NaN or infinite norm trips, a norm equal to the
     threshold does not.  ``diverged_at`` holds that k.  A tripped lane's
     iterate freezes: it makes no further updates or statistic
-    contributions, and its window statistics are NaN.  It stays in the
+    contributions, and its window mean is NaN.  It stays in the
     working arrays, so the probe draw, gain, objective and statistic
     still see its row, and in a multi-lane batch each later record holds
     its frozen iterate.  The engine returns on the step where its last
@@ -168,10 +168,13 @@ def run_batch(
     trip index.  While no lane has tripped, a step adds the increment
     without masking.  With ``stride`` > 0 the iterate at every stride-th
     index (plus index 0 and the final index) is stored.  ``gain`` may
-    carry one scale per lane (``eps_bullet`` of shape (m,)).  Statistic
-    functions see (m, d) rows in every form; with none, a step makes no
-    statistic pass.  The iterate's form (see
-    the module docstring) does not change the result.
+    carry one scale per lane (``eps_bullet`` of shape (m,)).  With a
+    ``statistic``, ``window_mean`` holds each lane's mean of its function
+    over the window, as an (m, p) array: an (m, 1) column of NaN when no
+    step reaches the window.  The function sees (m, d) rows, since a run
+    with a statistic takes the rows form; with none, a step makes no
+    statistic pass.  The iterate's form (see the module docstring) does not
+    change the result.
     """
     if algorithm not in ("1spsa", "2spsa"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -185,20 +188,17 @@ def run_batch(
         raise ValueError(f"need one probe generator per run: {len(probes)} != {m}")
     threshold = (guard or DivergenceGuard()).threshold
 
-    # the iterate's form: the objective, the gain and the norm in it, the
-    # (m, d) rows a statistic sees, and the probes of a chunk, one entry per
-    # step.  A lane runs on floats when its objective and gain have float
-    # formulas; a gain with one scale per lane keeps the rows
+    # the iterate's form: the objective, the gain and the norm in it, and the
+    # probes of a chunk, one entry per step.  A lane runs on floats when its
+    # objective and gain have float formulas and no statistic needs rows; a
+    # gain with one scale per lane keeps the rows
     def row_value(x):
         return objective.value_batch(x)[:, None]
 
-    lane = m == 1 and d == 1 and objective.fn_1d is not None and np.ndim(gain.eps_bullet) == 0
+    lane = statistic is None and m == 1 and d == 1 and objective.fn_1d is not None and np.ndim(gain.eps_bullet) == 0
     if lane:
         theta = float(theta[0, 0])
         value, gains, norm = objective.at_float, gain.at_float, abs
-
-        def rows(x):
-            return np.array([[x]])
 
         def draw(width: int):
             return probes[0].take(width)[:, 0].tolist()
@@ -214,9 +214,6 @@ def run_batch(
                 xi_buf[:width, i] = g.take(width)
             return xi_buf
 
-        def rows(x):
-            return x
-
         def gains(x, n_index: int):
             return np.asarray(gain.value(x, n_index), dtype=float)[:, None]
 
@@ -227,20 +224,13 @@ def run_batch(
     live = True  # no lane has tripped yet
     diverged_at = np.full(m, -1, dtype=int)
 
-    stat_sums = {s.name: None for s in statistics}
-    stat_counts = {s.name: 0 for s in statistics}
-
-    def accumulate(n_index: int, current):
-        # a frozen lane's sum is replaced by NaN at the end, so it needs no mask
-        for s in statistics:
-            if n_index >= s.start:
-                vals = np.asarray(s.fn(rows(current)), dtype=float)
-                if vals.ndim == 1:
-                    vals = vals[:, None]
-                if stat_sums[s.name] is None:
-                    stat_sums[s.name] = np.zeros_like(vals)
-                stat_sums[s.name] += vals
-                stat_counts[s.name] += 1
+    # the statistic's sum and count over the indices >= start that the run
+    # reaches.  The sum starts as a fresh zero array: ``fn`` may return
+    # ``theta`` itself, which the sum must not alias, and a -0.0 first value
+    # sums to +0.0.  A frozen lane's
+    # mean is replaced by NaN at the end, so its sum needs no mask
+    start = n_steps + 1 if statistic is None else statistic.start
+    window_sum, window_count = None, 0
 
     # index 0, every stride-th index and the last index; fewer when every
     # lane trips before the end
@@ -271,8 +261,9 @@ def run_batch(
             rec_gain = np.empty((n_rec,) + np.shape(eps))
             rec_obj = np.empty((n_rec,) + np.shape(eps)) if record_objective else None
             record(0, theta, schedule(0), eps)
-        if statistics:
-            accumulate(0, theta)
+        if start <= 0:
+            vals = np.asarray(statistic.fn(theta), dtype=float)
+            window_sum, window_count = np.zeros_like(vals) + vals, 1
 
         n = 0
         stop = False  # set on the step where the last live lane trips
@@ -306,8 +297,12 @@ def run_batch(
                         active &= within
                         live = False
                         stop = not active.any()
-                if statistics:
-                    accumulate(k, theta)
+                if k >= start:
+                    vals = np.asarray(statistic.fn(theta), dtype=float)
+                    if window_sum is None:
+                        window_sum = np.zeros_like(vals)
+                    window_sum += vals
+                    window_count += 1
                 recorded = stride > 0 and (k % stride == 0 or k == n_steps)
                 if k < n_steps or recorded:
                     eps = gains(theta, k)
@@ -331,13 +326,9 @@ def run_batch(
         result.gain_trace = rec_gain[:k].reshape(k, m).T
         if record_objective:
             result.objective_trace = rec_obj[:k].reshape(k, m).T
-    for s in statistics:
-        sums = stat_sums[s.name]
-        if sums is None:
-            mean = np.full((m, 1), np.nan)
-        else:
-            mean = sums / max(stat_counts[s.name], 1)
+    if statistic is not None:
+        mean = np.full((m, 1), np.nan) if window_sum is None else (window_sum / window_count).reshape(m, -1)
         # a frozen lane's window is cut short, so it has no window average
         mean[result.diverged] = np.nan
-        result.statistics[s.name] = mean
+        result.window_mean = mean
     return result

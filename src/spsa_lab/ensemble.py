@@ -1,7 +1,7 @@
 """Ensemble execution and long-run variance statistics.
 
 Runs the (probe mode, gain scale) ensemble matrix as lane batches of the
-engine, whose window statistics give each run's average of a target
+engine, whose window statistic gives each run's average of a target
 quantity without storing its trajectory.  Covers the across-run
 statistics used to quantify algorithmic variance: the scaled covariance
 of those averages across independent runs, power-law fits of that
@@ -310,9 +310,9 @@ def run_ensemble_matrix(
             algorithm=algorithm,
             guard=guard,
             stride=0,
-            statistics=[WindowStatistic("bias", n_burn, block_statistic)],
+            statistic=WindowStatistic(n_burn, block_statistic),
         )
-        bias_blocks.append(result.statistics["bias"])
+        bias_blocks.append(result.window_mean)
         diverged_blocks.append(result.diverged)
     # a block whose lanes all diverged before the window has a single NaN column
     p = max(b.shape[1] for b in bias_blocks)

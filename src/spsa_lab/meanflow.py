@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exploration import BaseNoise
-from .objectives import Objective, as_point, bisect_root, central_difference
+from .objectives import Objective, bisect_root
 from .schedules import ExplorationGain
 
 __all__ = [
@@ -168,8 +168,7 @@ class MeanFieldEvaluator:
         here on each call.  A loop over floats calls ``at_float`` under one
         guard of its own instead, as the flow and the equilibrium search do.
         """
-        if x.__class__ is not float:
-            x = as_point(x)
+        x = float(x) if isinstance(x, float) else x
         if x.__class__ is float and self.method == "two_point":
             return self.at_float(x)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -309,10 +308,11 @@ class EquilibriumReport:
     bias_to_origin: float | None = None
 
 
-def _jacobian(evaluator: MeanFieldEvaluator, x: float) -> float:
+def _jacobian(field, x: float) -> float:
+    """Central difference of a float field; its array work runs under the caller's ``np.errstate``."""
     # the field is deterministic, so truncation dominates and a small step is safe
     h = 1e-5 * (1.0 + abs(x))
-    return float(central_difference(lambda pts: evaluator.evaluate(pts[:, 0]), np.array([x]), h)[0])
+    return (field(x + h) - field(x - h)) / (2.0 * h)
 
 
 def find_equilibrium(
@@ -339,7 +339,7 @@ def find_equilibrium(
         for _ in range(max_iter):
             if fnorm <= tol:
                 break
-            jac = _jacobian(evaluator, x)
+            jac = _jacobian(field, x)
             step = -fval if jac == 0.0 else -fval / jac
             for _ in range(60):
                 cand = x + step
@@ -356,13 +356,14 @@ def find_equilibrium(
             if root is not None:
                 x = root
                 fnorm = abs(field(x))
-    if not fnorm <= tol:
-        raise SolverError(f"equilibrium search stalled at residual {fnorm:.3e} (tol {tol:.1e})", x)
+        if not fnorm <= tol:
+            raise SolverError(f"equilibrium search stalled at residual {fnorm:.3e} (tol {tol:.1e})", x)
+        jacobian = _jacobian(field, x)
     opt = evaluator.objective.known_optimum
     return EquilibriumReport(
         theta_star=x,
         residual_norm=fnorm,
-        jacobian=_jacobian(evaluator, x),
+        jacobian=jacobian,
         bias_to_opt=None if opt is None else abs(x - float(opt[0])),
         bias_to_origin=abs(x),
     )

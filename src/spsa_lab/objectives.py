@@ -54,15 +54,6 @@ __all__ = [
 _FLOAT64 = np.dtype(np.float64)
 
 
-def as_point(x):
-    """``x`` as a Python float if it is a float or a NumPy float scalar, else unchanged.
-
-    The float formulas take Python floats only; every place that accepts
-    a float point calls this when ``x.__class__ is not float``.
-    """
-    return float(x) if isinstance(x, float) else x
-
-
 def _fd_step(theta: np.ndarray, h: float | None) -> float:
     # balances truncation and rounding for smooth objectives in double precision
     if h is not None:
@@ -124,10 +115,8 @@ class Objective:
         other point is a 1-row ``value_batch``.  A NumPy float scalar counts
         as a float.
         """
-        if theta.__class__ is not float:
-            theta = as_point(theta)
-        if theta.__class__ is float and self.fn_1d is not None:
-            return self.at_float(theta)
+        if isinstance(theta, float) and self.fn_1d is not None:
+            return self.at_float(float(theta))
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if theta.shape != (self.dim,):
             raise ValueError(f"theta has shape {theta.shape}, expected ({self.dim},)")

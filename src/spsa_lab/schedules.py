@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import Objective, as_point, float_form
+from .objectives import Objective, float_form
 
 __all__ = [
     "StepSizeSchedule",
@@ -191,10 +191,8 @@ class CenterActiveGain(ExplorationGain):
         object.__setattr__(self, "at_float", float_form(formula))
 
     def value(self, theta, n: int = 0):
-        if theta.__class__ is not float:
-            theta = as_point(theta)
-        if theta.__class__ is float:
-            return self.at_float(theta)
+        if isinstance(theta, float):
+            return self.at_float(float(theta))
         theta = np.asarray(theta)
         if theta.shape[-1] == 1 and self.center.size == 1:
             return self._formula(theta[..., 0], np)
@@ -234,10 +232,8 @@ class ObjectiveActiveGain(ExplorationGain):
 
     def value(self, theta, n: int = 0):
         # a float is evaluated at that point; a (d,) point is a 1-row batch
-        if theta.__class__ is not float:
-            theta = as_point(theta)
-        if theta.__class__ is float:
-            return self.at_float(theta)
+        if isinstance(theta, float):
+            return self.at_float(float(theta))
         rows = np.atleast_2d(np.asarray(theta, dtype=float))
         vals = self.objective.value_batch(rows)
         below = vals < self.floor

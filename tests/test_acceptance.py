@@ -105,11 +105,11 @@ def test_criterion_2_stabilization_by_active_gain():
         theta0,
         n_steps,
         guard=GUARD,
-        statistics=[WindowStatistic("pr", burn + 1, lambda th: th)],
+        statistic=WindowStatistic(burn + 1, lambda th: th),
     )
     trips20 = int(result.diverged[:20].sum())
     final_ok = bool(np.all(np.abs(result.theta_final[:20, 0]) <= 1.0))
-    pr = result.statistics["pr"][:, 0]
+    pr = result.window_mean[:, 0]
     pr_hits = int((np.abs(pr) <= 0.1).sum())
     passed = trips20 == 0 and final_ok and pr_hits >= 95 and not result.diverged.any()
     report(

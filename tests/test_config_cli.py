@@ -319,6 +319,10 @@ def test_cli_invalid_built_config_exits_2_naming_key(tmp_path, capsys, command, 
 
 
 MEANFLOW_QUADRATURE = dict(MEANFLOW_TRIG, **{"probe.base": "uniform", "meanflow.method": "quadrature"})
+PROBE_CHECK_SMALL = dict(
+    json.loads((CONFIGS / "probe_check_zigzag.json").read_text()),
+    **{"probe_check.samples": 1000, "probe_check.regen_samples": 100},
+)
 
 
 @pytest.mark.parametrize(
@@ -346,6 +350,15 @@ MEANFLOW_QUADRATURE = dict(MEANFLOW_TRIG, **{"probe.base": "uniform", "meanflow.
         ("run", run_cfg(**{"gain.eps_bullet": 10**400}), "gain.eps_bullet"),
         ("experiment", experiment_cfg(**{"ensemble.eps_grid": [0.05, 0.1, 1e300], "probe.support": 1e10}),
          "ensemble.eps_grid"),
+        ("probe-check", dict(PROBE_CHECK_SMALL, **{"probe.support": 5e102}), "probe.support"),
+        ("probe-check", dict(PROBE_CHECK_SMALL, **{"probe.varsigma": 2e102}), "probe.varsigma"),
+        ("probe-check", dict(PROBE_CHECK_SMALL, **{"probe.support": 3.5e102}), "probe_check.samples"),
+        ("probe-check", dict(PROBE_CHECK_SMALL, **{"probe.support": 1e200, "probe.varsigma": 1e-200}), "probe.support"),
+        ("probe-check", dict(PROBE_CHECK_SMALL, **{"probe.support": 1e-300, "probe.varsigma": 1e200}), "probe.varsigma"),
+        ("probe-check", dict(PROBE_CHECK_SMALL, **{"probe.support": 10**400}), "probe.support"),
+        ("probe-check", dict(PROBE_CHECK_SMALL, **{"probe.varsigma": 10**400}), "probe.varsigma"),
+        ("probe-check", dict(PROBE_CHECK_SMALL, **{"probe_check.samples": 10**12}), "probe_check.samples"),
+        ("probe-check", dict(PROBE_CHECK_SMALL, **{"probe_check.regen_samples": 10**7 + 1}), "probe_check.regen_samples"),
     ],
     ids=[
         "sigma_p_square_underflows", "sigma_p_square_overflows", "run_sigma_p_square_overflows",
@@ -354,15 +367,20 @@ MEANFLOW_QUADRATURE = dict(MEANFLOW_TRIG, **{"probe.base": "uniform", "meanflow.
         "record_rows_overflow", "record_rows_above_cap", "ensemble_lanes_overflow", "ensemble_lanes_just_above_cap",
         "run_steps_far_above_cap_with_few_rows", "run_steps_just_above_cap", "ensemble_lane_steps_just_above_cap",
         "run_probe_offset_overflows", "meanflow_probe_offset_overflows", "eps_bullet_int_too_large_for_a_float",
-        "eps_grid_probe_offset_overflows",
+        "eps_grid_probe_offset_overflows", "probe_bound_cube_overflows", "probe_varsigma_bound_cube_overflows",
+        "probe_third_moment_sum_overflows", "probe_support_square_overflows", "probe_varsigma_square_overflows",
+        "support_int_too_large_for_a_float", "varsigma_int_too_large_for_a_float", "probe_samples_far_above_cap",
+        "regen_samples_just_above_cap",
     ],
 )
 def test_cli_derived_quantity_out_of_range_exits_2_naming_key(tmp_path, capsys, command, cfg, key):
     # each key passes its own check, but a quantity derived from it (a square,
     # a doubled bound, a probe offset, a step count, a grid size, the rows of
-    # a record, the lanes or lane-steps of an experiment) is out of range or
-    # above its cap; the config is rejected before any work starts.  A run of
-    # 10**12 steps recorded every 10**7 has few rows but would take a month
+    # a record, the lanes or lane-steps of an experiment, the sum of a probe
+    # check's third-moment products) is out of range or above its cap; the
+    # config is rejected before any work starts.  An int too large for a float
+    # fails its own check.  A run of 10**12 steps recorded every 10**7 has few
+    # rows but would take a month
     cfg_path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
     with warnings.catch_warnings():
@@ -384,6 +402,11 @@ def test_record_and_lane_caps_admit_their_limit():
     validate_config(run_cfg(n=10**6 - 2), "run")
     validate_config(run_cfg(n=9 * (10**6 - 2) + 8, **{"run.stride": 9}), "run")
     validate_config(experiment_cfg(**{"ensemble.M": 166_666}), "experiment")
+
+
+def test_probe_sample_caps_admit_their_limit():
+    cfg = dict(PROBE_CHECK_SMALL, **{"probe_check.samples": 10**7, "probe_check.regen_samples": 10**7})
+    validate_config(cfg, "probe-check")
 
 
 def child_env() -> dict:
@@ -504,26 +527,44 @@ def test_cli_meanflow_zero_bias_sweep_writes_strict_json(tmp_path):
     assert report["bias_sweep"]["slope"] is None
 
 
-# meanflow_trig on a small grid and a short flow; each numeric key, or one
-# entry of a numeric list, set to a tiny, a huge and the largest decimal value
-SWEEP_CFG = dict(MEANFLOW_TRIG, **{"meanflow.grid": [-3.0, 3.0, 11], "meanflow.flow_t_end": 0.01})
+# each canned config with a small workload: meanflow_trig on a small grid and
+# a short flow, fig1_active for 200 steps, fig2_desk with 4 runs of 300 steps
+# and probe_check_zigzag with few samples.  Each numeric key, or one entry of
+# a numeric list, is set to a tiny, a huge and the largest decimal value
+SWEEP_CFGS = {
+    "meanflow": dict(MEANFLOW_TRIG, **{"meanflow.grid": [-3.0, 3.0, 11], "meanflow.flow_t_end": 0.01}),
+    "run": dict(json.loads((CONFIGS / "fig1_active.json").read_text()), **{"run.N": 200}),
+    "experiment": dict(
+        json.loads((CONFIGS / "fig2_desk.json").read_text()), **{"ensemble.M": 4, "ensemble.N": 300, "ensemble.N0": 100}
+    ),
+    "probe-check": PROBE_CHECK_SMALL,
+}
+SWEEP_VALUES = (1e-300, 1e300, 1.7e308)
 SWEEP_SLOTS = [
-    (key, i)
-    for key, value in SWEEP_CFG.items()
+    (command, key, i, SWEEP_VALUES)
+    for command, cfg in SWEEP_CFGS.items()
+    for key, value in cfg.items()
     for i in (range(len(value)) if isinstance(value, list) else [None])
     if not isinstance(value, str)
-]
+] + [("probe-check", "probe.support", None, (5e102,))]
 
 
-@pytest.mark.parametrize("key, index", SWEEP_SLOTS, ids=[k if i is None else f"{k}[{i}]" for k, i in SWEEP_SLOTS])
-def test_cli_meanflow_bad_number_exits_cleanly(tmp_path, capsys, key, index):
+def sweep_id(command, key, index, values):
+    # the meanflow cases keep their plain key names
+    name = key if index is None else f"{key}[{index}]"
+    name = name if command == "meanflow" else f"{command}:{name}"
+    return name if values is SWEEP_VALUES else f"{name}={values[0]:g}"
+
+
+@pytest.mark.parametrize("command, key, index, values", SWEEP_SLOTS, ids=[sweep_id(*slot) for slot in SWEEP_SLOTS])
+def test_cli_meanflow_bad_number_exits_cleanly(tmp_path, capsys, command, key, index, values):
     # each ends in success, a config error, a guard trip or a solver failure,
     # with no traceback and no warning, and every JSON it writes is strict
     def reject(constant):
         raise ValueError(f"non-JSON constant {constant}")
 
-    for value in (1e-300, 1e300, 1.7e308):
-        cfg = json.loads(json.dumps(SWEEP_CFG))
+    for value in values:
+        cfg = json.loads(json.dumps(SWEEP_CFGS[command]))
         if index is None:
             cfg[key] = value
         else:
@@ -531,8 +572,8 @@ def test_cli_meanflow_bad_number_exits_cleanly(tmp_path, capsys, key, index):
         out = tmp_path / f"out{value:g}"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["meanflow", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)])
-        assert code in (0, 2, 3, 4), (key, index, value, code)
+            code = main([command, "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)])
+        assert code in (0, 2, 3, 4), (command, key, index, value, code)
         assert "Traceback" not in capsys.readouterr().err
         for path in out.glob("*.json"):
             json.loads(path.read_text(), parse_constant=reject)

@@ -237,7 +237,7 @@ def test_guard_trip_rule_nan_inf_and_threshold():
             200,
             guard=DivergenceGuard(threshold),
             stride=1,
-            statistics=[WindowStatistic("mean_theta", 0, lambda th: th)],
+            statistic=WindowStatistic(0, lambda th: th),
         )
 
     full = go(range(5), [0.5, -0.5, threshold, 0.3, -0.2])
@@ -246,7 +246,7 @@ def test_guard_trip_rule_nan_inf_and_threshold():
     assert np.all(full.thetas[2] == threshold)
     alone = go([3, 4], [0.3, -0.2])
     assert np.array_equal(full.theta_final[3:], alone.theta_final)
-    assert np.array_equal(full.statistics["mean_theta"][3:], alone.statistics["mean_theta"])
+    assert np.array_equal(full.window_mean[3:], alone.window_mean)
     for name in ("thetas", "gain_trace"):
         assert np.array_equal(getattr(full, name)[3:], getattr(alone, name)), name
 
@@ -304,10 +304,10 @@ def test_window_statistic_accumulates_expected_mean():
         np.array([[0.5]]),
         200,
         stride=1,
-        statistics=[WindowStatistic("mean_theta", 100, lambda th: th)],
+        statistic=WindowStatistic(100, lambda th: th),
     )
     expected = result.thetas[0, 100:, 0].mean()
-    assert result.statistics["mean_theta"][0, 0] == pytest.approx(expected, rel=1e-12)
+    assert result.window_mean[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
@@ -340,7 +340,7 @@ def test_run_batch_is_independent_of_chunk_width(chunk):
             guard=DivergenceGuard(1e6),
             stride=1,
             record_objective=True,
-            statistics=[WindowStatistic("mean_theta", 1000, lambda th: th)],
+            statistic=WindowStatistic(1000, lambda th: th),
             chunk=width,
         )
 
@@ -356,9 +356,7 @@ def test_run_batch_is_independent_of_chunk_width(chunk):
                 assert calls["n"] == ref_calls, case
                 assert np.array_equal(got.theta_final, ref.theta_final, equal_nan=True), case
                 assert np.array_equal(got.diverged_at, ref.diverged_at), case
-                assert np.array_equal(
-                    got.statistics["mean_theta"], ref.statistics["mean_theta"], equal_nan=True
-                ), case
+                assert np.array_equal(got.window_mean, ref.window_mean, equal_nan=True), case
                 for name in ("record_indices", "thetas", "alpha_trace", "gain_trace", "objective_trace"):
                     assert np.array_equal(getattr(got, name), getattr(ref, name), equal_nan=True), (case, name)
                 if len(theta0) == 4:
@@ -386,11 +384,11 @@ def test_window_statistic_is_nan_for_diverged_lanes():
         np.array([[8.0], [0.001]]),
         2000,
         guard=DivergenceGuard(1e6),
-        statistics=[WindowStatistic("mean_theta", 1000, lambda th: th)],
+        statistic=WindowStatistic(1000, lambda th: th),
     )
     assert list(result.diverged) == [True, False]
-    assert np.isnan(result.statistics["mean_theta"][0, 0])
-    assert np.isfinite(result.statistics["mean_theta"][1, 0])
+    assert np.isnan(result.window_mean[0, 0])
+    assert np.isfinite(result.window_mean[1, 0])
 
 
 def test_run_batch_records_alpha_and_gain_per_index():

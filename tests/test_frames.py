@@ -7,12 +7,19 @@ sqrt and no frame for the objective's float form.  The one-lane engine
 calls each float form bound at construction and makes no statistic pass
 when it has no statistic.  The counts are deterministic; a change that
 puts a helper call back into a float path raises them.
+
+A step on (m, d) rows is counted over the package's own frames only, so
+that NumPy's Python wrappers (``count_nonzero``, ``einsum``,
+``linalg.norm``) do not tie the budgets to a NumPy version.
 """
 
+import os
 import sys
 
 import numpy as np
+import pytest
 
+import spsa_lab
 from spsa_lab import (
     BaseNoise,
     CenterActiveGain,
@@ -20,17 +27,24 @@ from spsa_lab import (
     ProbeGenerator,
     StepSizeSchedule,
     integrate_flow,
+    quadratic_nd,
     run_batch,
     trig_quadratic_1d,
 )
+from spsa_lab.core import WindowStatistic
+
+PACKAGE = os.path.dirname(spsa_lab.__file__) + os.sep
 
 
-def python_calls(fn) -> int:
-    """The Python function calls ``fn()`` makes, ``fn`` itself not counted."""
+def python_calls(fn, package_only: bool = False) -> int:
+    """The Python function calls ``fn()`` makes, ``fn`` itself not counted.
+
+    With ``package_only``, only calls of code in the package are counted.
+    """
     calls = []
 
     def profile(frame, event, arg):
-        if event == "call":
+        if event == "call" and (not package_only or frame.f_code.co_filename.startswith(PACKAGE)):
             calls.append(frame.f_code.co_name)
 
     sys.setprofile(profile)
@@ -38,7 +52,7 @@ def python_calls(fn) -> int:
         fn()
     finally:
         sys.setprofile(None)
-    return len(calls) - 1
+    return len(calls) - (not package_only)
 
 
 def evaluator() -> MeanFieldEvaluator:
@@ -76,3 +90,28 @@ def test_float_lane_step_takes_five_frames():
         assert not result.diverged[0]
 
     assert python_calls(run) <= 5 * n_steps + 100
+
+
+@pytest.mark.parametrize(
+    "dim, grad_statistic, per_step",
+    [(1, True, 11), (1, False, 9), (4, False, 8)],
+    ids=["d1_grad_statistic", "d1", "d4"],
+)
+def test_rows_step_frame_budget(dim, grad_statistic, per_step):
+    # six lanes on rows with the center-active gain.  Per step at d = 1: the
+    # engine's gain wrapper, the gain's value and formula; the engine's
+    # objective wrapper, value_batch, the batch form and the formula; the
+    # increment; the norm; and, with the grad statistic, grad_batch and its
+    # closed form.  At d = 4 the gain calls _squared_norms in place of its
+    # formula, and the batch form is one einsum with no 1-d formula
+    n_steps, m = 1000, 6
+    objective = trig_quadratic_1d() if dim == 1 else quadratic_nd(np.eye(dim))
+    schedule, gain = StepSizeSchedule(0.01, 0.6), CenterActiveGain(0.1, np.zeros(dim), 1.0)
+    probes = [ProbeGenerator(BaseNoise("rademacher", dim), "iid", seed=s) for s in range(m)]
+    statistic = WindowStatistic(0, objective.grad_batch) if grad_statistic else None
+
+    def run():
+        result = run_batch(objective, schedule, gain, probes, np.ones((m, dim)), n_steps, statistic=statistic)
+        assert not result.diverged.any()
+
+    assert python_calls(run, package_only=True) <= per_step * n_steps + 100
