@@ -9,7 +9,15 @@ bit-identically.  The JSON is strict: a non-finite number is written as
 null.
 
 Exit codes: 0 success, 2 invalid configuration, 3 divergence-guard trip,
-4 solver non-convergence.
+4 solver non-convergence.  ``main`` maps the exceptions to codes for
+every command: a configuration error or a missing file gives 2, a solver
+error 4.  Each is raised before the output directory is made, so such a
+failure makes no directory and writes one ``error:`` line to stderr.
+
+``meanflow`` and ``equilibrium`` share one command body; ``equilibrium``
+writes ``meanflow``'s ``eq_report.json`` alone.  The objective's known
+optimum is the bias sweep's zero-gain reference, and the equilibrium
+search starts there unless ``meanflow.theta_init`` is set.
 
 ``experiment`` runs the whole matrix as lane batches in one thread.  The
 ``--workers`` option is still parsed and must be at least 1 (else exit 2),
@@ -49,7 +57,6 @@ from .core import DivergenceGuard, run_batch
 from .ensemble import lane_stream, run_ensemble_matrix, scaling_fit
 from .exploration import ProbeGenerator, derive_seed, regeneration_test
 from .meanflow import MeanFieldEvaluator, SolverError, bias_sweep, find_equilibrium, integrate_flow
-from .objectives import bisect_root
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -123,12 +130,6 @@ def _prepare(args, command: str):
     return cfg, out
 
 
-def _deterministic_method(cfg: dict) -> str:
-    if "meanflow.method" in cfg:
-        return cfg["meanflow.method"]
-    return "two_point" if cfg["probe.base"] == "rademacher" else "quadrature"
-
-
 def cmd_run(args) -> int:
     cfg, out = _prepare(args, "run")
     objective = build_objective(cfg)
@@ -160,7 +161,6 @@ def cmd_run(args) -> int:
         algorithm=cfg.get("run.algorithm", "1spsa"),
         guard=guard,
         stride=cfg.get("run.stride", 1),
-        record_objective=True,
     )
     diverged_at = int(result.diverged_at[0])
 
@@ -268,7 +268,7 @@ def _mean_field(cfg: dict, objective, gain, base, mode: str) -> MeanFieldEvaluat
             f"config key 'objective.kind' is {cfg['objective.kind']!r}, of dimension {objective.dim}; "
             "the mean field needs a one-dimensional objective"
         )
-    method = _deterministic_method(cfg)
+    method = cfg.get("meanflow.method", "two_point" if cfg["probe.base"] == "rademacher" else "quadrature")
     try:
         return MeanFieldEvaluator(
             objective=objective, gain=gain, base=base, mode=mode, varsigma=get_varsigma(cfg), method=method
@@ -277,29 +277,13 @@ def _mean_field(cfg: dict, objective, gain, base, mode: str) -> MeanFieldEvaluat
         raise ConfigError(f"config key 'meanflow.method' is {method!r}, which does not fit the config: {exc}") from exc
 
 
-def _build_evaluator(cfg: dict) -> MeanFieldEvaluator:
-    objective = build_objective(cfg)
-    gain = build_gain(cfg, objective)
-    base = build_base_noise(cfg, objective.dim)
-    return _mean_field(cfg, objective, gain, base, cfg.get("probe.mode", "iid"))
-
-
-def _check_start_points(cfg: dict, dim: int) -> None:
-    """Each mean-field start point in the config must be a point of the objective."""
-    for key in ("meanflow.theta_init", "meanflow.flow_theta0"):
-        if key in cfg and len(cfg[key]) != dim:
-            raise ConfigError(f"config key {key!r} has dimension {len(cfg[key])}, objective has {dim}")
-
-
 def _equilibrium_payload(cfg: dict, evaluator: MeanFieldEvaluator) -> dict:
+    # every built-in objective knows its stationary point: the search's
+    # default start and the bias sweep's zero-gain reference
     objective = evaluator.objective
-    if "meanflow.theta_init" in cfg:
-        theta_init = float(cfg["meanflow.theta_init"][0])
-    elif objective.known_optimum is not None:
-        theta_init = float(objective.known_optimum[0])
-    else:
-        theta_init = 0.0
-    report = find_equilibrium(evaluator, theta_init, tol=cfg.get("meanflow.tol", 1e-10))
+    optimum = float(objective.known_optimum[0])
+    tol = cfg.get("meanflow.tol", 1e-10)
+    report = find_equilibrium(evaluator, cfg.get("meanflow.theta_init", [optimum])[0], tol=tol)
     # in dimension 1 the Jacobian is the one eigenvalue
     payload = {
         "theta_star": [report.theta_star],
@@ -309,15 +293,14 @@ def _equilibrium_payload(cfg: dict, evaluator: MeanFieldEvaluator) -> dict:
         "bias_to_origin": report.bias_to_origin,
     }
     if "meanflow.eps_sweep" in cfg:
-        ref = bisect_root(lambda x: float(objective.grad(x)[0]), -1.0, 1.0)
         # one objective and one base noise for every gain scale
         biases, slope = bias_sweep(
             lambda eb: _mean_field(
                 cfg, objective, build_gain(cfg, objective, eps_bullet=eb), evaluator.base, evaluator.mode
             ),
             cfg["meanflow.eps_sweep"],
-            ref,
-            tol=cfg.get("meanflow.tol", 1e-10),
+            optimum,
+            tol=tol,
         )
         payload["bias_sweep"] = {
             "eps": [float(e) for e in cfg["meanflow.eps_sweep"]],
@@ -328,49 +311,37 @@ def _equilibrium_payload(cfg: dict, evaluator: MeanFieldEvaluator) -> dict:
 
 
 def cmd_meanflow(args) -> int:
-    cfg, out = _prepare(args, "meanflow")
-    evaluator = _build_evaluator(cfg)
-    _check_start_points(cfg, evaluator.objective.dim)
-    lo, hi, npts = cfg["meanflow.grid"]
-    grid = np.linspace(lo, hi, int(npts))
-    try:
-        payload = _equilibrium_payload(cfg, evaluator)
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    """``meanflow``, and ``equilibrium``, which writes the same ``eq_report.json`` alone."""
+    cfg, out = _prepare(args, args.command)
+    objective = build_objective(cfg)
+    gain = build_gain(cfg, objective)
+    base = build_base_noise(cfg, objective.dim)
+    evaluator = _mean_field(cfg, objective, gain, base, cfg.get("probe.mode", "iid"))
+    for key in ("meanflow.theta_init", "meanflow.flow_theta0"):
+        if key in cfg and len(cfg[key]) != 1:
+            raise ConfigError(f"config key {key!r} has dimension {len(cfg[key])}, objective has 1")
+    payload = _equilibrium_payload(cfg, evaluator)
 
     out.mkdir(parents=True, exist_ok=True)
-    fbar = evaluator.evaluate(grid)
-    _write_csv(out / "fbar_grid.csv", ["theta", "fbar", "stderr"], [grid.tolist(), fbar.tolist(), "0"])
-    outputs = ["fbar_grid.csv", "eq_report.json"]
-
-    if "meanflow.flow_theta0" in cfg:
-        flow = integrate_flow(
-            evaluator.at_float,
-            cfg["meanflow.flow_theta0"][0],
-            cfg.get("meanflow.flow_t_end", 1.0),
-            cfg.get("meanflow.flow_dt", 1e-3),
-        )
-        _write_csv(out / "flow_mean.csv", ["t", "theta_0"], [flow.times.tolist(), flow.states.tolist()])
-        outputs.append("flow_mean.csv")
+    outputs = ["eq_report.json"]
+    if args.command == "meanflow":
+        lo, hi, npts = cfg["meanflow.grid"]
+        grid = np.linspace(lo, hi, int(npts))
+        fbar = evaluator.evaluate(grid)
+        _write_csv(out / "fbar_grid.csv", ["theta", "fbar", "stderr"], [grid.tolist(), fbar.tolist(), "0"])
+        outputs.append("fbar_grid.csv")
+        if "meanflow.flow_theta0" in cfg:
+            flow = integrate_flow(
+                evaluator.at_float,
+                cfg["meanflow.flow_theta0"][0],
+                cfg.get("meanflow.flow_t_end", 1.0),
+                cfg.get("meanflow.flow_dt", 1e-3),
+            )
+            _write_csv(out / "flow_mean.csv", ["t", "theta_0"], [flow.times.tolist(), flow.states.tolist()])
+            outputs.append("flow_mean.csv")
 
     _write_json(out / "eq_report.json", payload)
-    _write_manifest(out, "meanflow", cfg, outputs, {})
-    return EXIT_OK
-
-
-def cmd_equilibrium(args) -> int:
-    cfg, out = _prepare(args, "equilibrium")
-    evaluator = _build_evaluator(cfg)
-    _check_start_points(cfg, evaluator.objective.dim)
-    try:
-        payload = _equilibrium_payload(cfg, evaluator)
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "eq_report.json", payload)
-    _write_manifest(out, "equilibrium", cfg, ["eq_report.json"], {})
+    _write_manifest(out, args.command, cfg, outputs, {})
     return EXIT_OK
 
 
@@ -415,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("run", cmd_run, "run one trajectory and write its record"),
         ("experiment", cmd_experiment, "run the gain-scale by probe-mode ensemble matrix"),
         ("meanflow", cmd_meanflow, "tabulate the mean field, integrate its flow, report the equilibrium"),
-        ("equilibrium", cmd_equilibrium, "locate the mean-field equilibrium and report its spectrum"),
+        ("equilibrium", cmd_meanflow, "locate the mean-field equilibrium and report its spectrum"),
         ("probe-check", cmd_probe_check, "probe-law moment diagnostics"),
     ):
         p = sub.add_parser(name, help=helptext)
@@ -436,12 +407,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

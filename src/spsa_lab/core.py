@@ -147,7 +147,6 @@ def run_batch(
     algorithm: str = "1spsa",
     guard: DivergenceGuard | None = None,
     stride: int = 0,
-    record_objective: bool = False,
     statistic: WindowStatistic | None = None,
     chunk: int = ENGINE_CHUNK,
 ) -> BatchRunResult:
@@ -166,8 +165,9 @@ def run_batch(
     live lane trips, once that step's statistic, gain and record are
     done, so the records of a batch whose lanes all trip end at the last
     trip index.  While no lane has tripped, a step adds the increment
-    without masking.  With ``stride`` > 0 the iterate at every stride-th
-    index (plus index 0 and the final index) is stored.  ``gain`` may
+    without masking.  With ``stride`` > 0 the iterate, its objective value,
+    the step size and the gain at every stride-th index (plus index 0 and
+    the final index) are stored.  ``gain`` may
     carry one scale per lane (``eps_bullet`` of shape (m,)).  With a
     ``statistic``, ``window_mean`` holds each lane's mean of its function
     over the window, as an (m, p) array: an (m, 1) column of NaN when no
@@ -245,8 +245,7 @@ def run_batch(
         rec_alpha[i] = alpha
         rec_thetas[i] = current
         rec_gain[i] = eps
-        if record_objective:
-            rec_obj[i] = value(current)
+        rec_obj[i] = value(current)
         n_recorded += 1
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -259,7 +258,7 @@ def run_batch(
             rec_thetas = np.empty((n_rec,) + np.shape(theta))
             # the gain and the objective value have one shape in each form
             rec_gain = np.empty((n_rec,) + np.shape(eps))
-            rec_obj = np.empty((n_rec,) + np.shape(eps)) if record_objective else None
+            rec_obj = np.empty((n_rec,) + np.shape(eps))
             record(0, theta, schedule(0), eps)
         if start <= 0:
             vals = np.asarray(statistic.fn(theta), dtype=float)
@@ -324,8 +323,7 @@ def run_batch(
         result.thetas = rec_thetas[:k].reshape(k, m, d).transpose(1, 0, 2)  # (m, k, d)
         result.alpha_trace = rec_alpha[:k]
         result.gain_trace = rec_gain[:k].reshape(k, m).T
-        if record_objective:
-            result.objective_trace = rec_obj[:k].reshape(k, m).T
+        result.objective_trace = rec_obj[:k].reshape(k, m).T
     if statistic is not None:
         mean = np.full((m, 1), np.nan) if window_sum is None else (window_sum / window_count).reshape(m, -1)
         # a frozen lane's window is cut short, so it has no window average

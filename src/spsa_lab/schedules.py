@@ -62,8 +62,7 @@ class StepSizeSchedule:
     def __call__(self, n):
         """Step size at iteration ``n`` (scalar or integer array)."""
         n = np.asarray(n, dtype=float)
-        with np.errstate(divide="ignore"):
-            decay = np.where(n >= 1, np.power(np.maximum(n, 1.0), -self.rho), np.inf)
+        decay = np.where(n >= 1, np.power(np.maximum(n, 1.0), -self.rho), np.inf)
         out = np.minimum(self.alpha0, decay)
         return float(out) if out.ndim == 0 else out
 

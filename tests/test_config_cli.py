@@ -415,28 +415,40 @@ def child_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
 
 
+OVERFLOW_CASES = {
+    "eps_bullet_1e300": ({"gain.eps_bullet": 1e300}, 4),
+    "theta_init_1e300": ({"meanflow.theta_init": [1e300]}, 4),
+    "flow_theta0_1e200": ({"meanflow.flow_theta0": [1e200]}, 0),
+    "flow_theta0_1e300": ({"meanflow.flow_theta0": [1e300]}, 0),
+}
+# the meanflow cases keep their plain names; equilibrium runs meanflow's
+# command body without the flow, so it takes the solver failures only
+OVERFLOW_SLOTS = [("meanflow", case) for case in OVERFLOW_CASES] + [
+    ("equilibrium", case) for case, (_, code) in OVERFLOW_CASES.items() if code == 4
+]
+
+
 @pytest.mark.parametrize(
-    "changes, code",
-    [
-        ({"gain.eps_bullet": 1e300}, 4),
-        ({"meanflow.theta_init": [1e300]}, 4),
-        ({"meanflow.flow_theta0": [1e200]}, 0),
-        ({"meanflow.flow_theta0": [1e300]}, 0),
-    ],
-    ids=["eps_bullet_1e300", "theta_init_1e300", "flow_theta0_1e200", "flow_theta0_1e300"],
+    "command, case",
+    OVERFLOW_SLOTS,
+    ids=[case if command == "meanflow" else f"{command}:{case}" for command, case in OVERFLOW_SLOTS],
 )
-def test_cli_meanflow_meets_overflow_without_traceback_or_warning(tmp_path, changes, code):
+def test_cli_meanflow_meets_overflow_without_traceback_or_warning(tmp_path, command, case):
     # the field's float formulas meet inf and NaN here, where math.cos(inf)
     # raises and np.cos gives NaN; the equilibrium search fails on a NaN
-    # residual (exit 4) and the flow stops at its first non-finite state
-    # (exit 0), and stderr holds nothing but the solver's error line
+    # residual (exit 4, before any output directory is made) and the flow
+    # stops at its first non-finite state (exit 0), and stderr holds nothing
+    # but the solver's error line
+    changes, code = OVERFLOW_CASES[case]
     cfg_path = write_cfg(tmp_path, dict(MEANFLOW_TRIG, **changes))
-    cmd = [sys.executable, "-m", "spsa_lab.cli", "meanflow", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    out = tmp_path / "out"
+    cmd = [sys.executable, "-m", "spsa_lab.cli", command, "--config", str(cfg_path), "--out", str(out)]
     proc = subprocess.run(cmd, env=child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr
     want = "error: equilibrium search stalled at residual nan (tol 1.0e-10)\n" if code == 4 else ""
     assert proc.stderr == want
+    assert out.exists() == (code == 0)
 
 
 def test_cli_run_with_non_finite_state_writes_strict_json(tmp_path):

@@ -206,10 +206,11 @@ def test_batch_engine_freezes_only_diverged_lanes():
 
 def test_guard_trip_rule_nan_inf_and_threshold():
     # in a five-lane run the objective returns NaN on lane 0 and +inf on
-    # lane 1 at its 50th call, which makes iterate 50, so those iterates
-    # become NaN and infinite; it returns 0 on lane 2, which starts on the
-    # threshold and so never moves; lanes 3 and 4 see the plain quadratic,
-    # as in a run of those two lanes alone
+    # lane 1 at its 100th call, which makes iterate 50 (a stride-1 run calls
+    # it for the record at index 0, then for each step and its record), so
+    # those iterates become NaN and infinite; it returns 0 on lane 2, which
+    # starts on the threshold and so never moves; lanes 3 and 4 see the
+    # plain quadratic, as in a run of those two lanes alone
     from spsa_lab.core import WindowStatistic
 
     threshold, trip_at = 1e3, 50
@@ -220,7 +221,7 @@ def test_guard_trip_rule_nan_inf_and_threshold():
         if ts.shape[0] == 5:
             calls["n"] += 1
             vals[2] = 0.0
-            if calls["n"] == trip_at:
+            if calls["n"] == 2 * trip_at:
                 vals[0], vals[1] = np.nan, np.inf
         return vals
 
@@ -339,7 +340,6 @@ def test_run_batch_is_independent_of_chunk_width(chunk):
             algorithm=algorithm,
             guard=DivergenceGuard(1e6),
             stride=1,
-            record_objective=True,
             statistic=WindowStatistic(1000, lambda th: th),
             chunk=width,
         )

@@ -252,7 +252,6 @@ def engine(c: dict, lanes) -> object:
         algorithm=c["algorithm"],
         guard=DivergenceGuard(THRESHOLD),
         stride=1,
-        record_objective=True,
         chunk=c["chunk"],
     )
 

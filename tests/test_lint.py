@@ -7,7 +7,8 @@ binds ``run_batch`` arguments by name, so those names must stay in the
 package.  ``math.sin``, ``math.cos`` and ``math.sqrt`` raise on arguments
 where NumPy gives NaN, so a formula reaches them only through the two
 NaN-catching float bindings: ``objectives.float_form`` and the mean field's
-two-point binding, ``meanflow._two_point_field``.
+two-point binding, ``meanflow._two_point_field``.  The command line maps
+its exceptions to exit codes in one place, ``cli.main``.
 """
 
 import ast
@@ -140,3 +141,23 @@ def test_raising_math_functions_only_in_nan_safe_helpers(stem):
             bad.append(("math", node.lineno))
     bindings = " or ".join(".".join(b) for b in sorted(FLOAT_BINDINGS))
     assert not bad, f"{stem}.py reaches math other than through {bindings}: {bad}"
+
+
+# cli.main turns these into exit codes (2, 2 and 4) for every command; a
+# command that caught one itself would be a second mapping to keep in step
+EXIT_CODE_ERRORS = {"ConfigError", "FileNotFoundError", "SolverError"}
+
+
+def test_exit_codes_mapped_in_main_only():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    bad = []
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name == "main":
+            continue
+        for handler in ast.walk(top):
+            if not (isinstance(handler, ast.ExceptHandler) and handler.type is not None):
+                continue
+            caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            names = {getattr(n, "id", None) or getattr(n, "attr", None) for n in caught}
+            bad += [(name, handler.lineno) for name in sorted(names & EXIT_CODE_ERRORS)]
+    assert not bad, f"cli.py catches exit-code errors outside main: {bad}"
