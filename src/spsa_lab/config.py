@@ -223,9 +223,10 @@ def _check_derived(cfg: dict, command: str) -> None:
     """Check what the program derives from keys that pass their own checks.
 
     A square, a doubled bound, the largest probe offset (gain scale times
-    probe support), the probe check's third-moment sum, and the sizes of the
-    work and of the outputs: flow steps, run steps, record rows, experiment
-    lanes and lane-steps, and probe-check samples.
+    probe support), the probe check's third-moment sum, the last gain of a
+    decaying schedule, and the sizes of the work and of the outputs: flow
+    steps, run steps, record rows, experiment lanes and lane-steps, and
+    probe-check samples.
     """
     if "gain.sigma_p" in cfg and not 0.0 < cfg["gain.sigma_p"] * cfg["gain.sigma_p"] < math.inf:
         raise ConfigError(f"config key 'gain.sigma_p' is {cfg['gain.sigma_p']!r}; its square must be in (0, inf)")
@@ -286,6 +287,14 @@ def _check_derived(cfg: dict, command: str) -> None:
                 f"config key 'ensemble.N' asks for {lanes * cfg['ensemble.N']} lane-steps ({lanes} lanes x N); "
                 f"at most {MAX_LANE_STEPS} are allowed"
             )
+    if command in ("run", "experiment") and cfg["gain.kind"] == "decaying":
+        # the increment divides by the gain, and a one-lane run raises on a zero
+        # one; the smallest gain is the smallest scale at the last index, which
+        # the caps above keep small enough for a float
+        eps = cfg["gain.eps_bullet"] if command == "run" else cfg["ensemble.eps_grid"][0]
+        n = cfg["run.N"] if command == "run" else cfg["ensemble.N"]
+        if DecayingGain(eps, cfg["gain.kappa"]).at_float(0.0, n) == 0.0:
+            raise ConfigError(f"config key 'gain.kappa' is {cfg['gain.kappa']!r}; gain {eps!r} * {n}**-kappa is 0.0")
 
 
 def config_hash(cfg: dict) -> str:

@@ -26,9 +26,11 @@ the same order.  Each 1-d formula is written once and takes its library:
 catches libm's domain errors once and gives NaN as NumPy does; squares
 are written ``x * x`` (see ``objectives``).  The guard at d = 1 is
 ``abs(theta) <= threshold``.  Overflow gives inf or NaN in both forms,
-without a warning, and the guard trips on it.  Python raises on a float
-division by zero, where an array gives inf or NaN, so a float lane whose
-gain has underflowed to 0.0 takes that step on a 1 x 1 row.
+without a warning, and the guard trips on it.  The one exception is a
+gain that has underflowed to 0.0 (a decaying gain far out): rows divide
+by it to inf or NaN, with NumPy's warning, but a float lane raises
+``ZeroDivisionError``.  The CLI rejects such a gain in its config
+(``gain.kappa``).
 """
 
 from __future__ import annotations
@@ -174,7 +176,8 @@ def run_batch(
     step reaches the window.  The function sees (m, d) rows, since a run
     with a statistic takes the rows form; with none, a step makes no
     statistic pass.  The iterate's form (see the module docstring) does not
-    change the result.
+    change the result, except that a one-lane float run whose gain reaches
+    0.0 raises ``ZeroDivisionError``.
     """
     if algorithm not in ("1spsa", "2spsa"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -192,9 +195,6 @@ def run_batch(
     # probes of a chunk, one entry per step.  A lane runs on floats when its
     # objective and gain have float formulas and no statistic needs rows; a
     # gain with one scale per lane keeps the rows
-    def row_value(x):
-        return objective.value_batch(x)[:, None]
-
     lane = statistic is None and m == 1 and d == 1 and objective.fn_1d is not None and np.ndim(gain.eps_bullet) == 0
     if lane:
         theta = float(theta[0, 0])
@@ -204,7 +204,10 @@ def run_batch(
             return probes[0].take(width)[:, 0].tolist()
 
     else:
-        value = row_value
+
+        def value(x):
+            return objective.value_batch(x)[:, None]
+
         # one chunk of probes, drawn lane by lane into the same buffer; step
         # major, so each step reads one contiguous (m, d) block
         xi_buf = np.empty((min(chunk, n_steps), m, d))
@@ -273,15 +276,7 @@ def run_batch(
             for j in range(width):
                 k = n + j + 1  # index of the iterate produced this step
                 alpha = alphas[j]
-                try:
-                    incr = _increment(value, algorithm, theta, xi[j], eps, alpha)
-                except ZeroDivisionError:
-                    if not lane:
-                        raise
-                    # a zero gain: this step runs on a 1 x 1 row, whose IEEE
-                    # division gives inf or NaN (with NumPy's warning)
-                    row = np.array([[theta]]), np.array([[xi[j]]]), np.array([[eps]])
-                    incr = float(_increment(row_value, algorithm, *row, alpha)[0, 0])
+                incr = _increment(value, algorithm, theta, xi[j], eps, alpha)
                 if live:
                     theta += incr
                 else:

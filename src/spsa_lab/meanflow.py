@@ -14,20 +14,22 @@ field at a float, bound once at construction.
 on each, so a float's field equals its entry in a column bit for bit:
 
 - a Python float, giving a float, through ``at_float``.  The two-point
-  rule is one closure over the gain's float form and the objective's 1-d
-  formula, which it runs on ``math`` itself (``_two_point_field``): it
-  catches libm's domain errors per value and gives NaN, as
-  ``objectives.float_form`` does, and checks the objective's floor.  No
-  NumPy call is made, and squares are written ``x * x`` (see
-  ``objectives``).  Quadrature's 64 or 128 node values are one array per
-  point.
+  rule on an objective with a 1-d formula is one closure over the gain's
+  float form and that formula, which it runs on ``math`` itself
+  (``_two_point_field``): it catches libm's domain errors per value and
+  gives NaN, as ``objectives.float_form`` does, and checks the objective's
+  floor.  No NumPy call is made, and squares are written ``x * x`` (see
+  ``objectives``).  Every other field (the quadrature rule, or an
+  objective without ``fn_1d``) is the column form on a 1-entry column.
 - an (m,) column of points, giving an (m,) array: the same formulas on
   ``numpy``.
 
 A non-finite or overflowing point gives inf or NaN, never an exception or
 a warning: the float forms map libm's domain errors to NaN, and the
-array work runs with NumPy's overflow and invalid-value warnings off.
-Callers judge the result (a NaN residual fails the equilibrium search, a
+array work runs with NumPy's overflow and invalid-value warnings off
+(``evaluate`` enters ``np.errstate`` for all but the two-point closure; the
+flow and the equilibrium search hold one over all their calls).  Callers
+judge the result (a NaN residual fails the equilibrium search, a
 non-finite state ends the flow).
 """
 
@@ -55,6 +57,7 @@ __all__ = [
 ]
 
 QUADRATURE_NODES = 64
+NEWTON_MAX_ITER = 200
 
 
 class SolverError(RuntimeError):
@@ -77,7 +80,8 @@ class MeanFieldEvaluator:
     zigzag probes, one rule per half of the triangular marginal).  The
     probe mode enters only through the marginal probe law (iid base draws
     versus scaled differences of independent draws).  ``at_float(x)`` is
-    the field at a float, bound at construction (see the module docstring).
+    the field at a float, bound at construction: the two-point closure on
+    ``math`` or the column form on one point (see the module docstring).
     """
 
     objective: Objective
@@ -104,35 +108,21 @@ class MeanFieldEvaluator:
         # (node, weighted node) pairs as floats: the two-point rule's terms
         float_rule = tuple(zip(nodes.tolist(), self._weighted_nodes.tolist()))
         object.__setattr__(self, "_float_rule", float_rule)
+        object.__setattr__(self, "_math_only", self.method == "two_point" and self.objective.fn_1d is not None)
         # the field at a float, bound once (the fields are frozen, so it stays current)
         object.__setattr__(self, "at_float", self._bind_at_float())
 
     def _bind_at_float(self):
-        """The field at a float, as one closure over the gain's float form.
+        """The field at a float: ``_two_point_field`` for the two-point rule on an objective's 1-d formula.
 
-        two_point: the rule on the objective's 1-d formula, on ``math``
-        (``_two_point_field``), or on its float form when it has no formula.
-        quadrature: the node values are one array per point; that array
-        work runs under its caller's ``np.errstate``.
+        Every other field (quadrature, or an objective without ``fn_1d``) is
+        ``_field`` on a 1-entry column, under its caller's ``np.errstate``.
         """
-        gain_at, objective = self.gain.at_float, self.objective
-        if self.method == "quadrature":
-            nodes, weighted_nodes, values = self._nodes, self._weighted_nodes, self._values
-
-            def quadrature(x):
-                eps = gain_at(x)
-                return -float(np.add.reduce(values(x + eps * nodes) * weighted_nodes, axis=-1)) / eps
-
-            return quadrature
-        if objective.fn_1d is not None:
-            return _two_point_field(gain_at, objective.fn_1d, *objective.float_floor(), self._float_rule)
-        f, ((n0, w0), (n1, w1)) = objective.at_float, self._float_rule
-
-        def two_point(x):
-            eps = gain_at(x)
-            return -(f(x + eps * n0) * w0 + f(x + eps * n1) * w1) / eps
-
-        return two_point
+        if self._math_only:
+            objective = self.objective
+            return _two_point_field(self.gain.at_float, objective.fn_1d, *objective.float_floor(), self._float_rule)
+        field = self._field
+        return lambda x: float(field(np.array([x]))[0])
 
     def _rule(self):
         """Nodes and weights integrating against the marginal probe law.
@@ -163,13 +153,14 @@ class MeanFieldEvaluator:
         """Mean field at a float ``x``, as a float, or on an (m,) column ``x``, as an (m,) array.
 
         A NumPy float scalar is taken as a float, and runs ``at_float``.  The
-        two-point rule at a float makes no NumPy call, so it needs no
-        ``np.errstate``; every rule with array work runs under one, entered
-        here on each call.  A loop over floats calls ``at_float`` under one
-        guard of its own instead, as the flow and the equilibrium search do.
+        two-point closure at a float makes no NumPy call, so it needs no
+        ``np.errstate``; a column, and a float field in the column form, run
+        under one, entered here on each call.  A loop over floats calls
+        ``at_float`` under one guard of its own instead, as the flow and the
+        equilibrium search do.
         """
         x = float(x) if isinstance(x, float) else x
-        if x.__class__ is float and self.method == "two_point":
+        if x.__class__ is float and self._math_only:
             return self.at_float(x)
         with np.errstate(over="ignore", invalid="ignore"):
             return self.at_float(x) if x.__class__ is float else self._field(x)
@@ -271,7 +262,7 @@ def integrate_flow(field, x0: float, t_end: float, dt: float) -> FlowTrajectory:
 
     ``field`` maps a float state to its float derivative, for example a
     ``MeanFieldEvaluator``'s ``at_float``.  The whole loop runs under one
-    ``np.errstate``, so a field with array work (quadrature) needs no guard
+    ``np.errstate``, so a field with array work (the column form) needs no guard
     of its own.  A non-finite state aborts integration and the partial
     trajectory is returned; the overflow that produces it is not reported
     as a warning.
@@ -315,12 +306,7 @@ def _jacobian(field, x: float) -> float:
     return (field(x + h) - field(x - h)) / (2.0 * h)
 
 
-def find_equilibrium(
-    evaluator: MeanFieldEvaluator,
-    theta_init: float,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> EquilibriumReport:
+def find_equilibrium(evaluator: MeanFieldEvaluator, theta_init: float, tol: float = 1e-10) -> EquilibriumReport:
     """Damped Newton root search on the mean field, from a float start.
 
     Newton steps are halved (up to 60 times) until |field| decreases; if
@@ -336,7 +322,7 @@ def find_equilibrium(
     with np.errstate(over="ignore", invalid="ignore"):
         fval = field(x)
         fnorm = abs(fval)
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             if fnorm <= tol:
                 break
             jac = _jacobian(field, x)

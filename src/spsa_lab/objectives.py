@@ -52,6 +52,7 @@ __all__ = [
 
 
 _FLOAT64 = np.dtype(np.float64)
+BISECT_MAX_ITER = 200
 
 
 def _fd_step(theta: np.ndarray, h: float | None) -> float:
@@ -185,7 +186,7 @@ def grad_check(obj: Objective, theta_grid, h: float = 1e-4) -> float:
     return worst
 
 
-def bisect_root(fn, lo: float, hi: float, tol: float = 1e-14, max_iter: int = 200) -> float:
+def bisect_root(fn, lo: float, hi: float, tol: float = 1e-14) -> float:
     """Plain interval bisection; requires a sign change on [lo, hi]."""
     flo, fhi = fn(lo), fn(hi)
     if flo == 0.0:
@@ -194,7 +195,7 @@ def bisect_root(fn, lo: float, hi: float, tol: float = 1e-14, max_iter: int = 20
         return hi
     if flo * fhi > 0:
         raise ValueError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fmid = fn(mid)
         if fmid == 0.0 or hi - lo < tol:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from spsa_lab.cli import _write_csv, main
-from spsa_lab.config import ConfigError, config_hash, load_config, validate_config
+from spsa_lab.config import _GAIN_KEY_DEPS, REQUIRED_KEYS, ConfigError, config_hash, load_config, validate_config
 
 
 def read_csv(path):
@@ -203,6 +203,7 @@ def test_cli_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
 
 
+DECAYING = {"gain.kind": "decaying", "gain.kappa": 0.6}
 # 2 probe modes x 5 gains x M lanes = 1000 lanes
 FIG2_FULL_SHAPE = {"ensemble.M": 100, "ensemble.eps_grid": [0.05, 0.0707, 0.1, 0.1414, 0.2]}
 
@@ -359,6 +360,11 @@ PROBE_CHECK_SMALL = dict(
         ("probe-check", dict(PROBE_CHECK_SMALL, **{"probe.varsigma": 10**400}), "probe.varsigma"),
         ("probe-check", dict(PROBE_CHECK_SMALL, **{"probe_check.samples": 10**12}), "probe_check.samples"),
         ("probe-check", dict(PROBE_CHECK_SMALL, **{"probe_check.regen_samples": 10**7 + 1}), "probe_check.regen_samples"),
+        ("run", run_cfg(**{**DECAYING, "gain.kappa": 1000.0}), "gain.kappa"),
+        ("run", run_cfg(n=2, **{**DECAYING, "gain.eps_bullet": 1.0, "gain.kappa": 1075.0}), "gain.kappa"),
+        ("experiment", experiment_cfg(**{**DECAYING, "gain.kappa": 1000.0}), "gain.kappa"),
+        ("run", run_cfg(n=10**400, **DECAYING), "run.N"),
+        ("experiment", experiment_cfg(**{**DECAYING, "ensemble.N": 10**400}), "ensemble.N"),
     ],
     ids=[
         "sigma_p_square_underflows", "sigma_p_square_overflows", "run_sigma_p_square_overflows",
@@ -370,17 +376,19 @@ PROBE_CHECK_SMALL = dict(
         "eps_grid_probe_offset_overflows", "probe_bound_cube_overflows", "probe_varsigma_bound_cube_overflows",
         "probe_third_moment_sum_overflows", "probe_support_square_overflows", "probe_varsigma_square_overflows",
         "support_int_too_large_for_a_float", "varsigma_int_too_large_for_a_float", "probe_samples_far_above_cap",
-        "regen_samples_just_above_cap",
+        "regen_samples_just_above_cap", "run_decaying_gain_underflows", "run_decaying_gain_just_underflows",
+        "experiment_decaying_gain_underflows", "run_decaying_steps_int_too_large_for_a_float",
+        "experiment_decaying_steps_int_too_large_for_a_float",
     ],
 )
 def test_cli_derived_quantity_out_of_range_exits_2_naming_key(tmp_path, capsys, command, cfg, key):
     # each key passes its own check, but a quantity derived from it (a square,
     # a doubled bound, a probe offset, a step count, a grid size, the rows of
     # a record, the lanes or lane-steps of an experiment, the sum of a probe
-    # check's third-moment products) is out of range or above its cap; the
-    # config is rejected before any work starts.  An int too large for a float
-    # fails its own check.  A run of 10**12 steps recorded every 10**7 has few
-    # rows but would take a month
+    # check's third-moment products, the last decaying gain) is out of range or
+    # above its cap; the config is rejected before any work starts.  An int too
+    # large for a float fails its own check.  A run of 10**12 steps recorded
+    # every 10**7 has few rows but would take a month
     cfg_path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
     with warnings.catch_warnings():
@@ -407,6 +415,63 @@ def test_record_and_lane_caps_admit_their_limit():
 def test_probe_sample_caps_admit_their_limit():
     cfg = dict(PROBE_CHECK_SMALL, **{"probe_check.samples": 10**7, "probe_check.regen_samples": 10**7})
     validate_config(cfg, "probe-check")
+
+
+def test_decaying_gain_check_admits_the_smallest_subnormal():
+    # 2**-1074 is the smallest positive double; 2**-1075 rounds to 0.0
+    validate_config(run_cfg(n=2, **{**DECAYING, "gain.eps_bullet": 1.0, "gain.kappa": 1074.0}), "run")
+
+
+def without(cfg: dict, key: str) -> dict:
+    return {k: v for k, v in cfg.items() if k != key}
+
+
+REQUIRED_BASES = {
+    "run": run_cfg(),
+    "experiment": experiment_cfg(),
+    "meanflow": MEANFLOW_TRIG,
+    "equilibrium": MEANFLOW_TRIG,
+    "probe-check": PROBE_CHECK_SMALL,
+}
+GAIN_BASES = {
+    "decaying": run_cfg(**DECAYING),
+    "center_active": run_cfg(),
+    "objective_active": run_cfg(**{"gain.kind": "objective_active", "gain.obj_floor": 0.0}),
+}
+QUADRATIC_ND = run_cfg(
+    **{
+        "objective.kind": "quadratic_nd",
+        "objective.Q": [[2.0, 0.0], [0.0, 1.0]],
+        "gain.theta_ctr": [0.0, 0.0],
+        "run.theta0": [1.0, 1.0],
+    }
+)
+# (command, a valid config, the key to remove from it), each with its id
+MISSING_KEY_CASES = (
+    [pytest.param(c, cfg, key, id=f"{c}:{key}") for c, cfg in REQUIRED_BASES.items() for key in REQUIRED_KEYS[c]]
+    + [pytest.param("run", GAIN_BASES[k], key, id=f"{k}:{key}") for k, keys in _GAIN_KEY_DEPS.items() for key in keys]
+    + [
+        pytest.param("run", QUADRATIC_ND, "objective.Q", id="quadratic_nd:objective.Q"),
+        pytest.param("run", run_cfg(), "run.theta0", id="run:run.theta0"),
+        pytest.param(
+            "run", without(run_cfg(**{"run.theta0_box": [-1.0, 1.0]}), "run.theta0"), "run.theta0_box",
+            id="run:run.theta0_box",
+        ),
+    ]
+)
+
+
+@pytest.mark.parametrize("command, cfg, key", MISSING_KEY_CASES)
+def test_cli_missing_required_key_exits_2_naming_it(tmp_path, capsys, command, cfg, key):
+    # every key a command requires, each gain kind's keys, objective.Q for
+    # quadratic_nd and the run's start: without it the config is rejected
+    # before any output is made, with a message naming the key
+    validate_config(cfg, command)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_cfg(tmp_path, without(cfg, key))), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err, err
+    assert not out.exists()
 
 
 def child_env() -> dict:

@@ -286,12 +286,12 @@ def test_float_lane_and_batch_match_rows_over_many_seeds():
     assert tripped >= 20 and finished >= 20, (tripped, finished)
 
 
-def test_float_lane_with_a_zero_gain_steps_as_a_row():
+def test_float_lane_with_a_zero_gain_raises():
     # at the minimum of the quadratic a tiny gain leaves the iterate at 0
     # (the objective at eps * xi underflows to 0), until the decaying gain
-    # itself underflows to 0.0 at n = 2.  A float division by zero raises,
-    # so that step runs on a 1 x 1 row, which gives inf * 0 = NaN and NumPy's
-    # warning, and the lane trips at index 3 as the batch does
+    # itself underflows to 0.0 at n = 2.  Rows divide by it to inf * 0 = NaN,
+    # with NumPy's warning, and trip at index 3; a float lane raises on the
+    # division, as Python does (the CLI rejects this gain in its config)
     c = {
         "objective": quadratic_1d(),
         "schedule": StepSizeSchedule(0.1, 0.6),
@@ -307,10 +307,11 @@ def test_float_lane_with_a_zero_gain_steps_as_a_row():
             c["objective"], c["schedule"], c["gain"], probes_for(c, [0, 1]), c["theta0"], N_STEPS, "1spsa", THRESHOLD
         )
     assert list(ref[3]) == [3, 3]
-    for lanes, what in (([0, 1], "batch"), ([0], "float lane")):
-        with pytest.warns(RuntimeWarning, match="divide by zero"):
-            got = engine(c, lanes)
-        assert_run_matches(got, ref, lanes, what)
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        got = engine(c, [0, 1])
+    assert_run_matches(got, ref, [0, 1], "batch")
+    with pytest.raises(ZeroDivisionError):
+        engine(c, [0])
 
 
 def test_objective_without_a_formula_runs_on_one_row_batches():
