@@ -15,18 +15,20 @@ error 4.  Each is raised before the output directory is made, so such a
 failure makes no directory and writes one ``error:`` line to stderr.
 
 ``meanflow`` and ``equilibrium`` share one command body; ``equilibrium``
-writes ``meanflow``'s ``eq_report.json`` alone.  The objective's known
-optimum is the bias sweep's zero-gain reference, and the equilibrium
-search starts there unless ``meanflow.theta_init`` is set.
+writes ``meanflow``'s ``eq_report.json`` alone.  ``probe.base`` picks the
+node rule, so ``meanflow.method`` is optional.  The bias sweep rescales the
+gain of the one evaluator, and its zero-gain reference is the objective's
+known optimum, where the equilibrium search starts unless
+``meanflow.theta_init`` is set.
 
 ``experiment`` runs the whole matrix as lane batches in one thread.  The
 ``--workers`` option is still parsed and must be at least 1 (else exit 2),
 but it is ignored; there is no worker environment variable or config key.
 
 ``meanflow`` writes ``fbar_grid.csv`` with the header ``theta,fbar,stderr``.
-The ``stderr`` column is always 0: every method a config can select is
-deterministic.  The column stays because the header is the published
-output format, which the benchmark's output checks assert.
+The ``stderr`` column is always 0: both node rules are deterministic.
+The column stays because the header is the published output format,
+which the benchmark's output checks assert.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .config import (
     config_hash,
     get_varsigma,
     load_config,
+    setting,
     validate_config,
 )
 from .core import DivergenceGuard, run_batch
@@ -126,7 +129,7 @@ def _prepare(args, command: str):
     if args.seed is not None:
         cfg["seed.master"] = args.seed
     validate_config(cfg, command)
-    out = Path(args.out) if args.out else Path(cfg.get("output.dir", "spsa_lab_out"))
+    out = Path(args.out) if args.out else Path(setting(cfg, "output.dir"))
     return cfg, out
 
 
@@ -136,7 +139,7 @@ def cmd_run(args) -> int:
     schedule = build_schedule(cfg)
     gain = build_gain(cfg, objective)
     base = build_base_noise(cfg, objective.dim)
-    guard = DivergenceGuard(cfg.get("run.guard_threshold", 1e6))
+    guard = DivergenceGuard(setting(cfg, "run.guard_threshold"))
     seed = derive_seed(cfg["seed.master"], "run", 0)
     mode, varsigma = cfg["probe.mode"], get_varsigma(cfg)
     if "run.theta0" in cfg:
@@ -158,9 +161,9 @@ def cmd_run(args) -> int:
         [probe],
         theta0,
         cfg["run.N"],
-        algorithm=cfg.get("run.algorithm", "1spsa"),
+        algorithm=setting(cfg, "run.algorithm"),
         guard=guard,
-        stride=cfg.get("run.stride", 1),
+        stride=setting(cfg, "run.stride"),
     )
     diverged_at = int(result.diverged_at[0])
 
@@ -191,8 +194,8 @@ def cmd_experiment(args) -> int:
     schedule = build_schedule(cfg)
     base = build_base_noise(cfg, objective.dim)
     varsigma = get_varsigma(cfg)
-    guard = DivergenceGuard(cfg.get("run.guard_threshold", 1e6))
-    algorithm = cfg.get("run.algorithm", "1spsa")
+    guard = DivergenceGuard(setting(cfg, "run.guard_threshold"))
+    algorithm = setting(cfg, "run.algorithm")
     eps_grid = [float(e) for e in cfg["ensemble.eps_grid"]]
     master = cfg["seed.master"]
     if args.workers is not None and args.workers < 1:
@@ -262,27 +265,25 @@ def cmd_experiment(args) -> int:
 
 
 def _mean_field(cfg: dict, objective, gain, base, mode: str) -> MeanFieldEvaluator:
-    """The config's deterministic mean field; the one place a command builds an evaluator."""
+    """The config's mean field (a given ``meanflow.method`` must name its rule); the one place a command builds one."""
     if objective.dim != 1:
         raise ConfigError(
             f"config key 'objective.kind' is {cfg['objective.kind']!r}, of dimension {objective.dim}; "
             "the mean field needs a one-dimensional objective"
         )
-    method = cfg.get("meanflow.method", "two_point" if cfg["probe.base"] == "rademacher" else "quadrature")
-    try:
-        return MeanFieldEvaluator(
-            objective=objective, gain=gain, base=base, mode=mode, varsigma=get_varsigma(cfg), method=method
+    rule = "two_point" if base.kind == "rademacher" else "quadrature"
+    if cfg.get("meanflow.method", rule) != rule:
+        raise ConfigError(
+            f"config key 'meanflow.method' is {cfg['meanflow.method']!r}, but 'probe.base' {base.kind!r} takes {rule!r}"
         )
-    except ValueError as exc:
-        raise ConfigError(f"config key 'meanflow.method' is {method!r}, which does not fit the config: {exc}") from exc
+    return MeanFieldEvaluator(objective=objective, gain=gain, base=base, mode=mode, varsigma=get_varsigma(cfg))
 
 
 def _equilibrium_payload(cfg: dict, evaluator: MeanFieldEvaluator) -> dict:
     # every built-in objective knows its stationary point: the search's
     # default start and the bias sweep's zero-gain reference
-    objective = evaluator.objective
-    optimum = float(objective.known_optimum[0])
-    tol = cfg.get("meanflow.tol", 1e-10)
+    optimum = float(evaluator.objective.known_optimum[0])
+    tol = setting(cfg, "meanflow.tol")
     report = find_equilibrium(evaluator, cfg.get("meanflow.theta_init", [optimum])[0], tol=tol)
     # in dimension 1 the Jacobian is the one eigenvalue
     payload = {
@@ -293,15 +294,7 @@ def _equilibrium_payload(cfg: dict, evaluator: MeanFieldEvaluator) -> dict:
         "bias_to_origin": report.bias_to_origin,
     }
     if "meanflow.eps_sweep" in cfg:
-        # one objective and one base noise for every gain scale
-        biases, slope = bias_sweep(
-            lambda eb: _mean_field(
-                cfg, objective, build_gain(cfg, objective, eps_bullet=eb), evaluator.base, evaluator.mode
-            ),
-            cfg["meanflow.eps_sweep"],
-            optimum,
-            tol=tol,
-        )
+        biases, slope = bias_sweep(evaluator, cfg["meanflow.eps_sweep"], optimum, tol=tol)
         payload["bias_sweep"] = {
             "eps": [float(e) for e in cfg["meanflow.eps_sweep"]],
             "bias": [float(b) for b in biases],
@@ -316,7 +309,7 @@ def cmd_meanflow(args) -> int:
     objective = build_objective(cfg)
     gain = build_gain(cfg, objective)
     base = build_base_noise(cfg, objective.dim)
-    evaluator = _mean_field(cfg, objective, gain, base, cfg.get("probe.mode", "iid"))
+    evaluator = _mean_field(cfg, objective, gain, base, setting(cfg, "probe.mode"))
     for key in ("meanflow.theta_init", "meanflow.flow_theta0"):
         if key in cfg and len(cfg[key]) != 1:
             raise ConfigError(f"config key {key!r} has dimension {len(cfg[key])}, objective has 1")
@@ -334,8 +327,8 @@ def cmd_meanflow(args) -> int:
             flow = integrate_flow(
                 evaluator.at_float,
                 cfg["meanflow.flow_theta0"][0],
-                cfg.get("meanflow.flow_t_end", 1.0),
-                cfg.get("meanflow.flow_dt", 1e-3),
+                setting(cfg, "meanflow.flow_t_end"),
+                setting(cfg, "meanflow.flow_dt"),
             )
             _write_csv(out / "flow_mean.csv", ["t", "theta_0"], [flow.times.tolist(), flow.states.tolist()])
             outputs.append("flow_mean.csv")
@@ -351,7 +344,7 @@ def cmd_probe_check(args) -> int:
     base = build_base_noise(cfg, dim)
     seed = derive_seed(cfg["seed.master"], "probe-check")
     gen = ProbeGenerator(base, mode=cfg["probe.mode"], varsigma=get_varsigma(cfg), seed=seed)
-    report = gen.moment_diagnostics(cfg.get("probe_check.samples", 100_000))
+    report = gen.moment_diagnostics(setting(cfg, "probe_check.samples"))
     payload = {
         "sample_count": report.sample_count,
         "mean": [float(x) for x in report.mean_vec],
@@ -368,7 +361,7 @@ def cmd_probe_check(args) -> int:
             gen,
             np.full(dim, b),
             np.full(dim, -b),
-            cfg.get("probe_check.regen_samples", 10_000),
+            setting(cfg, "probe_check.regen_samples"),
         )
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "probe_report.json", payload)

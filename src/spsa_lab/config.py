@@ -4,7 +4,8 @@ A config file is a single JSON object whose keys are flat dotted paths
 (for example ``"step.rho"``).  Unknown keys are rejected, every domain
 invariant is enforced at load time, and the canonical serialized form
 (sorted keys, no whitespace) is hashed into the run manifest so outputs
-can be reproduced bit for bit.
+can be reproduced bit for bit.  The checks and the commands read an
+optional key through ``setting``: left out, it takes its ``DEFAULTS`` entry.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import sys
 
 import numpy as np
 
-from .core import theta0_box
+from .core import DEFAULT_GUARD_THRESHOLD, theta0_box
 from .exploration import DEFAULT_VARSIGMA, BaseNoise
+from .meanflow import DEFAULT_TOL
 from .objectives import Objective, builtin_objective
 from .schedules import (
     CenterActiveGain,
@@ -127,7 +129,8 @@ KNOWN_KEYS: dict[str, tuple] = {
         lambda v: (_is_vector(v) and len(v) == 2) or _is_matrix(v),
         "[lo, hi] or a per-dimension list of [lo, hi]",
     ),
-    # the mean field's two node/weight rules; Monte Carlo sampling is a test reference only
+    # optional: probe.base picks the mean field's rule (two_point for rademacher, quadrature
+    # for uniform), and a given value must name it; Monte Carlo sampling is a test reference only
     "meanflow.method": (lambda v: v in ("two_point", "quadrature"), "two_point or quadrature"),
     "meanflow.grid": (
         lambda v: _is_vector(v) and len(v) == 3 and v[0] < v[1] and _is_int(v[2]) and 2 <= v[2] <= MAX_GRID_POINTS,
@@ -154,9 +157,24 @@ REQUIRED_KEYS: dict[str, list[str]] = {
         "ensemble.M", "ensemble.N", "ensemble.N0", "ensemble.eps_grid", "ensemble.statistic",
         "ensemble.theta0_box",
     ],
-    "meanflow": ["objective.kind", "gain.kind", "gain.eps_bullet", "probe.base", "meanflow.method", "meanflow.grid"],
-    "equilibrium": ["objective.kind", "gain.kind", "gain.eps_bullet", "probe.base", "meanflow.method", "meanflow.theta_init"],
+    "meanflow": ["objective.kind", "gain.kind", "gain.eps_bullet", "probe.base", "meanflow.grid"],
+    "equilibrium": ["objective.kind", "gain.kind", "gain.eps_bullet", "probe.base", "meanflow.theta_init"],
     "probe-check": ["probe.base", "probe.mode", "seed.master"],
+}
+
+DEFAULTS = {
+    "probe.support": 1.0,
+    "probe.mode": "iid",
+    "probe.varsigma": DEFAULT_VARSIGMA,
+    "run.stride": 1,
+    "run.algorithm": "1spsa",
+    "run.guard_threshold": DEFAULT_GUARD_THRESHOLD,
+    "meanflow.tol": DEFAULT_TOL,
+    "meanflow.flow_t_end": 1.0,
+    "meanflow.flow_dt": 1e-3,
+    "probe_check.samples": 100_000,
+    "probe_check.regen_samples": 10_000,
+    "output.dir": "spsa_lab_out",
 }
 
 _GAIN_KEY_DEPS = {
@@ -230,24 +248,23 @@ def _check_derived(cfg: dict, command: str) -> None:
     """
     if "gain.sigma_p" in cfg and not 0.0 < cfg["gain.sigma_p"] * cfg["gain.sigma_p"] < math.inf:
         raise ConfigError(f"config key 'gain.sigma_p' is {cfg['gain.sigma_p']!r}; its square must be in (0, inf)")
-    support = cfg.get("probe.support", 1.0)
-    if "probe.support" in cfg and not math.isfinite(2.0 * support):
+    support = setting(cfg, "probe.support")
+    if not math.isfinite(2.0 * support):
         raise ConfigError(f"config key 'probe.support' is {support!r}; twice it must be finite")
     for key in ("gain.eps_bullet", "ensemble.eps_grid"):
         if key in cfg and not math.isfinite(float(np.max(cfg[key])) * support):
             raise ConfigError(
                 f"config key {key!r} is {cfg[key]!r}; times 'probe.support' {support!r} it must be finite"
             )
-    if "meanflow.flow_t_end" in cfg or "meanflow.flow_dt" in cfg:
-        steps = cfg.get("meanflow.flow_t_end", 1.0) / cfg.get("meanflow.flow_dt", 1e-3)
-        if not steps <= MAX_FLOW_STEPS:
-            raise ConfigError(
-                f"config keys 'meanflow.flow_t_end' / 'meanflow.flow_dt' ask for {steps:.3g} RK4 steps; "
-                f"at most {MAX_FLOW_STEPS} are allowed"
-            )
+    steps = setting(cfg, "meanflow.flow_t_end") / setting(cfg, "meanflow.flow_dt")
+    if not steps <= MAX_FLOW_STEPS:
+        raise ConfigError(
+            f"config keys 'meanflow.flow_t_end' / 'meanflow.flow_dt' ask for {steps:.3g} RK4 steps; "
+            f"at most {MAX_FLOW_STEPS} are allowed"
+        )
     if command == "probe-check":
         for key in ("probe_check.samples", "probe_check.regen_samples"):
-            if cfg.get(key, 0) > MAX_PROBE_SAMPLES:
+            if setting(cfg, key) > MAX_PROBE_SAMPLES:
                 raise ConfigError(
                     f"config key {key!r} asks for {cfg[key]} samples; at most {MAX_PROBE_SAMPLES} are allowed"
                 )
@@ -261,7 +278,7 @@ def _check_derived(cfg: dict, command: str) -> None:
             raise ConfigError(f"config key 'probe.support' is {support!r}; its square must be finite")
         if zigzag and not math.isfinite(varsigma * varsigma):
             raise ConfigError(f"config key 'probe.varsigma' is {varsigma!r}; its square must be finite")
-        if not math.isfinite(cfg.get("probe_check.samples", 100_000) * bound * bound * bound):
+        if not math.isfinite(setting(cfg, "probe_check.samples") * bound * bound * bound):
             raise ConfigError(
                 f"config keys {keys} give a probe bound of {bound:.3g}; "
                 "'probe_check.samples' times its cube must be finite"
@@ -270,7 +287,7 @@ def _check_derived(cfg: dict, command: str) -> None:
         if cfg["run.N"] > MAX_RUN_STEPS:
             raise ConfigError(f"config key 'run.N' asks for {cfg['run.N']} steps; at most {MAX_RUN_STEPS} are allowed")
         # index 0, every stride-th index and the last
-        rows = cfg["run.N"] // cfg.get("run.stride", 1) + 2
+        rows = cfg["run.N"] // setting(cfg, "run.stride") + 2
         if rows > MAX_RECORD_ROWS:
             raise ConfigError(
                 f"config keys 'run.N' / 'run.stride' ask for {rows} record rows; at most {MAX_RECORD_ROWS} are allowed"
@@ -326,16 +343,14 @@ def build_base_noise(cfg: dict, dim: int) -> BaseNoise:
     return BaseNoise(
         kind=cfg["probe.base"],
         dim=dim,
-        support=cfg.get("probe.support", 1.0),
+        support=setting(cfg, "probe.support"),
     )
 
 
 def build_gain(cfg: dict, objective: Objective, eps_bullet: float | None = None) -> ExplorationGain:
     """Construct the configured gain, optionally overriding the scale."""
     kind = cfg["gain.kind"]
-    eps = cfg.get("gain.eps_bullet") if eps_bullet is None else eps_bullet
-    if eps is None:
-        raise ConfigError("missing config key 'gain.eps_bullet'")
+    eps = cfg["gain.eps_bullet"] if eps_bullet is None else eps_bullet
     if kind == "constant":
         return ConstantGain(eps_bullet=eps)
     if kind == "decaying":
@@ -357,5 +372,10 @@ def build_gain(cfg: dict, objective: Objective, eps_bullet: float | None = None)
     raise ConfigError(f"unknown gain kind {kind!r}")
 
 
+def setting(cfg: dict, key: str):
+    """The config's value for the optional ``key``, or its entry in ``DEFAULTS``."""
+    return cfg[key] if key in cfg else DEFAULTS[key]
+
+
 def get_varsigma(cfg: dict) -> float:
-    return float(cfg.get("probe.varsigma", DEFAULT_VARSIGMA))
+    return float(setting(cfg, "probe.varsigma"))

@@ -3,12 +3,12 @@
 The update direction at a frozen iterate, averaged over the probe law,
 defines a field whose flow governs the recursion's long-run behavior.
 ``MeanFieldEvaluator.evaluate`` computes that field in dimension 1 with
-one node/weight rule against the probe law, whose nodes are the probe
-atoms (exact, finite probe support) or Gauss-Legendre nodes (uniform base
-noise).  ``monte_carlo_field`` samples the field as an independent
-reference.  The flow (classical RK4), the equilibrium search and the bias
-sweep all run on Python floats, through the evaluator's ``at_float``: the
-field at a float, bound once at construction.
+one node/weight rule against the probe law, which the base noise picks:
+the probe atoms (rademacher, exact) or Gauss-Legendre nodes (uniform).
+``monte_carlo_field`` samples the field as an independent reference.  The
+flow (classical RK4), the equilibrium search and the bias sweep (one
+evaluator, its gain rescaled) run on Python floats, through ``at_float``:
+the field at a float, bound once at construction.
 
 ``evaluate`` takes either shape, with the same floating-point operations
 on each, so a float's field equals its entry in a column bit for bit:
@@ -21,8 +21,8 @@ on each, so a float's field equals its entry in a column bit for bit:
   floor.  No NumPy call is made, and squares are written ``x * x`` (see
   ``objectives``).  Every other field (the quadrature rule, or an
   objective without ``fn_1d``) is the column form on a 1-entry column.
-- an (m,) column of points, giving an (m,) array: the same formulas on
-  ``numpy``.
+- an (m,) column of points, giving an (m,) array: one expression on
+  ``numpy`` for both rules, summing the weighted nodes in node order.
 
 A non-finite or overflowing point gives inf or NaN, never an exception or
 a warning: the float forms map libm's domain errors to NaN, and the
@@ -35,12 +35,13 @@ non-finite state ends the flow).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exploration import BaseNoise
+from .exploration import DEFAULT_VARSIGMA, BaseNoise
 from .objectives import Objective, bisect_root
 from .schedules import ExplorationGain
 
@@ -58,6 +59,7 @@ __all__ = [
 
 QUADRATURE_NODES = 64
 NEWTON_MAX_ITER = 200
+DEFAULT_TOL = 1e-10
 
 
 class SolverError(RuntimeError):
@@ -74,41 +76,31 @@ class MeanFieldEvaluator:
 
     One node/weight rule against the marginal probe law gives
     fbar(theta) = -sum_k w_k xi_k f(theta + eps xi_k) / eps, with eps the
-    gain at theta: method "two_point" takes the nonzero atoms of the probe
-    law as nodes (exact; requires rademacher base noise), method
-    "quadrature" a Gauss-Legendre rule against the uniform base law (for
-    zigzag probes, one rule per half of the triangular marginal).  The
-    probe mode enters only through the marginal probe law (iid base draws
-    versus scaled differences of independent draws).  ``at_float(x)`` is
-    the field at a float, bound at construction: the two-point closure on
-    ``math`` or the column form on one point (see the module docstring).
+    gain at theta.  The base noise picks the rule: rademacher takes the
+    nonzero atoms of the probe law as nodes (two-point, exact), uniform a
+    Gauss-Legendre rule against the uniform base law (for zigzag probes,
+    one rule per half of the triangular marginal).  The probe mode enters
+    only through the marginal probe law (iid base draws versus scaled
+    differences of independent draws).  ``at_float(x)`` is the field at a
+    float, bound at construction: the two-point closure on ``math`` or the
+    column form on one point (see the module docstring).
     """
 
     objective: Objective
     gain: ExplorationGain
     base: BaseNoise
     mode: str = "iid"
-    varsigma: float = 1.0 / np.sqrt(2.0)
-    method: str = "two_point"
+    varsigma: float = DEFAULT_VARSIGMA
 
     def __post_init__(self):
         if self.mode not in ("iid", "zigzag"):
             raise ValueError(f"unknown probe mode {self.mode!r}")
-        if self.method not in ("two_point", "quadrature"):
-            raise ValueError(f"unknown mean-field method {self.method!r}")
-        if self.method == "two_point" and self.base.kind != "rademacher":
-            raise ValueError("two_point method requires rademacher base noise")
-        if self.method == "quadrature" and self.base.kind != "uniform":
-            raise ValueError("quadrature method requires uniform base noise")
         if self.base.dim != 1:
             raise ValueError("the mean field is implemented for dimension 1")
         nodes, weights = self._rule()
         object.__setattr__(self, "_nodes", nodes)
         object.__setattr__(self, "_weighted_nodes", weights * nodes)
-        # (node, weighted node) pairs as floats: the two-point rule's terms
-        float_rule = tuple(zip(nodes.tolist(), self._weighted_nodes.tolist()))
-        object.__setattr__(self, "_float_rule", float_rule)
-        object.__setattr__(self, "_math_only", self.method == "two_point" and self.objective.fn_1d is not None)
+        object.__setattr__(self, "_math_only", self.base.kind == "rademacher" and self.objective.fn_1d is not None)
         # the field at a float, bound once (the fields are frozen, so it stays current)
         object.__setattr__(self, "at_float", self._bind_at_float())
 
@@ -119,21 +111,23 @@ class MeanFieldEvaluator:
         ``_field`` on a 1-entry column, under its caller's ``np.errstate``.
         """
         if self._math_only:
-            objective = self.objective
-            return _two_point_field(self.gain.at_float, objective.fn_1d, *objective.float_floor(), self._float_rule)
+            # (node, weighted node) pairs as floats: the two-point closure's terms
+            rule = tuple(zip(self._nodes.tolist(), self._weighted_nodes.tolist()))
+            return _two_point_field(self.gain.at_float, self.objective.fn_1d, *self.objective.float_floor(), rule)
         field = self._field
         return lambda x: float(field(np.array([x]))[0])
 
     def _rule(self):
         """Nodes and weights integrating against the marginal probe law.
 
-        two_point: the nonzero atoms of the probe law (the zigzag atom at
-        the origin adds nothing to the field).  quadrature: the iid probe
-        is uniform on [-a, a]; the differenced probe has a triangular
-        marginal on [-2*varsigma*a, 2*varsigma*a] with a kink at the
-        origin, so each half gets its own Gauss-Legendre rule.
+        Rademacher base noise: the nonzero atoms of the probe law (the
+        zigzag atom at the origin adds nothing to the field).  Uniform base
+        noise on [-a, a]: the iid probe is uniform there; the differenced
+        probe has a triangular marginal on [-2*varsigma*a, 2*varsigma*a]
+        with a kink at the origin, so each half gets its own Gauss-Legendre
+        rule.
         """
-        if self.method == "two_point":
+        if self.base.kind == "rademacher":
             if self.mode == "iid":
                 return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
             two = 2.0 * self.varsigma
@@ -168,17 +162,9 @@ class MeanFieldEvaluator:
     def _field(self, x):
         """The field on an (m,) column."""
         eps = self.gain.value(x[:, None])
-        if self.method == "two_point":
-            (n0, w0), (n1, w1) = self._float_rule
-            total = self._values(x + eps * n0) * w0 + self._values(x + eps * n1) * w1
-        else:
-            pts = x[:, None] + eps[:, None] * self._nodes
-            total = np.add.reduce(self._values(pts) * self._weighted_nodes, axis=-1)
-        return -total / eps
-
-    def _values(self, pts: np.ndarray) -> np.ndarray:
-        """The objective at an array of 1-d points, in the array's shape."""
-        return self.objective.value_batch(pts.reshape(-1, 1)).reshape(pts.shape)
+        pts = x[:, None] + eps[:, None] * self._nodes
+        values = self.objective.value_batch(pts.reshape(-1, 1)).reshape(pts.shape)
+        return -np.add.reduce(values * self._weighted_nodes, axis=-1) / eps
 
 
 def _two_point_field(gain_at, formula, floor: float, below, rule):
@@ -306,7 +292,7 @@ def _jacobian(field, x: float) -> float:
     return (field(x + h) - field(x - h)) / (2.0 * h)
 
 
-def find_equilibrium(evaluator: MeanFieldEvaluator, theta_init: float, tol: float = 1e-10) -> EquilibriumReport:
+def find_equilibrium(evaluator: MeanFieldEvaluator, theta_init: float, tol: float = DEFAULT_TOL) -> EquilibriumReport:
     """Damped Newton root search on the mean field, from a float start.
 
     Newton steps are halved (up to 60 times) until |field| decreases; if
@@ -366,11 +352,11 @@ def _bisect_equilibrium(field, center: float, tol: float):
     return None
 
 
-def bias_sweep(make_evaluator, eps_grid, theta_ref: float, tol: float = 1e-10):
+def bias_sweep(evaluator: MeanFieldEvaluator, eps_grid, theta_ref: float, tol: float = DEFAULT_TOL):
     """Equilibrium offset versus gain scale, with a log-log slope fit.
 
-    ``make_evaluator(eps_bullet)`` builds the mean-field evaluator at
-    each gain scale; ``theta_ref`` is the zero-gain reference point
+    Each gain scale of ``eps_grid`` rescales ``evaluator``'s gain
+    (``gain.scaled``); ``theta_ref`` is the zero-gain reference point
     (the objective's own stationary point), and each equilibrium search
     starts there.  Returns (biases, slope).  The slope is None when a
     bias is not positive, where the logarithm is undefined: on a
@@ -381,10 +367,10 @@ def bias_sweep(make_evaluator, eps_grid, theta_ref: float, tol: float = 1e-10):
     if eps_grid.size < 3:
         raise ValueError("bias sweep needs at least 3 gain values")
     theta_ref = float(theta_ref)
-    biases = [
-        abs(find_equilibrium(make_evaluator(float(eb)), theta_ref, tol=tol).theta_star - theta_ref)
-        for eb in eps_grid
-    ]
+    biases = []
+    for eb in eps_grid.tolist():
+        rescaled = dataclasses.replace(evaluator, gain=evaluator.gain.scaled(eb))
+        biases.append(abs(find_equilibrium(rescaled, theta_ref, tol=tol).theta_star - theta_ref))
     if min(biases) <= 0.0:
         return np.asarray(biases), None
     slope = float(np.polyfit(np.log(eps_grid), np.log(biases), 1)[0])

@@ -200,15 +200,12 @@ def test_criterion_5_equilibrium_bias_order():
     # equilibrium offset from the zero-gain stationary point scales
     # quadratically in the gain scale
     ref = brentq(lambda x: 2.0 * x + np.sin(x) - np.cos(5.0 * x), 0.0, 0.5, xtol=1e-14)
-    biases, slope = bias_sweep(
-        lambda eb: MeanFieldEvaluator(
-            objective=trig_quadratic_1d(),
-            gain=CenterActiveGain(eb, np.array([0.0]), 1.0),
-            base=BaseNoise("rademacher", 1),
-        ),
-        [0.025, 0.05, 0.1, 0.2],
-        ref,
+    evaluator = MeanFieldEvaluator(
+        objective=trig_quadratic_1d(),
+        gain=CenterActiveGain(0.025, np.array([0.0]), 1.0),
+        base=BaseNoise("rademacher", 1),
     )
+    biases, slope = bias_sweep(evaluator, [0.025, 0.05, 0.1, 0.2], ref)
     passed = 1.7 <= slope <= 2.3
     report(5, "equilibrium bias order", passed, f"log-log slope={slope:.3f} (band [1.7, 2.3])")
     assert passed

@@ -10,7 +10,16 @@ import numpy as np
 import pytest
 
 from spsa_lab.cli import _write_csv, main
-from spsa_lab.config import _GAIN_KEY_DEPS, REQUIRED_KEYS, ConfigError, config_hash, load_config, validate_config
+from spsa_lab.config import (
+    _GAIN_KEY_DEPS,
+    DEFAULTS,
+    KNOWN_KEYS,
+    REQUIRED_KEYS,
+    ConfigError,
+    config_hash,
+    load_config,
+    validate_config,
+)
 
 
 def read_csv(path):
@@ -103,6 +112,14 @@ def test_validate_guard_threshold_floor():
     cfg = run_cfg(**{"run.guard_threshold": 10.0})
     with pytest.raises(ConfigError, match="guard_threshold"):
         validate_config(cfg, "run")
+
+
+def test_defaults_pass_their_own_key_checks():
+    # an optional key left out takes its DEFAULTS entry, which must be a
+    # value the config could have given
+    for key, value in DEFAULTS.items():
+        checker, expected = KNOWN_KEYS[key]
+        assert checker(value), f"DEFAULTS[{key!r}] = {value!r} is not {expected}"
 
 
 def test_config_hash_is_canonical():
@@ -583,6 +600,23 @@ def test_cli_meanflow_outputs(tmp_path):
     assert 1.7 <= report["bias_sweep"]["slope"] <= 2.3
     flow_rows = read_csv(out / "flow_mean.csv")
     assert len(flow_rows) == 1002  # header + 1001 time points
+
+
+@pytest.mark.parametrize("command", ["meanflow", "equilibrium"])
+@pytest.mark.parametrize("base, rule", [("rademacher", "two_point"), ("uniform", "quadrature")])
+def test_cli_mean_field_rule_follows_the_probe_base(tmp_path, command, base, rule):
+    # meanflow.method is optional: without it the probe base picks the rule,
+    # and every output but the manifest, which echoes the config, is the same
+    # bytes as with the key
+    cfg = dict(MEANFLOW_TRIG, **{"probe.base": base, "meanflow.method": rule, "meanflow.grid": [-3.0, 3.0, 11]})
+    outputs = {}
+    for name, given in (("with", cfg), ("without", without(cfg, "meanflow.method"))):
+        out = tmp_path / name
+        assert main([command, "--config", str(write_cfg(tmp_path, given, f"{name}.json")), "--out", str(out)]) == 0
+        outputs[name] = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+    want = {"meanflow": {"fbar_grid.csv", "flow_mean.csv", "eq_report.json"}, "equilibrium": {"eq_report.json"}}
+    assert set(outputs["with"]) == want[command]
+    assert outputs["with"] == outputs["without"]
 
 
 def test_cli_meanflow_zero_bias_sweep_writes_strict_json(tmp_path):

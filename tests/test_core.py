@@ -9,6 +9,7 @@ from spsa_lab import (
     ProbeGenerator,
     StepSizeSchedule,
     quadratic_1d,
+    quadratic_nd,
     run_batch,
     trig_quadratic_1d,
 )
@@ -416,3 +417,32 @@ def test_run_batch_records_alpha_and_gain_per_index():
     assert np.array_equal(result.alpha_trace, [sched(int(k)) for k in result.record_indices])
     want = [CenterActiveGain(0.1, np.array([0.0]), 1.0).value(t) for t in result.thetas[0]]
     assert np.array_equal(result.gain_trace[0], want)
+
+
+@pytest.mark.parametrize("kind", ["rademacher", "uniform"])
+@pytest.mark.parametrize("algorithm", ["1spsa", "2spsa"])
+def test_lane_mean_follows_the_mean_recursion_at_d4(algorithm, kind):
+    # on f(t) = t'Qt/2 with a constant gain and iid probes, the probe is
+    # independent of theta_n, has mean 0, covariance Sigma and no third
+    # moments, so both algorithms give E theta_{n+1} = (I - alpha_{n+1}
+    # Sigma Q) E theta_n exactly, from E theta_0 = the box's centre.  The
+    # lane mean must lie within 4 standard errors of it, per coordinate
+    m, n_steps, support = 2000, 300, 1.0
+    q = np.array([[2.0, 0.4, 0.0, 0.1], [0.4, 1.5, 0.3, 0.0], [0.0, 0.3, 1.0, 0.2], [0.1, 0.0, 0.2, 0.8]])
+    box = np.array([[0.5, 1.5], [-1.2, -0.4], [0.2, 0.8], [-0.3, 0.9]])
+    base = BaseNoise(kind, 4, support)
+    sigma = 1.0 if kind == "rademacher" else support * support / 3.0
+    schedule = StepSizeSchedule(0.01, 0.6)
+    seed = 2 * (algorithm == "2spsa") + (kind == "uniform")
+    theta0 = np.random.default_rng(seed).uniform(box[:, 0], box[:, 1], (m, 4))
+    probes = [ProbeGenerator(base, "iid", seed=1000 * seed + i) for i in range(m)]
+    result = run_batch(quadratic_nd(q), schedule, ConstantGain(1.0), probes, theta0, n_steps, algorithm, stride=50)
+    assert not result.diverged.any()
+    expected = [box.mean(axis=1)]
+    for k in range(1, n_steps + 1):
+        expected.append(expected[-1] - schedule(k) * sigma * (q @ expected[-1]))
+    for i, n in enumerate(result.record_indices.tolist()):
+        lanes = result.thetas[:, i]
+        stderr = lanes.std(axis=0, ddof=1) / np.sqrt(m)
+        gap = np.abs(lanes.mean(axis=0) - expected[n])
+        assert np.all(gap <= 4.0 * stderr), (n, gap / stderr)

@@ -239,7 +239,7 @@ def test_ensemble_matrix_cells_equal_single_cells(monkeypatch, statistic):
     def stat_for(mode, gain):
         if statistic == "grad":
             return obj.grad_batch
-        ev = MeanFieldEvaluator(obj, gain, base, mode=mode, varsigma=VS, method="quadrature")
+        ev = MeanFieldEvaluator(obj, gain, base, mode=mode, varsigma=VS)
         return lambda theta: ev.evaluate(theta[:, 0])
 
     def gain_at(eps):

@@ -129,7 +129,7 @@ def test_mean_field_float_equals_column(name, method, mode):
     step = 4 if method == "two_point" else 100
     for i, kind in enumerate(GAIN_KINDS):
         points = np.concatenate([POINTS[i:-len(SPECIAL):step], SPECIAL])
-        ev = MeanFieldEvaluator(objective, make_gain(kind, objective), base, mode=mode, method=method)
+        ev = MeanFieldEvaluator(objective, make_gain(kind, objective), base, mode=mode)
         floats = [ev.evaluate(x) for x in points.tolist()]
         assert all(type(v) is float for v in floats), kind
         assert_same_bits(floats, ev.evaluate(points), f"{method} {mode} field, {kind} gain, on {name}")
@@ -148,7 +148,7 @@ def test_bound_field_equals_evaluate_and_column(name, method, mode):
     base = BaseNoise("rademacher" if method == "two_point" else "uniform")
     points = POINTS if method == "two_point" else np.concatenate([POINTS[:-len(SPECIAL):100], SPECIAL])
     for kind in GAIN_KINDS:
-        ev = MeanFieldEvaluator(objective, make_gain(kind, objective), base, mode=mode, method=method)
+        ev = MeanFieldEvaluator(objective, make_gain(kind, objective), base, mode=mode)
         column = ev.evaluate(points)
         with np.errstate(over="ignore", invalid="ignore"):
             bound = [ev.at_float(x) for x in points.tolist()]

@@ -60,21 +60,11 @@ def test_two_point_zigzag_support_enumeration():
     assert ev.evaluate(1.7) == pytest.approx(-2.0 * 1.7, abs=1e-12)
 
 
-def test_two_point_requires_rademacher():
-    with pytest.raises(ValueError):
-        MeanFieldEvaluator(objective=quadratic_1d(), gain=active_gain(0.1), base=UNI, method="two_point")
-
-
-def test_quadrature_requires_uniform():
-    with pytest.raises(ValueError):
-        MeanFieldEvaluator(objective=quadratic_1d(), gain=active_gain(0.1), base=RAD, method="quadrature")
-
-
 def test_quadrature_on_quadratic_matches_closed_form():
     # probe second moment is 1/3 either way (variance-matched differencing)
     for mode in ("iid", "zigzag"):
         ev = MeanFieldEvaluator(
-            objective=quadratic_1d(), gain=active_gain(0.08), base=UNI, mode=mode, varsigma=VS, method="quadrature"
+            objective=quadratic_1d(), gain=active_gain(0.08), base=UNI, mode=mode, varsigma=VS
         )
         assert ev.evaluate(1.5) == pytest.approx(-3.0 / 3.0, abs=1e-12)
 
@@ -89,7 +79,7 @@ def test_monte_carlo_agrees_with_two_point():
 
 def test_monte_carlo_zigzag_matches_quadrature():
     ev = MeanFieldEvaluator(
-        objective=trig_quadratic_1d(), gain=active_gain(0.1), base=UNI, mode="zigzag", varsigma=VS, method="quadrature"
+        objective=trig_quadratic_1d(), gain=active_gain(0.1), base=UNI, mode="zigzag", varsigma=VS
     )
     rng = mc_stream(7)
     for theta in (-1.0, 0.3, 2.0):
@@ -124,8 +114,7 @@ def test_value_batch_matches_pointwise(method, mode):
     grid = np.linspace(-3, 3, 20_001 if method == "two_point" else 2_001)
     for gain_kind in ("center_active", "objective_active", "constant", "decaying"):
         ev = MeanFieldEvaluator(
-            objective=trig_quadratic_1d(), gain=make_gain(gain_kind, 0.05), base=base, mode=mode, varsigma=VS,
-            method=method,
+            objective=trig_quadratic_1d(), gain=make_gain(gain_kind, 0.05), base=base, mode=mode, varsigma=VS
         )
         column = ev.evaluate(grid)
         assert column.shape == grid.shape and column.dtype == np.float64
@@ -251,7 +240,7 @@ def test_integrate_flow_matches_rk4_on_rows(method, mode):
     # 1-element columns bit for bit
     base = RAD if method == "two_point" else UNI
     ev = MeanFieldEvaluator(
-        objective=trig_quadratic_1d(), gain=active_gain(0.1), base=base, mode=mode, varsigma=VS, method=method
+        objective=trig_quadratic_1d(), gain=active_gain(0.1), base=base, mode=mode, varsigma=VS
     )
     flow = integrate_flow(ev.evaluate, 2.5, 0.5, 1e-2)
     want = rk4_on_columns(ev, 2.5, 0.5, 1e-2)
@@ -282,7 +271,7 @@ def test_quadrature_flow_on_the_bound_field_holds_one_errstate(mode):
     # a guard per call, no warning where the field overflows, and a number
     # of guard entries that does not grow with the step count
     ev = MeanFieldEvaluator(
-        objective=trig_quadratic_1d(), gain=active_gain(0.1), base=UNI, mode=mode, varsigma=VS, method="quadrature"
+        objective=trig_quadratic_1d(), gain=active_gain(0.1), base=UNI, mode=mode, varsigma=VS
     )
     flow = integrate_flow(ev.at_float, 2.5, 0.5, 1e-3)
     want = integrate_flow(ev.evaluate, 2.5, 0.5, 1e-3)
@@ -362,11 +351,8 @@ def test_find_equilibrium_validates_tolerance():
 def test_bias_sweep_slope_on_trig():
     obj = trig_quadratic_1d()
     ref = brentq(lambda x: 2 * x + np.sin(x) - np.cos(5 * x), 0.0, 0.5, xtol=1e-14)
-    biases, slope = bias_sweep(
-        lambda eb: MeanFieldEvaluator(objective=trig_quadratic_1d(), gain=active_gain(eb), base=RAD),
-        [0.025, 0.05, 0.1, 0.2],
-        ref,
-    )
+    ev = MeanFieldEvaluator(objective=trig_quadratic_1d(), gain=active_gain(0.05), base=RAD)
+    biases, slope = bias_sweep(ev, [0.025, 0.05, 0.1, 0.2], ref)
     assert np.all(np.diff(biases) > 0)
     assert 1.7 <= slope <= 2.3
 
@@ -374,10 +360,7 @@ def test_bias_sweep_slope_on_trig():
 def test_bias_sweep_slope_is_none_when_biases_vanish():
     # the two-point field of a quadratic is its exact gradient, so every
     # equilibrium sits on the optimum and the log-log slope is undefined
-    biases, slope = bias_sweep(
-        lambda eb: MeanFieldEvaluator(objective=quadratic_1d(), gain=active_gain(eb), base=RAD),
-        [0.025, 0.05, 0.1],
-        0.0,
-    )
+    ev = MeanFieldEvaluator(objective=quadratic_1d(), gain=active_gain(0.05), base=RAD)
+    biases, slope = bias_sweep(ev, [0.025, 0.05, 0.1], 0.0)
     assert np.all(biases == 0.0)
     assert slope is None
