@@ -121,8 +121,8 @@ KNOWN_KEYS: dict[str, tuple] = {
     "ensemble.N": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
     "ensemble.N0": (lambda v: _is_int(v) and v >= 0, "a nonnegative integer"),
     "ensemble.eps_grid": (
-        lambda v: _is_vector(v) and all(x > 0 for x in v) and list(v) == sorted(v),
-        "a sorted list of positive numbers",
+        lambda v: _is_vector(v) and all(x > 0 for x in v) and all(a < b for a, b in zip(v, v[1:])),
+        "a strictly increasing list of positive numbers",
     ),
     "ensemble.statistic": (lambda v: v in ("grad", "fbar"), "grad or fbar"),
     "ensemble.theta0_box": (
@@ -139,8 +139,8 @@ KNOWN_KEYS: dict[str, tuple] = {
     "meanflow.theta_init": (_is_vector, "a vector of numbers"),
     "meanflow.tol": (lambda v: _is_number(v) and 1e-12 <= v <= 1e-6, "a number in [1e-12, 1e-6]"),
     "meanflow.eps_sweep": (
-        lambda v: _is_vector(v) and all(x > 0 for x in v) and len(v) >= 3,
-        "a list of >= 3 positive numbers",
+        lambda v: _is_vector(v) and all(x > 0 for x in v) and len(set(v)) >= 3,
+        "a list of positive numbers with >= 3 distinct values",
     ),
     "meanflow.flow_theta0": (_is_vector, "a vector of numbers"),
     "meanflow.flow_t_end": (lambda v: _is_number(v) and v >= 0, "a nonnegative number"),

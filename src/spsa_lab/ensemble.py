@@ -72,15 +72,20 @@ class ScalingFit:
 
 
 def scaling_fit(eps_values, scaled_vars) -> ScalingFit:
-    """Fit log(scaled variance) on log(gain scale) by least squares."""
+    """Fit log(scaled variance) on log(gain scale) by least squares.
+
+    The one log-log fit of the package: ``meanflow.bias_sweep`` takes its
+    slope here too.  A grid needs at least 3 distinct positive values.
+    """
     eps_values = np.asarray(list(eps_values), dtype=float)
     scaled_vars = np.asarray(list(scaled_vars), dtype=float)
     if eps_values.size != scaled_vars.size:
         raise ValueError("grid and variance lengths differ")
-    if eps_values.size < 3:
-        raise ValueError(f"power-law fit needs at least 3 grid points, got {eps_values.size}")
     if np.any(eps_values <= 0) or np.any(scaled_vars <= 0):
         raise ValueError("power-law fit needs positive grid and variances")
+    distinct = np.unique(eps_values).size
+    if distinct < 3:
+        raise ValueError(f"power-law fit needs at least 3 distinct grid values, got {distinct}")
     lx, ly = np.log(eps_values), np.log(scaled_vars)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
@@ -106,20 +111,12 @@ class DeltaDecomposition:
     delta: np.ndarray
 
 
-def delta_decompose(
-    theta_star,
-    probes: np.ndarray,
-    objective: Objective,
-    eps: float,
-    sigma_xi: np.ndarray,
-    fbar_star: np.ndarray | None = None,
-) -> DeltaDecomposition:
+def delta_decompose(theta_star, probes: np.ndarray, objective: Objective, eps: float, sigma_xi) -> DeltaDecomposition:
     """Decompose the update noise at a frozen point into nu + omega + psi.
 
     ``probes`` has shape (k, d); ``eps`` is the gain value at the frozen
-    point; ``sigma_xi`` is the closed-form probe covariance.  The mean
-    field at the frozen point defaults to zero (exact at an equilibrium);
-    pass ``fbar_star`` to center the raw noise elsewhere.
+    point; ``sigma_xi`` is the closed-form probe covariance.  The raw noise
+    is centred at zero, the mean field at an equilibrium.
     """
     theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     xi = np.asarray(probes, dtype=float)
@@ -127,12 +124,11 @@ def delta_decompose(
         xi = xi[:, None]
     d = theta_star.size
     sigma_xi = np.asarray(sigma_xi, dtype=float).reshape(d, d)
-    center = np.zeros(d) if fbar_star is None else np.asarray(fbar_star, dtype=float)
 
     level = objective.value(theta_star)
     grad = objective.grad(theta_star)
     vals = objective.value_batch(theta_star[None, :] + eps * xi)
-    delta = -(xi / eps) * vals[:, None] - center
+    delta = -(xi / eps) * vals[:, None]
     nu = -(level / eps) * xi
     outer = np.einsum("ki,kj->kij", xi, xi)
     omega = np.einsum("kij,j->ki", sigma_xi[None, :, :] - outer, grad)

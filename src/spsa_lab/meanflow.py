@@ -8,7 +8,11 @@ the probe atoms (rademacher, exact) or Gauss-Legendre nodes (uniform).
 ``monte_carlo_field`` samples the field as an independent reference.  The
 flow (classical RK4), the equilibrium search and the bias sweep (one
 evaluator, its gain rescaled) run on Python floats, through ``at_float``:
-the field at a float, bound once at construction.
+the field at a float, bound once at construction.  They keep no copy of a
+shared numerical rule: the equilibrium's Jacobian is
+``objectives.central_difference``, its bracket search uses
+``objectives.opposite_signs`` and ``bisect_root``, and the bias sweep's
+slope is ``ensemble.scaling_fit``'s.
 
 ``evaluate`` takes either shape, with the same floating-point operations
 on each, so a float's field equals its entry in a column bit for bit:
@@ -41,8 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ensemble import scaling_fit
 from .exploration import DEFAULT_VARSIGMA, BaseNoise
-from .objectives import Objective, bisect_root
+from .objectives import Objective, bisect_root, central_difference, opposite_signs
 from .schedules import ExplorationGain
 
 __all__ = [
@@ -113,7 +118,7 @@ class MeanFieldEvaluator:
         if self._math_only:
             # (node, weighted node) pairs as floats: the two-point closure's terms
             rule = tuple(zip(self._nodes.tolist(), self._weighted_nodes.tolist()))
-            return _two_point_field(self.gain.at_float, self.objective.fn_1d, *self.objective.float_floor(), rule)
+            return _two_point_field(self.gain.at_float, self.objective, rule)
         field = self._field
         return lambda x: float(field(np.array([x]))[0])
 
@@ -167,19 +172,20 @@ class MeanFieldEvaluator:
         return -np.add.reduce(values * self._weighted_nodes, axis=-1) / eps
 
 
-def _two_point_field(gain_at, formula, floor: float, below, rule):
+def _two_point_field(gain_at, objective: Objective, rule):
     """The two-point field at a float, on the gain's float form and the objective's 1-d formula.
 
     With ``objectives.float_form`` this is one of the two places that hand
     ``math`` to a formula.  Each of the two objective values is
-    ``formula(point, math)`` in its own ``try``: where ``math`` raises
+    ``fn_1d(point, math)`` in its own ``try``: where ``math`` raises
     ``ValueError`` NumPy gives NaN, so the value is NaN.  The floor check
-    sits outside the ``try``, and a value below ``floor`` raises
-    ``below(point, value)`` (``Objective.float_floor``), as the objective's
-    float form and ``value_batch`` do.  With the center-active gain one call
-    takes five Python frames: this field, the gain's form and formula, and
-    the objective's formula twice.
+    sits outside the ``try``, and a value below the objective's
+    ``floor_threshold`` raises its ``below_floor(point, value)``, as the
+    objective's float form and ``value_batch`` do.  With the center-active
+    gain one call takes five Python frames: this field, the gain's form and
+    formula, and the objective's formula twice.
     """
+    formula, floor, below = objective.fn_1d, objective.floor_threshold, objective.below_floor
     (n0, w0), (n1, w1) = rule
 
     def field(x):
@@ -286,10 +292,10 @@ class EquilibriumReport:
 
 
 def _jacobian(field, x: float) -> float:
-    """Central difference of a float field; its array work runs under the caller's ``np.errstate``."""
+    """The float field's derivative at ``x`` by ``objectives.central_difference``, under the caller's errstate."""
     # the field is deterministic, so truncation dominates and a small step is safe
     h = 1e-5 * (1.0 + abs(x))
-    return (field(x + h) - field(x - h)) / (2.0 * h)
+    return float(central_difference(lambda pts: [field(p) for p in pts[:, 0].tolist()], x, h)[0])
 
 
 def find_equilibrium(evaluator: MeanFieldEvaluator, theta_init: float, tol: float = DEFAULT_TOL) -> EquilibriumReport:
@@ -297,9 +303,11 @@ def find_equilibrium(evaluator: MeanFieldEvaluator, theta_init: float, tol: floa
 
     Newton steps are halved (up to 60 times) until |field| decreases; if
     Newton stalls, a sign-change bracket is grown around the iterate and
-    plain bisection finishes the job.  The field runs on floats, through
-    ``evaluator.at_float``, under one ``np.errstate``.  Raises SolverError
-    with the last iterate if no root is found within the budget.
+    ``objectives.bisect_root`` finishes the job.  The Jacobian is
+    ``objectives.central_difference`` with step 1e-5 * (1 + |x|).  The
+    field runs on floats, through ``evaluator.at_float``, under one
+    ``np.errstate``.  Raises SolverError with the last iterate if no root
+    is found within the budget.
     """
     if not 1e-12 <= tol <= 1e-6:
         raise ValueError(f"tol must lie in [1e-12, 1e-6], got {tol}")
@@ -345,7 +353,7 @@ def _bisect_equilibrium(field, center: float, tol: float):
     """Grow a bracket around ``center`` and bisect; None if no sign change."""
     for radius in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
         lo, hi = center - radius, center + radius
-        if field(lo) * field(hi) < 0:
+        if opposite_signs(field(lo), field(hi)):
             root = bisect_root(field, lo, hi, tol=1e-15)
             if abs(field(root)) <= tol:
                 return root
@@ -358,20 +366,16 @@ def bias_sweep(evaluator: MeanFieldEvaluator, eps_grid, theta_ref: float, tol: f
     Each gain scale of ``eps_grid`` rescales ``evaluator``'s gain
     (``gain.scaled``); ``theta_ref`` is the zero-gain reference point
     (the objective's own stationary point), and each equilibrium search
-    starts there.  Returns (biases, slope).  The slope is None when a
-    bias is not positive, where the logarithm is undefined: on a
-    quadratic the two-point field is the exact gradient and every bias
-    is 0.
+    starts there.  Returns (biases, slope).  The slope is
+    ``ensemble.scaling_fit``'s, which rejects a grid of fewer than 3
+    distinct gains.  It is None when a bias is not positive, where the
+    logarithm is undefined: on a quadratic the two-point field is the
+    exact gradient and every bias is 0.
     """
-    eps_grid = np.asarray(list(eps_grid), dtype=float)
-    if eps_grid.size < 3:
-        raise ValueError("bias sweep needs at least 3 gain values")
-    theta_ref = float(theta_ref)
+    eps_grid, theta_ref = [float(e) for e in eps_grid], float(theta_ref)
     biases = []
-    for eb in eps_grid.tolist():
+    for eb in eps_grid:
         rescaled = dataclasses.replace(evaluator, gain=evaluator.gain.scaled(eb))
         biases.append(abs(find_equilibrium(rescaled, theta_ref, tol=tol).theta_star - theta_ref))
-    if min(biases) <= 0.0:
-        return np.asarray(biases), None
-    slope = float(np.polyfit(np.log(eps_grid), np.log(biases), 1)[0])
+    slope = scaling_fit(eps_grid, biases).loglog_slope if all(b > 0.0 for b in biases) else None
     return np.asarray(biases), slope

@@ -48,6 +48,7 @@ __all__ = [
     "grad_check",
     "central_difference",
     "bisect_root",
+    "opposite_signs",
 ]
 
 
@@ -76,7 +77,9 @@ class Objective:
     ``float_form``, with the floor check of ``value_batch``, or a 1-row
     batch when there is no ``fn_1d``; the fields are frozen, so it cannot
     go stale.  Metadata fields record a known stationary point and a known
-    lower bound when available.
+    lower bound when available.  A value below ``floor_threshold`` raises
+    ``below_floor(theta, value)``, in ``value_batch``, in the float form and
+    in the mean field's two-point binding alike.
     """
 
     dim: int
@@ -88,26 +91,18 @@ class Objective:
     fn_1d: Callable | None = None
 
     def __post_init__(self):
+        # the floor less a rounding allowance, taken once; -inf without a floor
+        object.__setattr__(self, "floor_threshold", -math.inf if self.known_floor is None else self.known_floor - 1e-12)
         if self.fn_1d is None:
             object.__setattr__(self, "at_float", self.value)
             return
         if self.dim != 1:
             raise ValueError(f"fn_1d needs a 1-dimensional objective, got dim {self.dim}")
-        object.__setattr__(self, "at_float", float_form(self.fn_1d, *self.float_floor()))
+        object.__setattr__(self, "at_float", float_form(self.fn_1d, self.floor_threshold, self.below_floor))
 
-    def float_floor(self):
-        """The floor check of ``value_batch`` at a float: ``(floor, below)``.
-
-        A value below ``floor`` is below the declared floor, and
-        ``below(theta, value)`` is the error ``value_batch`` raises for it,
-        with the same message.  Without a declared floor, ``floor`` is -inf.
-        """
-        known_floor = self.known_floor
-
-        def below(theta, val):
-            return ValueError(f"objective {val} below declared floor {known_floor} at theta={np.array([theta])}")
-
-        return (-math.inf if known_floor is None else known_floor - 1e-12), below
+    def below_floor(self, theta, val) -> ValueError:
+        """The error for ``val`` below the declared floor at ``theta``, a float or a (d,) point."""
+        return ValueError(f"objective {val} below declared floor {self.known_floor} at theta={np.atleast_1d(theta)}")
 
     def value(self, theta) -> float:
         """Objective at one point, a (d,) array or (for d = 1) a float.
@@ -132,10 +127,8 @@ class Objective:
             vals = np.asarray(vals, dtype=float)
         if self.known_floor is not None:
             low = np.fmin.reduce(vals, initial=np.inf)
-            if low < self.known_floor - 1e-12:
-                raise ValueError(
-                    f"objective {low} below declared floor {self.known_floor} at theta={thetas[vals == low][0]}"
-                )
+            if low < self.floor_threshold:
+                raise self.below_floor(thetas[vals == low][0], low)
         return vals
 
     def grad(self, theta, h: float | None = None) -> np.ndarray:
@@ -186,22 +179,30 @@ def grad_check(obj: Objective, theta_grid, h: float = 1e-4) -> float:
     return worst
 
 
+def opposite_signs(a: float, b: float) -> bool:
+    """Whether one of ``a`` and ``b`` is below 0 and the other above; a NaN has no sign.
+
+    Two comparisons, not a product, so tiny values cannot underflow to 0.
+    """
+    return (a < 0.0 < b) or (b < 0.0 < a)
+
+
 def bisect_root(fn, lo: float, hi: float, tol: float = 1e-14) -> float:
-    """Plain interval bisection; requires a sign change on [lo, hi]."""
+    """Plain interval bisection; requires a sign change on [lo, hi] (``opposite_signs``)."""
     flo, fhi = fn(lo), fn(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0:
+    if not opposite_signs(flo, fhi):
         raise ValueError(f"no sign change on [{lo}, {hi}]")
     for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fmid = fn(mid)
         if fmid == 0.0 or hi - lo < tol:
             return mid
-        if flo * fmid < 0:
-            hi, fhi = mid, fmid
+        if opposite_signs(flo, fmid):
+            hi = mid
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi)

@@ -171,11 +171,9 @@ class CenterActiveGain(ExplorationGain):
         if not self.sigma_p > 0:
             raise ValueError(f"sigma_p must be positive, got {self.sigma_p}")
         object.__setattr__(self, "center", np.atleast_1d(np.asarray(self.center, dtype=float)))
-        # sigma_p**2 is taken once; a square that is 0 or inf would make the gain inf or NaN
-        try:
-            sigma_p2 = float(self.sigma_p) ** 2
-        except OverflowError:
-            sigma_p2 = math.inf
+        # sigma_p squared is taken once; a square that is 0 or inf would make the gain inf or NaN
+        s = float(self.sigma_p)
+        sigma_p2 = s * s
         if not 0.0 < sigma_p2 < math.inf:
             raise ValueError(f"sigma_p**2 must lie in (0, inf), got sigma_p {self.sigma_p}")
         object.__setattr__(self, "_sigma_p2", sigma_p2)

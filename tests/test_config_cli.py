@@ -314,24 +314,34 @@ def test_cli_experiment_rejects_bad_worker_counts(tmp_path, capsys):
         ("meanflow", dict(MEANFLOW_TRIG, **{"meanflow.theta_init": [0.2, 0.1]}), "meanflow.theta_init"),
         ("equilibrium", dict(MEANFLOW_TRIG, **{"meanflow.flow_theta0": [1.0, 2.0]}), "meanflow.flow_theta0"),
         ("equilibrium", dict(MEANFLOW_TRIG, **{"meanflow.theta_init": [0.2, 0.1]}), "meanflow.theta_init"),
+        ("experiment", experiment_cfg(**{"ensemble.eps_grid": [0.1, 0.1, 0.1]}), "ensemble.eps_grid"),
+        ("experiment", experiment_cfg(**{"ensemble.eps_grid": [0.05, 0.05, 0.1]}), "ensemble.eps_grid"),
+        ("meanflow", dict(MEANFLOW_TRIG, **{"meanflow.eps_sweep": [0.05, 0.05, 0.05]}), "meanflow.eps_sweep"),
+        ("equilibrium", dict(MEANFLOW_TRIG, **{"meanflow.eps_sweep": [0.05, 0.1, 0.05]}), "meanflow.eps_sweep"),
     ],
     ids=[
         "nonsymmetric_Q", "run_box_dimension", "ensemble_box_dimension", "obj_floor_above_known_floor",
         "experiment_fbar_monte_carlo", "meanflow_two_point_uniform", "meanflow_quadrature_rademacher",
         "meanflow_two_dimensional", "experiment_fbar_two_point_uniform", "meanflow_flow_start_dimension",
         "meanflow_equilibrium_start_dimension", "equilibrium_flow_start_dimension",
-        "equilibrium_equilibrium_start_dimension",
+        "equilibrium_equilibrium_start_dimension", "experiment_one_distinct_gain", "experiment_repeated_gain",
+        "meanflow_one_distinct_sweep_gain", "equilibrium_two_distinct_sweep_gains",
     ],
 )
 def test_cli_invalid_built_config_exits_2_naming_key(tmp_path, capsys, command, cfg, key):
     # each passes the per-key checks except experiment_fbar_monte_carlo,
-    # which names a mean-field method no command can run; the others fail
-    # only when the objective, box, gain or mean-field evaluator is built,
-    # or when a start point is checked against the objective's dimension.
-    # Each ends in a ConfigError, not a traceback
+    # which names a mean-field method no command can run, and the gain
+    # grids with fewer than 3 distinct values, which the scaling fits need;
+    # the others fail only when the objective, box, gain or mean-field
+    # evaluator is built, or when a start point is checked against the
+    # objective's dimension.  Each ends in a ConfigError, not a traceback
+    # or a warning
     cfg_path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
-    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not caught, [str(w.message) for w in caught]
     assert key in capsys.readouterr().err
     assert not out.exists()
 

@@ -59,6 +59,10 @@ def test_scaling_fit_validation():
         scaling_fit([0.1, 0.2, 0.3], [1.0, -2.0, 3.0])
     with pytest.raises(ValueError):
         scaling_fit([0.1, 0.2, 0.3], [1.0, 2.0])
+    # three grid points but fewer than three distinct gains
+    for grid in ([0.1, 0.1, 0.1], [0.1, 0.1, 0.2]):
+        with pytest.raises(ValueError, match="distinct"):
+            scaling_fit(grid, [1.0, 2.0, 3.0])
 
 
 def test_delta_decomposition_identity_and_terms():

@@ -7,7 +7,9 @@ binds ``run_batch`` arguments by name, so those names must stay in the
 package.  ``math.sin``, ``math.cos`` and ``math.sqrt`` raise on arguments
 where NumPy gives NaN, so a formula reaches them only through the two
 NaN-catching float bindings: ``objectives.float_form`` and the mean field's
-two-point binding, ``meanflow._two_point_field``.  The command line maps
+two-point binding, ``meanflow._two_point_field``.  The log-log fits (the
+ensemble's variance law and the mean field's bias sweep) share one
+``np.polyfit`` call, in ``ensemble.scaling_fit``.  The command line maps
 its exceptions to exit codes in one place, ``cli.main``.
 """
 
@@ -141,6 +143,26 @@ def test_raising_math_functions_only_in_nan_safe_helpers(stem):
             bad.append(("math", node.lineno))
     bindings = " or ".join(".".join(b) for b in sorted(FLOAT_BINDINGS))
     assert not bad, f"{stem}.py reaches math other than through {bindings}: {bad}"
+
+
+# the one least-squares line of the package; a second polyfit would be a
+# second fit to keep in step, with its own checks on the grid
+FIT_HOME = ("ensemble", "scaling_fit")
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_polyfit_only_in_scaling_fit(stem):
+    tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+    bad = []
+    for top in tree.body:
+        if (stem, getattr(top, "name", None)) == FIT_HOME:
+            continue
+        for node in ast.walk(top):
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+            names.append(getattr(node, "attr", None) or getattr(node, "id", None))
+            if "polyfit" in names:
+                bad.append(node.lineno)
+    assert not bad, f"{stem}.py calls polyfit outside {'.'.join(FIT_HOME)}, at lines {bad}"
 
 
 # cli.main turns these into exit codes (2, 2 and 4) for every command; a

@@ -357,6 +357,12 @@ def test_bias_sweep_slope_on_trig():
     assert 1.7 <= slope <= 2.3
 
 
+def test_bias_sweep_rejects_a_grid_of_fewer_than_three_distinct_gains():
+    ev = MeanFieldEvaluator(objective=trig_quadratic_1d(), gain=active_gain(0.05), base=RAD)
+    with pytest.raises(ValueError, match="distinct"):
+        bias_sweep(ev, [0.05, 0.05, 0.05], 0.19)
+
+
 def test_bias_sweep_slope_is_none_when_biases_vanish():
     # the two-point field of a quadratic is its exact gradient, so every
     # equilibrium sits on the optimum and the log-log slope is undefined

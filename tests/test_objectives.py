@@ -152,6 +152,17 @@ def test_bisect_root_requires_sign_change():
         bisect_root(lambda x: x + 2.0, 0.0, 1.0)
 
 
+def test_bisect_root_sign_test_does_not_underflow():
+    # the product of two values near 1e-200 underflows to 0, so a product
+    # sign test took every midpoint as the low end and returned near 3
+    assert bisect_root(lambda x: 1e-200 * (x - 0.5), -1.0, 3.0) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_bisect_root_nan_endpoint_is_no_sign_change():
+    with pytest.raises(ValueError, match="no sign change"):
+        bisect_root(lambda x: float("nan") if x < 0 else x - 0.5, -1.0, 3.0)
+
+
 @pytest.mark.parametrize(
     "obj",
     [quadratic_1d(), trig_quadratic_1d(), quadratic_nd(np.diag([1.0, 2.0, 3.0, 4.0]) + 0.25)],
