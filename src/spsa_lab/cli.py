@@ -13,12 +13,13 @@ Exit codes: 0 success, 2 invalid configuration, 3 divergence-guard trip,
 every command: a configuration error or a missing file gives 2, a solver
 error 4.  Each is raised before the output directory is made, so such a
 failure makes no directory and writes one ``error:`` line to stderr.
+The commands hold no config rule: each has ``config.validate_config``
+check its config, then builds its objects, runs and writes.
 
 ``meanflow`` and ``equilibrium`` share one command body; ``equilibrium``
-writes ``meanflow``'s ``eq_report.json`` alone.  ``probe.base`` picks the
-node rule, so ``meanflow.method`` is optional.  The bias sweep rescales the
-gain of the one evaluator, and its zero-gain reference is the objective's
-known optimum, where the equilibrium search starts unless
+writes ``meanflow``'s ``eq_report.json`` alone.  The bias sweep rescales
+the gain of the one evaluator, and its zero-gain reference is the
+objective's known optimum, where the equilibrium search starts unless
 ``meanflow.theta_init`` is set.
 
 ``experiment`` runs the whole matrix as lane batches in one thread.  The
@@ -144,10 +145,6 @@ def cmd_run(args) -> int:
     mode, varsigma = cfg["probe.mode"], get_varsigma(cfg)
     if "run.theta0" in cfg:
         theta0 = np.asarray(cfg["run.theta0"], dtype=float)
-        if theta0.size != objective.dim:
-            raise ConfigError(
-                f"config key 'run.theta0' has dimension {theta0.size}, objective has {objective.dim}"
-            )
         _, probe = lane_stream(seed, base, mode, varsigma)
     else:
         box = build_theta0_box(cfg, "run.theta0_box", objective.dim)
@@ -204,7 +201,7 @@ def cmd_experiment(args) -> int:
     def statistic(mode: str, lane_gain):
         if cfg["ensemble.statistic"] == "grad":
             return objective.grad_batch
-        ev = _mean_field(cfg, objective, lane_gain, base, mode)
+        ev = MeanFieldEvaluator(objective, lane_gain, base, mode, varsigma)
         return lambda theta: ev.evaluate(theta[:, 0])
 
     cells = run_ensemble_matrix(
@@ -264,21 +261,6 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def _mean_field(cfg: dict, objective, gain, base, mode: str) -> MeanFieldEvaluator:
-    """The config's mean field (a given ``meanflow.method`` must name its rule); the one place a command builds one."""
-    if objective.dim != 1:
-        raise ConfigError(
-            f"config key 'objective.kind' is {cfg['objective.kind']!r}, of dimension {objective.dim}; "
-            "the mean field needs a one-dimensional objective"
-        )
-    rule = "two_point" if base.kind == "rademacher" else "quadrature"
-    if cfg.get("meanflow.method", rule) != rule:
-        raise ConfigError(
-            f"config key 'meanflow.method' is {cfg['meanflow.method']!r}, but 'probe.base' {base.kind!r} takes {rule!r}"
-        )
-    return MeanFieldEvaluator(objective=objective, gain=gain, base=base, mode=mode, varsigma=get_varsigma(cfg))
-
-
 def _equilibrium_payload(cfg: dict, evaluator: MeanFieldEvaluator) -> dict:
     # every built-in objective knows its stationary point: the search's
     # default start and the bias sweep's zero-gain reference
@@ -309,10 +291,7 @@ def cmd_meanflow(args) -> int:
     objective = build_objective(cfg)
     gain = build_gain(cfg, objective)
     base = build_base_noise(cfg, objective.dim)
-    evaluator = _mean_field(cfg, objective, gain, base, setting(cfg, "probe.mode"))
-    for key in ("meanflow.theta_init", "meanflow.flow_theta0"):
-        if key in cfg and len(cfg[key]) != 1:
-            raise ConfigError(f"config key {key!r} has dimension {len(cfg[key])}, objective has 1")
+    evaluator = MeanFieldEvaluator(objective, gain, base, setting(cfg, "probe.mode"), get_varsigma(cfg))
     payload = _equilibrium_payload(cfg, evaluator)
 
     out.mkdir(parents=True, exist_ok=True)

@@ -1,11 +1,14 @@
 """Experiment configuration: flat dotted-key JSON, validated as a whole.
 
 A config file is a single JSON object whose keys are flat dotted paths
-(for example ``"step.rho"``).  Unknown keys are rejected, every domain
-invariant is enforced at load time, and the canonical serialized form
-(sorted keys, no whitespace) is hashed into the run manifest so outputs
-can be reproduced bit for bit.  The checks and the commands read an
-optional key through ``setting``: left out, it takes its ``DEFAULTS`` entry.
+(for example ``"step.rho"``).  Every config rule is checked here, and
+``validate_config`` checks all but three before a command builds anything.
+The three need a built object, so the builders check them: ``objective.Q``
+symmetric positive definite, a theta0 box of the objective's shape, and
+``gain.obj_floor`` not above the objective's floor.  The canonical form
+(sorted keys, no whitespace) is hashed into the run manifest.  The checks
+and the commands read an optional key through ``setting``: left out, it
+takes its ``DEFAULTS`` entry.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ KNOWN_KEYS: dict[str, tuple] = {
         lambda v: v in ("quadratic1d", "trig_quadratic1d", "quadratic_nd"),
         "one of quadratic1d|trig_quadratic1d|quadratic_nd",
     ),
-    "objective.Q": (_is_matrix, "a square matrix as nested lists"),
+    "objective.Q": (lambda v: _is_matrix(v) and len(v) == len(v[0]), "a square matrix as nested lists"),
     "seed.master": (lambda v: _is_int(v) and v >= 0, "a nonnegative integer"),
     "run.N": (lambda v: _is_int(v) and v >= 0, "a nonnegative integer"),
     "run.theta0": (_is_vector, "a vector of numbers"),
@@ -121,16 +124,15 @@ KNOWN_KEYS: dict[str, tuple] = {
     "ensemble.N": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
     "ensemble.N0": (lambda v: _is_int(v) and v >= 0, "a nonnegative integer"),
     "ensemble.eps_grid": (
-        lambda v: _is_vector(v) and all(x > 0 for x in v) and all(a < b for a, b in zip(v, v[1:])),
-        "a strictly increasing list of positive numbers",
+        lambda v: _is_vector(v) and len(v) >= 3 and all(x > 0 for x in v) and all(a < b for a, b in zip(v, v[1:])),
+        "a strictly increasing list of >= 3 positive numbers",
     ),
     "ensemble.statistic": (lambda v: v in ("grad", "fbar"), "grad or fbar"),
     "ensemble.theta0_box": (
         lambda v: (_is_vector(v) and len(v) == 2) or _is_matrix(v),
         "[lo, hi] or a per-dimension list of [lo, hi]",
     ),
-    # optional: probe.base picks the mean field's rule (two_point for rademacher, quadrature
-    # for uniform), and a given value must name it; Monte Carlo sampling is a test reference only
+    # optional, and a given value must be the rule probe.base picks; Monte Carlo is a test reference only
     "meanflow.method": (lambda v: v in ("two_point", "quadrature"), "two_point or quadrature"),
     "meanflow.grid": (
         lambda v: _is_vector(v) and len(v) == 3 and v[0] < v[1] and _is_int(v[2]) and 2 <= v[2] <= MAX_GRID_POINTS,
@@ -151,7 +153,10 @@ KNOWN_KEYS: dict[str, tuple] = {
 }
 
 REQUIRED_KEYS: dict[str, list[str]] = {
-    "run": ["objective.kind", "step.alpha0", "step.rho", "gain.kind", "probe.base", "probe.mode", "seed.master", "run.N"],
+    "run": [
+        "objective.kind", "step.alpha0", "step.rho", "gain.kind", "gain.eps_bullet", "probe.base", "probe.mode",
+        "seed.master", "run.N",
+    ],
     "experiment": [
         "objective.kind", "step.alpha0", "step.rho", "gain.kind", "probe.base", "seed.master",
         "ensemble.M", "ensemble.N", "ensemble.N0", "ensemble.eps_grid", "ensemble.statistic",
@@ -219,22 +224,14 @@ def validate_config(cfg: dict, command: str) -> None:
     for dep in _GAIN_KEY_DEPS.get(kind, []):
         if dep not in cfg:
             raise ConfigError(f"missing config key {dep!r} (required for gain.kind={kind!r})")
-    if kind in ("constant", "decaying", "center_active", "objective_active"):
-        if command != "experiment" and "gain.eps_bullet" not in cfg:
-            raise ConfigError("missing config key 'gain.eps_bullet'")
-
-    _check_derived(cfg, command)
-
     if cfg.get("objective.kind") == "quadratic_nd" and "objective.Q" not in cfg:
         raise ConfigError("missing config key 'objective.Q' (required for quadratic_nd)")
-
     if command == "run" and "run.theta0" not in cfg and "run.theta0_box" not in cfg:
         raise ConfigError("missing config key 'run.theta0' (or 'run.theta0_box')")
-    if command == "experiment":
-        if cfg["ensemble.N0"] >= cfg["ensemble.N"]:
-            raise ConfigError("config key 'ensemble.N0' must be below 'ensemble.N'")
-        if len(cfg["ensemble.eps_grid"]) < 3:
-            raise ConfigError("config key 'ensemble.eps_grid' needs at least 3 points for the scaling fit")
+    if command == "experiment" and cfg["ensemble.N0"] >= cfg["ensemble.N"]:
+        raise ConfigError("config key 'ensemble.N0' must be below 'ensemble.N'")
+
+    _check_derived(cfg, command)
 
 
 def _check_derived(cfg: dict, command: str) -> None:
@@ -244,7 +241,9 @@ def _check_derived(cfg: dict, command: str) -> None:
     probe support), the probe check's third-moment sum, the last gain of a
     decaying schedule, and the sizes of the work and of the outputs: flow
     steps, run steps, record rows, experiment lanes and lane-steps, and
-    probe-check samples.
+    probe-check samples.  Last, the objective's dimension (1, or Q's
+    order): the mean field needs 1 and the node rule of ``probe.base``, and
+    every start point and gain center needs it.
     """
     if "gain.sigma_p" in cfg and not 0.0 < cfg["gain.sigma_p"] * cfg["gain.sigma_p"] < math.inf:
         raise ConfigError(f"config key 'gain.sigma_p' is {cfg['gain.sigma_p']!r}; its square must be in (0, inf)")
@@ -313,6 +312,28 @@ def _check_derived(cfg: dict, command: str) -> None:
         if DecayingGain(eps, cfg["gain.kappa"]).at_float(0.0, n) == 0.0:
             raise ConfigError(f"config key 'gain.kappa' is {cfg['gain.kappa']!r}; gain {eps!r} * {n}**-kappa is 0.0")
 
+    dim = len(cfg["objective.Q"]) if cfg.get("objective.kind") == "quadratic_nd" else 1
+    points = ["gain.theta_ctr"] if command != "probe-check" and cfg["gain.kind"] == "center_active" else []
+    if command == "run":
+        points.append("run.theta0")
+    if command in ("meanflow", "equilibrium") or (command == "experiment" and cfg["ensemble.statistic"] == "fbar"):
+        if dim != 1:
+            raise ConfigError(
+                f"config key 'objective.kind' is {cfg['objective.kind']!r}, of dimension {dim}; "
+                "the mean field needs a one-dimensional objective"
+            )
+        rule = "two_point" if cfg["probe.base"] == "rademacher" else "quadrature"
+        if cfg.get("meanflow.method", rule) != rule:
+            raise ConfigError(
+                f"config key 'meanflow.method' is {cfg['meanflow.method']!r}, "
+                f"but 'probe.base' {cfg['probe.base']!r} takes {rule!r}"
+            )
+        if command != "experiment":
+            points += ["meanflow.theta_init", "meanflow.flow_theta0"]
+    for key in points:
+        if key in cfg and len(cfg[key]) != dim:
+            raise ConfigError(f"config key {key!r} has dimension {len(cfg[key])}, objective has {dim}")
+
 
 def config_hash(cfg: dict) -> str:
     """SHA-256 of the canonical serialized config (sorted keys, no whitespace)."""
@@ -356,12 +377,7 @@ def build_gain(cfg: dict, objective: Objective, eps_bullet: float | None = None)
     if kind == "decaying":
         return DecayingGain(eps_bullet=eps, kappa=cfg["gain.kappa"])
     if kind == "center_active":
-        center = np.asarray(cfg["gain.theta_ctr"], dtype=float)
-        if center.size != objective.dim:
-            raise ConfigError(
-                f"config key 'gain.theta_ctr' has dimension {center.size}, objective has {objective.dim}"
-            )
-        return CenterActiveGain(eps_bullet=eps, center=center, sigma_p=cfg["gain.sigma_p"])
+        return CenterActiveGain(eps_bullet=eps, center=cfg["gain.theta_ctr"], sigma_p=cfg["gain.sigma_p"])
     if kind == "objective_active":
         floor = cfg["gain.obj_floor"]
         if objective.known_floor is not None and floor > objective.known_floor:

@@ -75,14 +75,14 @@ def scaling_fit(eps_values, scaled_vars) -> ScalingFit:
     """Fit log(scaled variance) on log(gain scale) by least squares.
 
     The one log-log fit of the package: ``meanflow.bias_sweep`` takes its
-    slope here too.  A grid needs at least 3 distinct positive values.
+    slope here too.  Needs finite positive values and 3 distinct grid values.
     """
     eps_values = np.asarray(list(eps_values), dtype=float)
     scaled_vars = np.asarray(list(scaled_vars), dtype=float)
     if eps_values.size != scaled_vars.size:
         raise ValueError("grid and variance lengths differ")
-    if np.any(eps_values <= 0) or np.any(scaled_vars <= 0):
-        raise ValueError("power-law fit needs positive grid and variances")
+    if not np.all((eps_values > 0) & (eps_values < np.inf) & (scaled_vars > 0) & (scaled_vars < np.inf)):
+        raise ValueError("power-law fit needs finite positive grid and variances")
     distinct = np.unique(eps_values).size
     if distinct < 3:
         raise ValueError(f"power-law fit needs at least 3 distinct grid values, got {distinct}")

@@ -221,11 +221,15 @@ class ObjectiveActiveGain(ExplorationGain):
         def at_float(x, n=0):
             val = objective_at(x)
             if val < floor:
-                raise GainFloorError(f"objective below declared floor {floor} at theta={np.array([x])}")
+                raise self.below_floor(x)
             return root(val)
 
         object.__setattr__(self, "_formula", formula)
         object.__setattr__(self, "at_float", at_float)
+
+    def below_floor(self, theta) -> GainFloorError:
+        """The error for the objective below ``floor`` at ``theta``, a float or a (d,) point."""
+        return GainFloorError(f"objective below declared floor {self.floor} at theta={np.atleast_1d(theta)}")
 
     def value(self, theta, n: int = 0):
         # a float is evaluated at that point; a (d,) point is a 1-row batch
@@ -235,6 +239,6 @@ class ObjectiveActiveGain(ExplorationGain):
         vals = self.objective.value_batch(rows)
         below = vals < self.floor
         if below.any():
-            raise GainFloorError(f"objective below declared floor {self.floor} at theta={rows[below][0]}")
+            raise self.below_floor(rows[below][0])
         out = self._formula(vals, np)
         return out if np.ndim(theta) >= 2 else float(out[0])

@@ -331,11 +331,12 @@ def test_cli_experiment_rejects_bad_worker_counts(tmp_path, capsys):
 def test_cli_invalid_built_config_exits_2_naming_key(tmp_path, capsys, command, cfg, key):
     # each passes the per-key checks except experiment_fbar_monte_carlo,
     # which names a mean-field method no command can run, and the gain
-    # grids with fewer than 3 distinct values, which the scaling fits need;
-    # the others fail only when the objective, box, gain or mean-field
-    # evaluator is built, or when a start point is checked against the
-    # objective's dimension.  Each ends in a ConfigError, not a traceback
-    # or a warning
+    # grids with fewer than 3 distinct values, which the scaling fits need.
+    # The mean-field and dimension cases fail in validate_config's derived
+    # checks, before anything is built; the others (Q's symmetry, a box's
+    # shape, gain.obj_floor above the objective's floor) fail only when the
+    # objective, box or gain is built.  Each ends in a ConfigError, not a
+    # traceback or a warning
     cfg_path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
@@ -344,6 +345,52 @@ def test_cli_invalid_built_config_exits_2_naming_key(tmp_path, capsys, command, 
     assert not caught, [str(w.message) for w in caught]
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+Q2 = {"objective.kind": "quadratic_nd", "objective.Q": [[1.0, 0.0], [0.0, 2.0]], "gain.theta_ctr": [0.0, 0.0]}
+FBAR = {"ensemble.statistic": "fbar"}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("run", run_cfg(**{"run.theta0": [1.0, 1.0]}), "run.theta0"),
+        ("run", run_cfg(**{"gain.theta_ctr": [0.0, 0.0]}), "gain.theta_ctr"),
+        ("run", run_cfg(**{**Q2, "run.theta0": [1.0, 1.0], "gain.theta_ctr": [0.0]}), "gain.theta_ctr"),
+        ("experiment", experiment_cfg(**{"gain.theta_ctr": [0.0, 0.0]}), "gain.theta_ctr"),
+        ("meanflow", dict(MEANFLOW_TRIG, **{"gain.theta_ctr": [0.0, 0.0]}), "gain.theta_ctr"),
+        ("meanflow", dict(MEANFLOW_TRIG, **Q2, **{"meanflow.theta_init": [0.2, 0.2]}), "objective.kind"),
+        ("equilibrium", dict(MEANFLOW_TRIG, **Q2), "objective.kind"),
+        ("experiment", experiment_cfg(**Q2, **FBAR), "objective.kind"),
+        ("meanflow", dict(MEANFLOW_TRIG, **{"meanflow.theta_init": [0.2, 0.1]}), "meanflow.theta_init"),
+        ("meanflow", dict(MEANFLOW_TRIG, **{"meanflow.flow_theta0": [1.0, 2.0]}), "meanflow.flow_theta0"),
+        ("equilibrium", dict(MEANFLOW_TRIG, **{"meanflow.theta_init": [0.2, 0.1]}), "meanflow.theta_init"),
+        ("equilibrium", dict(MEANFLOW_TRIG, **{"meanflow.flow_theta0": [1.0, 2.0]}), "meanflow.flow_theta0"),
+        ("meanflow", dict(MEANFLOW_TRIG, **{"probe.base": "uniform"}), "meanflow.method"),
+        ("equilibrium", dict(MEANFLOW_TRIG, **{"meanflow.method": "quadrature"}), "meanflow.method"),
+        ("experiment", experiment_cfg(**FBAR, **{"meanflow.method": "two_point"}), "meanflow.method"),
+        (
+            "experiment",
+            experiment_cfg(**FBAR, **{"probe.base": "rademacher", "meanflow.method": "quadrature"}),
+            "meanflow.method",
+        ),
+        ("run", run_cfg(**{**Q2, "objective.Q": [[1.0, 0.5]], "run.theta0": [1.0, 1.0]}), "objective.Q"),
+    ],
+    ids=[
+        "run_start_dimension", "run_center_dimension", "run_nd_center_dimension", "experiment_center_dimension",
+        "meanflow_center_dimension", "meanflow_two_dimensional", "equilibrium_two_dimensional",
+        "experiment_fbar_two_dimensional", "meanflow_equilibrium_start_dimension", "meanflow_flow_start_dimension",
+        "equilibrium_equilibrium_start_dimension", "equilibrium_flow_start_dimension", "meanflow_two_point_uniform",
+        "equilibrium_quadrature_rademacher", "experiment_fbar_two_point_uniform",
+        "experiment_fbar_quadrature_rademacher", "non_square_Q",
+    ],
+)
+def test_validate_config_alone_rejects_dimension_and_mean_field_rules(command, cfg, key):
+    # validate_config is the one gate before a command builds anything: a
+    # point of the wrong dimension, a mean field on a 2-d objective or with
+    # the other node rule, and a non-square Q are rejected there, naming the key
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        validate_config(cfg, command)
 
 
 MEANFLOW_QUADRATURE = dict(MEANFLOW_TRIG, **{"probe.base": "uniform", "meanflow.method": "quadrature"})

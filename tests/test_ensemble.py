@@ -63,6 +63,16 @@ def test_scaling_fit_validation():
     for grid in ([0.1, 0.1, 0.1], [0.1, 0.1, 0.2]):
         with pytest.raises(ValueError, match="distinct"):
             scaling_fit(grid, [1.0, 2.0, 3.0])
+    # a NaN or inf variance, or a NaN gain, is no point of a power law: a NaN
+    # fails every comparison, so it is rejected as not finite, before the
+    # logarithms and the least-squares solve
+    for grid, variances in (
+        ([0.1, 0.2, 0.3], [1.0, np.nan, 2.0]),
+        ([0.1, 0.2, 0.3], [1.0, np.inf, 2.0]),
+        ([0.1, np.nan, 0.3], [1.0, 1.5, 2.0]),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            scaling_fit(grid, variances)
 
 
 def test_delta_decomposition_identity_and_terms():

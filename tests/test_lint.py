@@ -10,7 +10,9 @@ NaN-catching float bindings: ``objectives.float_form`` and the mean field's
 two-point binding, ``meanflow._two_point_field``.  The log-log fits (the
 ensemble's variance law and the mean field's bias sweep) share one
 ``np.polyfit`` call, in ``ensemble.scaling_fit``.  The command line maps
-its exceptions to exit codes in one place, ``cli.main``.
+its exceptions to exit codes in one place, ``cli.main``, and it holds no
+config rule: it raises ``ConfigError`` at one site, the ``--workers`` check
+in ``cmd_experiment``, and ``config.py`` raises every other.
 """
 
 import ast
@@ -183,3 +185,21 @@ def test_exit_codes_mapped_in_main_only():
             names = {getattr(n, "id", None) or getattr(n, "attr", None) for n in caught}
             bad += [(name, handler.lineno) for name in sorted(names & EXIT_CODE_ERRORS)]
     assert not bad, f"cli.py catches exit-code errors outside main: {bad}"
+
+
+# config.validate_config and the builders are the one home of the config
+# rules; a command that checked a key itself would be a second rule to keep
+# in step, and one validate_config would not know of.  --workers is an
+# option, not a config key, so its check stays with the command
+def test_config_errors_raised_in_config_only():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    sites = [
+        (getattr(top, "name", None), node)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ConfigError"
+    ]
+    found = [(name, node.lineno) for name, node in sites]
+    assert len(sites) == 1, f"cli.py constructs ConfigError at {found}; only the --workers check may"
+    name, node = sites[0]
+    assert name == "cmd_experiment" and "--workers" in ast.unparse(node), f"cli.py's one ConfigError is {found}"
