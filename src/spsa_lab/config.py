@@ -135,8 +135,9 @@ KNOWN_KEYS: dict[str, tuple] = {
     # optional, and a given value must be the rule probe.base picks; Monte Carlo is a test reference only
     "meanflow.method": (lambda v: v in ("two_point", "quadrature"), "two_point or quadrature"),
     "meanflow.grid": (
-        lambda v: _is_vector(v) and len(v) == 3 and v[0] < v[1] and _is_int(v[2]) and 2 <= v[2] <= MAX_GRID_POINTS,
-        f"[lo, hi, npoints] with lo < hi and integer npoints in [2, {MAX_GRID_POINTS}]",
+        lambda v: _is_vector(v) and len(v) == 3 and v[0] < v[1] and math.isfinite(float(v[1]) - float(v[0]))
+        and _is_int(v[2]) and 2 <= v[2] <= MAX_GRID_POINTS,
+        f"[lo, hi, npoints] with lo < hi, a finite width hi - lo and integer npoints in [2, {MAX_GRID_POINTS}]",
     ),
     "meanflow.theta_init": (_is_vector, "a vector of numbers"),
     "meanflow.tol": (lambda v: _is_number(v) and 1e-12 <= v <= 1e-6, "a number in [1e-12, 1e-6]"),

@@ -35,6 +35,7 @@ by it to inf or NaN, with NumPy's warning, but a float lane raises
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -124,12 +125,17 @@ class BatchRunResult:
 
 
 def theta0_box(box, dim: int) -> np.ndarray:
-    """A per-coordinate box as a (dim, 2) array; one [lo, hi] pair is broadcast over the dims."""
+    """A per-coordinate box as a (dim, 2) array; one [lo, hi] pair is broadcast over the dims.
+
+    Each width ``hi - lo`` must be finite, because a uniform draw scales by it.
+    """
     box = np.asarray(box, dtype=float)
     if box.ndim == 1:
         box = np.tile(box, (dim, 1))
     if box.shape != (dim, 2) or np.any(box[:, 0] >= box[:, 1]):
         raise ValueError(f"theta0 box must be ({dim}, 2) with lo < hi, got {box.tolist()!r}")
+    if not all(math.isfinite(hi - lo) for lo, hi in box.tolist()):
+        raise ValueError(f"theta0 box widths hi - lo must be finite, got {box.tolist()!r}")
     return box
 
 

@@ -14,27 +14,28 @@ shared numerical rule: the equilibrium's Jacobian is
 ``objectives.opposite_signs`` and ``bisect_root``, and the bias sweep's
 slope is ``ensemble.scaling_fit``'s.
 
-``evaluate`` takes either shape, with the same floating-point operations
-on each, so a float's field equals its entry in a column bit for bit:
+The field has two forms, with the same floating-point operations in
+each, so a float's field equals its entry in a column bit for bit:
 
-- a Python float, giving a float, through ``at_float``.  The two-point
-  rule on an objective with a 1-d formula is one closure over the gain's
-  float form and that formula, which it runs on ``math`` itself
+- ``evaluate`` on an (m,) column of points, giving an (m,) array: one
+  expression on ``numpy`` for both rules, summing the weighted nodes in
+  node order.
+- ``at_float`` at a Python float, giving a float.  The two-point rule on
+  an objective with a 1-d formula is one closure over the gain's float
+  form and that formula, which it runs on ``math`` itself
   (``_two_point_field``): it catches libm's domain errors per value and
   gives NaN, as ``objectives.float_form`` does, and checks the objective's
   floor.  No NumPy call is made, and squares are written ``x * x`` (see
   ``objectives``).  Every other field (the quadrature rule, or an
   objective without ``fn_1d``) is the column form on a 1-entry column.
-- an (m,) column of points, giving an (m,) array: one expression on
-  ``numpy`` for both rules, summing the weighted nodes in node order.
 
 A non-finite or overflowing point gives inf or NaN, never an exception or
 a warning: the float forms map libm's domain errors to NaN, and the
 array work runs with NumPy's overflow and invalid-value warnings off
-(``evaluate`` enters ``np.errstate`` for all but the two-point closure; the
-flow and the equilibrium search hold one over all their calls).  Callers
-judge the result (a NaN residual fails the equilibrium search, a
-non-finite state ends the flow).
+(``evaluate`` enters ``np.errstate``; the flow and the equilibrium search
+hold one over all their calls to ``at_float``).  Callers judge the result
+(a NaN residual fails the equilibrium search, a non-finite state ends the
+flow).
 """
 
 from __future__ import annotations
@@ -86,9 +87,10 @@ class MeanFieldEvaluator:
     Gauss-Legendre rule against the uniform base law (for zigzag probes,
     one rule per half of the triangular marginal).  The probe mode enters
     only through the marginal probe law (iid base draws versus scaled
-    differences of independent draws).  ``at_float(x)`` is the field at a
-    float, bound at construction: the two-point closure on ``math`` or the
-    column form on one point (see the module docstring).
+    differences of independent draws).  ``evaluate(x)`` is the field on an
+    (m,) column, and ``at_float(x)`` the field at a float, bound at
+    construction: the two-point closure on ``math`` or the column form on
+    one point (see the module docstring).
     """
 
     objective: Objective
@@ -105,7 +107,6 @@ class MeanFieldEvaluator:
         nodes, weights = self._rule()
         object.__setattr__(self, "_nodes", nodes)
         object.__setattr__(self, "_weighted_nodes", weights * nodes)
-        object.__setattr__(self, "_math_only", self.base.kind == "rademacher" and self.objective.fn_1d is not None)
         # the field at a float, bound once (the fields are frozen, so it stays current)
         object.__setattr__(self, "at_float", self._bind_at_float())
 
@@ -115,7 +116,7 @@ class MeanFieldEvaluator:
         Every other field (quadrature, or an objective without ``fn_1d``) is
         ``_field`` on a 1-entry column, under its caller's ``np.errstate``.
         """
-        if self._math_only:
+        if self.base.kind == "rademacher" and self.objective.fn_1d is not None:
             # (node, weighted node) pairs as floats: the two-point closure's terms
             rule = tuple(zip(self._nodes.tolist(), self._weighted_nodes.tolist()))
             return _two_point_field(self.gain.at_float, self.objective, rule)
@@ -149,20 +150,13 @@ class MeanFieldEvaluator:
         return nodes, weights
 
     def evaluate(self, x):
-        """Mean field at a float ``x``, as a float, or on an (m,) column ``x``, as an (m,) array.
+        """Mean field on an (m,) column ``x``, as an (m,) array, under an ``np.errstate`` entered here.
 
-        A NumPy float scalar is taken as a float, and runs ``at_float``.  The
-        two-point closure at a float makes no NumPy call, so it needs no
-        ``np.errstate``; a column, and a float field in the column form, run
-        under one, entered here on each call.  A loop over floats calls
-        ``at_float`` under one guard of its own instead, as the flow and the
-        equilibrium search do.
+        A float goes through ``at_float``; a loop over floats holds one
+        ``np.errstate`` of its own, as the flow and the equilibrium search do.
         """
-        x = float(x) if isinstance(x, float) else x
-        if x.__class__ is float and self._math_only:
-            return self.at_float(x)
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.at_float(x) if x.__class__ is float else self._field(x)
+            return self._field(x)
 
     def _field(self, x):
         """The field on an (m,) column."""
@@ -216,7 +210,7 @@ def monte_carlo_field(evaluator: MeanFieldEvaluator, x: float, n_samples: int, r
     probes from the stationary probe law of ``evaluator``, drawn from
     ``rng``: an independent reference for the node/weight rules.
     """
-    eps = evaluator.gain.value(x)
+    eps = evaluator.gain.at_float(x)
     if evaluator.mode == "iid":
         xi = evaluator.base.sample(rng, n_samples)
     else:

@@ -26,9 +26,9 @@ objective's formula twice per field value, each in its own ``try``.  A
 formula is an arithmetic expression, so one NaN term makes the whole value
 NaN.  Squares are written ``x * x``: on a float ``x**2`` calls libm
 ``pow``, which can differ from ``x * x`` in the last bit, while NumPy
-computes an array's ``x**2`` as ``x * x``.  Any other single point is a
-1-row batch.  User objectives are supplied the same way; there is no
-expression parser.
+computes an array's ``x**2`` as ``x * x``.  Any other single point,
+and every point that ``Objective.value`` takes, is a 1-row batch.  User
+objectives are supplied the same way; there is no expression parser.
 """
 
 from __future__ import annotations
@@ -56,10 +56,8 @@ _FLOAT64 = np.dtype(np.float64)
 BISECT_MAX_ITER = 200
 
 
-def _fd_step(theta: np.ndarray, h: float | None) -> float:
+def _fd_step(theta: np.ndarray) -> float:
     # balances truncation and rounding for smooth objectives in double precision
-    if h is not None:
-        return h
     return 1e-4 * (1.0 + float(np.linalg.norm(theta)))
 
 
@@ -105,14 +103,7 @@ class Objective:
         return ValueError(f"objective {val} below declared floor {self.known_floor} at theta={np.atleast_1d(theta)}")
 
     def value(self, theta) -> float:
-        """Objective at one point, a (d,) array or (for d = 1) a float.
-
-        A float runs ``at_float`` when the objective gives ``fn_1d``; any
-        other point is a 1-row ``value_batch``.  A NumPy float scalar counts
-        as a float.
-        """
-        if isinstance(theta, float) and self.fn_1d is not None:
-            return self.at_float(float(theta))
+        """Objective at one (d,) point (at d = 1 a float is a 1-element point), a 1-row ``value_batch``."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if theta.shape != (self.dim,):
             raise ValueError(f"theta has shape {theta.shape}, expected ({self.dim},)")
@@ -131,12 +122,12 @@ class Objective:
                 raise self.below_floor(thetas[vals == low][0], low)
         return vals
 
-    def grad(self, theta, h: float | None = None) -> np.ndarray:
+    def grad(self, theta) -> np.ndarray:
         """Gradient at one (d,) point: a 1-row ``grad_batch``, or central differences without a closed form."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if self.grad_batch_fn is not None:
             return self.grad_batch(theta[None, :])[0]
-        return central_difference(self.value_batch, theta, _fd_step(theta, h))
+        return central_difference(self.value_batch, theta, _fd_step(theta))
 
     def grad_batch(self, thetas: np.ndarray) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)

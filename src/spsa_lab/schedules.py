@@ -5,13 +5,13 @@ gains are either oblivious (functions of the iteration index only) or
 active (functions of the current iterate, bounded below by ``eps_bullet``,
 which is the stabilization mechanism).
 
-Every gain's ``value`` takes an (m, d) batch, one (d,) point, or a
-1-d point given as a Python float (a NumPy float scalar is taken as a
-float).  At a float it returns ``at_float(x, n)``, the gain's float form,
-bound once at construction and equal to the gain of a batch row bit for
-bit.  An active gain states its square root once, as a formula that takes
-its library (``eps * lib.sqrt(...)``, see ``objectives``): on NumPy arrays
-for a batch, and on ``math`` at a float through ``objectives.float_form``,
+Every gain has two forms.  ``value(theta, n)`` takes an (m, d) batch and
+gives (m,) row gains; ``at_float(x, n)`` takes a 1-d point as a Python
+float and gives a float.  The float form is bound once at construction
+and equals the gain of a batch row bit for bit.  An active gain states
+its square root once, as a formula that takes its library
+(``eps * lib.sqrt(...)``, see ``objectives``): on NumPy arrays for a
+batch, and on ``math`` at a float through ``objectives.float_form``,
 which gives NaN where ``math.sqrt`` raises, as ``np.sqrt`` does.  Squares
 are written ``x * x``.
 """
@@ -68,15 +68,13 @@ class StepSizeSchedule:
 
 
 def _squared_norms(theta: np.ndarray):
-    """Squared row norms of a float array (the squared norm of a (d,) point is 0-d)."""
+    """Squared row norms of an (m, d) float array."""
     return np.add.reduce(theta * theta, axis=-1)
 
 
 def _oblivious(theta, eps):
-    """An oblivious gain ``eps`` for each row of an (m, d) batch, or ``eps`` itself for one point."""
-    if theta.__class__ is float or np.ndim(theta) < 2:
-        return eps
-    return np.full(np.shape(theta)[0], eps)
+    """An oblivious gain ``eps`` for each row of an (m, d) batch."""
+    return np.full(len(theta), eps)
 
 
 def _check_scale(gain) -> None:
@@ -92,13 +90,12 @@ def _check_scale(gain) -> None:
 class ExplorationGain:
     """Base class for exploration-gain schedules.
 
-    Subclasses implement ``value(theta, n)``; ``theta`` may be a single
-    vector of shape (d,), a 1-d point given as a float, or a batch of
-    shape (m, d), in which case a vector of per-row gains is returned.
-    ``eps_bullet`` is one scale for every row or an (m,) array holding one
-    scale per row of the batch.  ``at_float(x, n)`` is the gain at a float
-    point; the built-in gains bind it at construction (see the module
-    docstring), and by default it is ``value``.
+    Subclasses implement ``value(theta, n)``, which maps an (m, d) batch
+    to a vector of per-row gains.  ``eps_bullet`` is one scale for every
+    row or an (m,) array holding one scale per row of the batch.
+    ``at_float(x, n)`` is the gain at a float point; the built-in gains
+    bind it at construction (see the module docstring), and by default it
+    is ``value`` on a 1-row batch.
     """
 
     eps_bullet: float
@@ -107,7 +104,7 @@ class ExplorationGain:
         raise NotImplementedError
 
     def at_float(self, x: float, n: int = 0) -> float:
-        return self.value(x, n)
+        return float(self.value(np.array([[x]]), n)[0])
 
     def scaled(self, eps_bullet) -> "ExplorationGain":
         """The same gain at scale ``eps_bullet`` (a scalar or one scale per row)."""
@@ -188,8 +185,6 @@ class CenterActiveGain(ExplorationGain):
         object.__setattr__(self, "at_float", float_form(formula))
 
     def value(self, theta, n: int = 0):
-        if isinstance(theta, float):
-            return self.at_float(float(theta))
         theta = np.asarray(theta)
         if theta.shape[-1] == 1 and self.center.size == 1:
             return self._formula(theta[..., 0], np)
@@ -232,13 +227,9 @@ class ObjectiveActiveGain(ExplorationGain):
         return GainFloorError(f"objective below declared floor {self.floor} at theta={np.atleast_1d(theta)}")
 
     def value(self, theta, n: int = 0):
-        # a float is evaluated at that point; a (d,) point is a 1-row batch
-        if isinstance(theta, float):
-            return self.at_float(float(theta))
-        rows = np.atleast_2d(np.asarray(theta, dtype=float))
+        rows = np.asarray(theta, dtype=float)
         vals = self.objective.value_batch(rows)
         below = vals < self.floor
         if below.any():
             raise self.below_floor(rows[below][0])
-        out = self._formula(vals, np)
-        return out if np.ndim(theta) >= 2 else float(out[0])
+        return self._formula(vals, np)

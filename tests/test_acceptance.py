@@ -181,11 +181,11 @@ def test_criterion_4_meanfield_oracle_equivalence():
         rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, "meanfield-mc")))
         for theta in grid.tolist():
             vm, se = monte_carlo_field(exact, theta, 1_000_000, rng)
-            worst_sigma = max(worst_sigma, abs(vm - exact.evaluate(theta)) / se)
+            worst_sigma = max(worst_sigma, abs(vm - exact.at_float(theta)) / se)
     quad_exact = MeanFieldEvaluator(
         objective=quadratic_1d(), gain=CenterActiveGain(0.1, np.array([0.0]), 1.0), base=base
     )
-    worst_quad = max(abs(quad_exact.evaluate(t) + 2.0 * t) for t in grid.tolist())
+    worst_quad = max(abs(quad_exact.at_float(t) + 2.0 * t) for t in grid.tolist())
     passed = worst_sigma <= 3.0 and worst_quad < 1e-12
     report(
         4,
@@ -231,7 +231,7 @@ def test_criterion_6_telescoping_and_decomposition_identities():
     rep = find_equilibrium(ev, 0.2, tol=1e-10)
     gen2 = ProbeGenerator(BaseNoise("rademacher", 1), "zigzag", varsigma=VS, seed=derive_seed(MASTER, "delta"))
     xi = gen2.take(10_000)
-    eps_star = CenterActiveGain(0.1, np.array([0.0]), 1.0).value(rep.theta_star)
+    eps_star = CenterActiveGain(0.1, np.array([0.0]), 1.0).at_float(rep.theta_star)
     dec = delta_decompose(rep.theta_star, xi, trig, eps_star, gen2.probe_covariance())
     dec_err = float(np.max(np.abs(dec.nu + dec.omega + dec.psi - dec.delta)))
 
@@ -253,8 +253,8 @@ def test_criterion_7_batch_means_estimator_sanity():
     base = BaseNoise("rademacher", 1)
     ev = MeanFieldEvaluator(objective=trig, gain=gain, base=base)
     rep = find_equilibrium(ev, 0.2, tol=1e-10)
-    level = trig.value(rep.theta_star)
-    eps_star = gain.value(rep.theta_star)
+    level = trig.at_float(rep.theta_star)
+    eps_star = gain.at_float(rep.theta_star)
     n = 1_000_000
 
     xi_iid = ProbeGenerator(base, "iid", seed=derive_seed(MASTER, "bm-iid")).take(n)
@@ -296,7 +296,7 @@ def test_criterion_8_hurwitz_and_flow_checks():
     ev_q = MeanFieldEvaluator(
         objective=quadratic_1d(), gain=CenterActiveGain(0.1, np.array([0.0]), 1.0), base=base
     )
-    mean_flow = integrate_flow(ev_q.evaluate, 1.0, 1.0, 1e-3)
+    mean_flow = integrate_flow(ev_q.at_float, 1.0, 1.0, 1e-3)
     agree = float(np.max(np.abs(mean_flow.states - flow.states)))
 
     passed = hurwitz_ok and rk4_err < 1e-6 and agree < 1e-9

@@ -293,6 +293,12 @@ def test_cli_experiment_rejects_bad_worker_counts(tmp_path, capsys):
             "run.theta0_box",
         ),
         ("experiment", experiment_cfg(**{"ensemble.theta0_box": [[-1.0, 1.0], [-1.0, 1.0]]}), "ensemble.theta0_box"),
+        (
+            "run",
+            {k: v for k, v in run_cfg(**{"run.theta0_box": [-1e308, 1e308]}).items() if k != "run.theta0"},
+            "run.theta0_box",
+        ),
+        ("experiment", experiment_cfg(**{"ensemble.theta0_box": [-1e308, 1e308]}), "ensemble.theta0_box"),
         ("run", run_cfg(**{"gain.kind": "objective_active", "gain.obj_floor": 0.5}), "gain.obj_floor"),
         (
             "experiment",
@@ -320,7 +326,8 @@ def test_cli_experiment_rejects_bad_worker_counts(tmp_path, capsys):
         ("equilibrium", dict(MEANFLOW_TRIG, **{"meanflow.eps_sweep": [0.05, 0.1, 0.05]}), "meanflow.eps_sweep"),
     ],
     ids=[
-        "nonsymmetric_Q", "run_box_dimension", "ensemble_box_dimension", "obj_floor_above_known_floor",
+        "nonsymmetric_Q", "run_box_dimension", "ensemble_box_dimension", "run_box_width_overflows",
+        "ensemble_box_width_overflows", "obj_floor_above_known_floor",
         "experiment_fbar_monte_carlo", "meanflow_two_point_uniform", "meanflow_quadrature_rademacher",
         "meanflow_two_dimensional", "experiment_fbar_two_point_uniform", "meanflow_flow_start_dimension",
         "meanflow_equilibrium_start_dimension", "equilibrium_flow_start_dimension",
@@ -334,9 +341,9 @@ def test_cli_invalid_built_config_exits_2_naming_key(tmp_path, capsys, command, 
     # grids with fewer than 3 distinct values, which the scaling fits need.
     # The mean-field and dimension cases fail in validate_config's derived
     # checks, before anything is built; the others (Q's symmetry, a box's
-    # shape, gain.obj_floor above the objective's floor) fail only when the
-    # objective, box or gain is built.  Each ends in a ConfigError, not a
-    # traceback or a warning
+    # shape or a width hi - lo that overflows, gain.obj_floor above the
+    # objective's floor) fail only when the objective, box or gain is
+    # built.  Each ends in a ConfigError, not a traceback or a warning
     cfg_path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
@@ -411,6 +418,7 @@ PROBE_CHECK_SMALL = dict(
         ("meanflow", dict(MEANFLOW_TRIG, **{"meanflow.flow_dt": 1e-300}), "meanflow.flow_dt"),
         ("meanflow", dict(MEANFLOW_TRIG, **{"meanflow.flow_t_end": 1001.0}), "meanflow.flow_t_end"),
         ("meanflow", dict(MEANFLOW_TRIG, **{"meanflow.grid": [-3.0, 3.0, 10**6 + 1]}), "meanflow.grid"),
+        ("meanflow", dict(MEANFLOW_TRIG, **{"meanflow.grid": [-1e308, 1e308, 11]}), "meanflow.grid"),
         ("meanflow", dict(MEANFLOW_QUADRATURE, **{"probe.support": 1e308}), "probe.support"),
         ("run", run_cfg(**{"probe.base": "uniform", "probe.support": 1e308}), "probe.support"),
         ("run", run_cfg(n=10**12), "run.N"),
@@ -443,7 +451,7 @@ PROBE_CHECK_SMALL = dict(
     ids=[
         "sigma_p_square_underflows", "sigma_p_square_overflows", "run_sigma_p_square_overflows",
         "flow_steps_overflow", "flow_steps_above_cap", "flow_dt_steps_above_cap", "flow_steps_just_above_cap",
-        "grid_points_above_cap", "twice_support_overflows", "run_twice_support_overflows",
+        "grid_points_above_cap", "grid_width_overflows", "twice_support_overflows", "run_twice_support_overflows",
         "record_rows_overflow", "record_rows_above_cap", "ensemble_lanes_overflow", "ensemble_lanes_just_above_cap",
         "run_steps_far_above_cap_with_few_rows", "run_steps_just_above_cap", "ensemble_lane_steps_just_above_cap",
         "run_probe_offset_overflows", "meanflow_probe_offset_overflows", "eps_bullet_int_too_large_for_a_float",
@@ -461,7 +469,7 @@ def test_cli_derived_quantity_out_of_range_exits_2_naming_key(tmp_path, capsys, 
     # a record, the lanes or lane-steps of an experiment, the sum of a probe
     # check's third-moment products, the last decaying gain) is out of range or
     # above its cap; the config is rejected before any work starts.  An int too
-    # large for a float fails its own check.  A run of 10**12 steps recorded
+    # large for a float, or a grid whose width overflows, fails its own check.  A run of 10**12 steps recorded
     # every 10**7 has few rows but would take a month
     cfg_path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"

@@ -148,7 +148,7 @@ def test_run_matches_per_step_api_bitwise(algorithm, mode):
     manual, gains = [theta], []
     for k in range(1, 501):
         xi = float(probe.take(1)[0, 0])
-        eps = gain.value(np.array([theta]))
+        eps = float(gain.value(np.array([[theta]]))[0])
         y = obj.value([theta + eps * xi])
         if algorithm == "1spsa":
             theta = theta + -(sched(k) / eps) * xi * y
@@ -415,7 +415,7 @@ def test_run_batch_records_alpha_and_gain_per_index():
     result = run_batch(quadratic_1d(), sched, gain, [probe], np.array([[2.0]]), 300, stride=7)
     assert calls["n"] == 301
     assert np.array_equal(result.alpha_trace, [sched(int(k)) for k in result.record_indices])
-    want = [CenterActiveGain(0.1, np.array([0.0]), 1.0).value(t) for t in result.thetas[0]]
+    want = CenterActiveGain(0.1, np.array([0.0]), 1.0).value(result.thetas[0])
     assert np.array_equal(result.gain_trace[0], want)
 
 

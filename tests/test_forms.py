@@ -2,8 +2,8 @@
 
 Every 1-d formula of the package is one element-wise expression that takes
 its library and runs on a Python float (with ``math``) and on an (m,)
-column (with NumPy).  The objectives, the gains (their ``value`` and their
-float forms) and both mean-field rules must give a float equal to its
+column (with NumPy).  The float forms (``at_float``) of the objectives,
+the gains and both mean-field rules must give a float equal to its
 column entry bit for bit (NaN for NaN), on about 10**5 points in
 [-1e3, 1e3] and at the non-finite and overflowing points.  The engine runs
 one lane on floats and a d = 1 batch on (m, 1) rows; both must reproduce
@@ -75,14 +75,13 @@ def assert_same_bits(floats: list, column: np.ndarray, what: str) -> None:
 
 @pytest.mark.parametrize("name", sorted(OBJECTIVES))
 def test_objective_float_equals_column(name):
-    # value at a float and the float form bound at construction
+    # the float form bound at construction
     obj = OBJECTIVES[name]
     with np.errstate(all="ignore"):  # the column overflows where the floats give inf silently
         column = obj.value_batch(POINTS[:, None])
-    for form in (obj.value, obj.at_float):
-        floats = [form(x) for x in POINTS.tolist()]
-        assert all(type(v) is float for v in floats)
-        assert_same_bits(floats, column, f"{name} {form.__name__}")
+    floats = [obj.at_float(x) for x in POINTS.tolist()]
+    assert all(type(v) is float for v in floats)
+    assert_same_bits(floats, column, f"{name} at_float")
 
 
 @pytest.mark.parametrize("kind", GAIN_KINDS)
@@ -92,10 +91,9 @@ def test_gain_float_equals_column(name, kind):
     for n in (0, 7):
         with np.errstate(all="ignore"):
             column = gain.value(POINTS[:, None], n)
-        for form in (gain.value, gain.at_float):
-            floats = [form(x, n) for x in POINTS.tolist()]
-            assert all(type(v) is float for v in floats), kind
-            assert_same_bits(floats, column, f"{kind} gain {form.__name__} at n={n} on {name}")
+        floats = [gain.at_float(x, n) for x in POINTS.tolist()]
+        assert all(type(v) is float for v in floats), kind
+        assert_same_bits(floats, column, f"{kind} gain at_float at n={n} on {name}")
 
 
 def raised(fn, *args) -> tuple:
@@ -123,14 +121,20 @@ def test_float_form_raises_below_the_floor_as_the_batch_does():
 @pytest.mark.parametrize("name", sorted(OBJECTIVES))
 def test_mean_field_float_equals_column(name, method, mode):
     # quadrature's node values are an array per point at a float too, so it
-    # is checked on a 25th of the points; the column runs without warnings
+    # is checked on a 25th of the points, under its caller's guard; the
+    # two-point closure makes no NumPy call and needs none, and the column
+    # runs without warnings
     objective = OBJECTIVES[name]
     base = BaseNoise("rademacher" if method == "two_point" else "uniform")
     step = 4 if method == "two_point" else 100
     for i, kind in enumerate(GAIN_KINDS):
         points = np.concatenate([POINTS[i:-len(SPECIAL):step], SPECIAL])
         ev = MeanFieldEvaluator(objective, make_gain(kind, objective), base, mode=mode)
-        floats = [ev.evaluate(x) for x in points.tolist()]
+        if method == "two_point":
+            floats = [ev.at_float(x) for x in points.tolist()]
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                floats = [ev.at_float(x) for x in points.tolist()]
         assert all(type(v) is float for v in floats), kind
         assert_same_bits(floats, ev.evaluate(points), f"{method} {mode} field, {kind} gain, on {name}")
 
@@ -140,10 +144,9 @@ def test_mean_field_float_equals_column(name, method, mode):
 @pytest.mark.parametrize("name", sorted(OBJECTIVES))
 def test_bound_field_equals_evaluate_and_column(name, method, mode):
     # the field at a float bound at construction (two-point: one closure that
-    # runs the objective's formula on math itself) equals evaluate at a float
-    # and the column entry bit for bit, on every point for two-point and a
-    # 100th of them for quadrature, whose array work runs under its caller's
-    # guard
+    # runs the objective's formula on math itself) equals the column entry
+    # of evaluate bit for bit, on every point for two-point and a 100th of
+    # them for quadrature, whose array work runs under its caller's guard
     objective = OBJECTIVES[name]
     base = BaseNoise("rademacher" if method == "two_point" else "uniform")
     points = POINTS if method == "two_point" else np.concatenate([POINTS[:-len(SPECIAL):100], SPECIAL])
@@ -154,8 +157,6 @@ def test_bound_field_equals_evaluate_and_column(name, method, mode):
             bound = [ev.at_float(x) for x in points.tolist()]
         assert all(type(v) is float for v in bound), kind
         assert_same_bits(bound, column, f"bound {method} {mode} field, {kind} gain, on {name}")
-        evaluated = [ev.evaluate(x) for x in points.tolist()]
-        assert_same_bits(bound, evaluated, f"bound {method} {mode} field against evaluate, {kind} gain, on {name}")
 
 
 def test_bound_field_raises_below_the_floor_as_the_batch_does():
@@ -171,7 +172,7 @@ def test_bound_field_raises_below_the_floor_as_the_batch_does():
         node = x + 0.05 * -1.0 if sign > 0 else x + 0.05 * 1.0
         want = raised(obj.value_batch, np.array([[node]]))
         assert want[0] is ValueError
-        assert raised(ev.at_float, x) == raised(ev.evaluate, x) == raised(ev.evaluate, np.array([x])) == want
+        assert raised(ev.at_float, x) == raised(ev.evaluate, np.array([x])) == want
         assert np.isnan(ev.at_float(np.nan))
 
 
@@ -322,7 +323,7 @@ def test_objective_without_a_formula_runs_on_one_row_batches():
     batch_only = Objective(dim=1, fn_batch=trig.fn_batch, known_floor=trig.known_floor)
     assert batch_only.at_float(0.3) == trig.at_float(0.3)
     gain, base = make_gain("center_active", trig), BaseNoise("rademacher")
-    flows = [integrate_flow(MeanFieldEvaluator(obj, gain, base).evaluate, 2.0, 0.2, 1e-3) for obj in (batch_only, trig)]
+    flows = [integrate_flow(MeanFieldEvaluator(obj, gain, base).at_float, 2.0, 0.2, 1e-3) for obj in (batch_only, trig)]
     assert_same_bits(flows[0].states.tolist(), flows[1].states, "flow")
     c = case(0)
     c.update(objective=batch_only, gain=gain, base=base, theta0=[1.5])
@@ -333,8 +334,8 @@ def test_objective_without_a_formula_runs_on_one_row_batches():
 
 def test_gain_without_a_float_form_runs_through_value():
     # a user gain that implements only value: its float form defaults to
-    # value, so the float lane and the float field still run, and match a
-    # built-in gain with the same value bit for bit
+    # value on a 1-row batch, so the float lane and the float field still
+    # run, and match a built-in gain with the same value bit for bit
     class Scaled(ExplorationGain):
         eps_bullet = 0.05
 
@@ -344,7 +345,7 @@ def test_gain_without_a_float_form_runs_through_value():
     trig, base = OBJECTIVES["trig_quadratic1d"], BaseNoise("rademacher")
     user, builtin = Scaled(), make_gain("constant", trig)
     assert user.at_float(0.3, 5) == builtin.at_float(0.3, 5) == 0.05
-    fields = [MeanFieldEvaluator(trig, g, base).evaluate(0.3) for g in (user, builtin)]
+    fields = [MeanFieldEvaluator(trig, g, base).at_float(0.3) for g in (user, builtin)]
     assert fields[0] == fields[1]
     c = case(1)
     c.update(objective=trig, gain=user, base=base, theta0=[1.5])

@@ -62,11 +62,10 @@ def evaluator() -> MeanFieldEvaluator:
 
 def test_float_two_point_field_takes_five_frames():
     # the bound field, the gain's form and formula, and the objective's
-    # formula at each node; evaluate adds its own frame
+    # formula at each node
     ev = evaluator()
-    ev.evaluate(0.3)
+    ev.at_float(0.3)
     assert python_calls(lambda: ev.at_float(0.3)) <= 5
-    assert python_calls(lambda: ev.evaluate(0.3)) <= 6
 
 
 def test_rk4_step_on_the_bound_field_takes_twenty_one_frames():

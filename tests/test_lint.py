@@ -12,7 +12,10 @@ ensemble's variance law and the mean field's bias sweep) share one
 ``np.polyfit`` call, in ``ensemble.scaling_fit``.  The command line maps
 its exceptions to exit codes in one place, ``cli.main``, and it holds no
 config rule: it raises ``ConfigError`` at one site, the ``--workers`` check
-in ``cmd_experiment``, and ``config.py`` raises every other.
+in ``cmd_experiment``, and ``config.py`` raises every other.  Each callable
+takes one input form: ``value`` and ``evaluate`` take arrays and a float
+goes through ``at_float``, so no method named ``value`` or ``evaluate``
+tests for a float.
 """
 
 import ast
@@ -203,3 +206,32 @@ def test_config_errors_raised_in_config_only():
     assert len(sites) == 1, f"cli.py constructs ConfigError at {found}; only the --workers check may"
     name, node = sites[0]
     assert name == "cmd_experiment" and "--workers" in ast.unparse(node), f"cli.py's one ConfigError is {found}"
+
+
+# a gain's value and the mean field's evaluate take arrays, an objective's
+# value takes one point, and at_float takes a float; a float branch in one of
+# them would be a second way in to at_float, and a type test on every call
+ARRAY_METHODS = {"value", "evaluate"}
+
+
+def _tests_for_float(node: ast.AST) -> bool:
+    """Whether ``node`` is ``isinstance(x, float)`` (float alone or in a tuple) or ``x.__class__ is float``."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+        kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+        return any(getattr(k, "id", None) == "float" for k in kinds)
+    if isinstance(node, ast.Compare) and getattr(node.left, "attr", None) == "__class__":
+        return any(getattr(c, "id", None) == "float" for c in node.comparators)
+    return False
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_array_methods_take_no_float(stem):
+    tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+    bad = [
+        (fn.name, node.lineno)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name in ARRAY_METHODS
+        for node in ast.walk(fn)
+        if _tests_for_float(node)
+    ]
+    assert not bad, f"{stem}.py tests for a float in {bad}; a float goes through at_float"

@@ -36,7 +36,7 @@ def active_gain(eps):
 def taylor_gap(ev, theta):
     # distance between the mean field and its leading term -Sigma_xi grad f
     lead = probe_covariance(ev.base, ev.mode, ev.varsigma) @ ev.objective.grad(theta)
-    return abs(ev.evaluate(theta) + float(lead[0]))
+    return abs(ev.at_float(theta) + float(lead[0]))
 
 
 def mc_stream(seed):
@@ -48,7 +48,7 @@ def test_two_point_on_quadratic_is_exact_gradient():
     # any gain value, including iterate-dependent ones
     ev = MeanFieldEvaluator(objective=quadratic_1d(), gain=active_gain(0.37), base=RAD)
     for theta in np.linspace(-4, 4, 21).tolist():
-        assert ev.evaluate(theta) == pytest.approx(-2.0 * theta, abs=1e-12)
+        assert ev.at_float(theta) == pytest.approx(-2.0 * theta, abs=1e-12)
 
 
 def test_two_point_zigzag_support_enumeration():
@@ -57,7 +57,7 @@ def test_two_point_zigzag_support_enumeration():
     ev = MeanFieldEvaluator(
         objective=quadratic_1d(), gain=active_gain(0.2), base=RAD, mode="zigzag", varsigma=VS
     )
-    assert ev.evaluate(1.7) == pytest.approx(-2.0 * 1.7, abs=1e-12)
+    assert ev.at_float(1.7) == pytest.approx(-2.0 * 1.7, abs=1e-12)
 
 
 def test_quadrature_on_quadratic_matches_closed_form():
@@ -66,7 +66,7 @@ def test_quadrature_on_quadratic_matches_closed_form():
         ev = MeanFieldEvaluator(
             objective=quadratic_1d(), gain=active_gain(0.08), base=UNI, mode=mode, varsigma=VS
         )
-        assert ev.evaluate(1.5) == pytest.approx(-3.0 / 3.0, abs=1e-12)
+        assert ev.at_float(1.5) == pytest.approx(-3.0 / 3.0, abs=1e-12)
 
 
 def test_monte_carlo_agrees_with_two_point():
@@ -74,7 +74,7 @@ def test_monte_carlo_agrees_with_two_point():
     rng = mc_stream(42)
     for theta in np.linspace(-2, 2, 9).tolist():
         mc, se = monte_carlo_field(ev, theta, 200_000, rng)
-        assert abs(mc - ev.evaluate(theta)) <= 3.0 * se + 1e-12
+        assert abs(mc - ev.at_float(theta)) <= 3.0 * se + 1e-12
 
 
 def test_monte_carlo_zigzag_matches_quadrature():
@@ -84,7 +84,7 @@ def test_monte_carlo_zigzag_matches_quadrature():
     rng = mc_stream(7)
     for theta in (-1.0, 0.3, 2.0):
         mc, se = monte_carlo_field(ev, theta, 500_000, rng)
-        assert abs(mc - ev.evaluate(theta)) <= 3.0 * se + 1e-12
+        assert abs(mc - ev.at_float(theta)) <= 3.0 * se + 1e-12
 
 
 def make_gain(kind, eps):
@@ -104,7 +104,7 @@ def as_bits(x):
 @pytest.mark.parametrize("mode", ["iid", "zigzag"])
 @pytest.mark.parametrize("method", ["two_point", "quadrature"])
 def test_value_batch_matches_pointwise(method, mode):
-    # for every gain kind, evaluate at a float takes the floating-point
+    # for every gain kind, the field at a float takes the floating-point
     # operations of its entry on an (m,) column, so they agree bit for bit on
     # a dense grid (a float formula written with x**2, which calls libm pow,
     # fails here), and the entries of a column do not interact: a 1-element
@@ -118,7 +118,7 @@ def test_value_batch_matches_pointwise(method, mode):
         )
         column = ev.evaluate(grid)
         assert column.shape == grid.shape and column.dtype == np.float64
-        points = [ev.evaluate(x) for x in grid.tolist()]
+        points = [ev.at_float(x) for x in grid.tolist()]
         assert all(type(p) is float for p in points), gain_kind
         assert np.array_equal(as_bits(points), as_bits(column)), gain_kind
         for i in range(0, grid.size, 500):
@@ -166,7 +166,7 @@ def test_rk4_is_fourth_order():
 
 def test_mean_flow_matches_gradient_flow_on_quadratic():
     ev = MeanFieldEvaluator(objective=quadratic_1d(), gain=active_gain(0.1), base=RAD)
-    mean = integrate_flow(ev.evaluate, 1.0, 1.0, 1e-3)
+    mean = integrate_flow(ev.at_float, 1.0, 1.0, 1e-3)
     grad = integrate_flow(gradient_flow_field(quadratic_1d()), 1.0, 1.0, 1e-3)
     assert np.max(np.abs(mean.states - grad.states)) < 1e-9
 
@@ -208,7 +208,7 @@ def test_mean_flow_on_floats_stops_at_its_first_non_finite_state(mode):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        flow = integrate_flow(ev.evaluate, 1.0, 1.0, 0.01)
+        flow = integrate_flow(ev.at_float, 1.0, 1.0, 0.01)
     with np.errstate(all="ignore"):
         want = rk4_on_columns(ev, 1.0, 1.0, 0.01)
     first_bad = int(np.argmin(np.isfinite(want)))
@@ -242,7 +242,7 @@ def test_integrate_flow_matches_rk4_on_rows(method, mode):
     ev = MeanFieldEvaluator(
         objective=trig_quadratic_1d(), gain=active_gain(0.1), base=base, mode=mode, varsigma=VS
     )
-    flow = integrate_flow(ev.evaluate, 2.5, 0.5, 1e-2)
+    flow = integrate_flow(ev.at_float, 2.5, 0.5, 1e-2)
     want = rk4_on_columns(ev, 2.5, 0.5, 1e-2)
     assert flow.states.shape == want.shape == (51,)
     assert np.array_equal(as_bits(flow.states), as_bits(want))
@@ -267,16 +267,16 @@ def errstate_entries(fn) -> int:
 @pytest.mark.parametrize("mode", ["iid", "zigzag"])
 def test_quadrature_flow_on_the_bound_field_holds_one_errstate(mode):
     # the bound quadrature field does its node-array work under the flow's
-    # one guard: the same states as the flow through evaluate, which enters
-    # a guard per call, no warning where the field overflows, and a number
-    # of guard entries that does not grow with the step count
+    # one guard: the same states as RK4 on columns through evaluate, which
+    # enters a guard per call, no warning where the field overflows, and a
+    # number of guard entries that does not grow with the step count
     ev = MeanFieldEvaluator(
         objective=trig_quadratic_1d(), gain=active_gain(0.1), base=UNI, mode=mode, varsigma=VS
     )
     flow = integrate_flow(ev.at_float, 2.5, 0.5, 1e-3)
-    want = integrate_flow(ev.evaluate, 2.5, 0.5, 1e-3)
+    want = rk4_on_columns(ev, 2.5, 0.5, 1e-3)
     assert flow.states.shape == (501,)
-    assert np.array_equal(as_bits(flow.states), as_bits(want.states))
+    assert np.array_equal(as_bits(flow.states), as_bits(want))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for start in (1e160, 1e300, -1.7e308):
@@ -289,7 +289,7 @@ def test_flow_and_equilibrium_reject_a_start_of_the_wrong_dimension():
     # both take a float start; two coordinates are not one
     ev = MeanFieldEvaluator(objective=trig_quadratic_1d(), gain=active_gain(0.1), base=RAD)
     with pytest.raises(TypeError):
-        integrate_flow(ev.evaluate, [1.0, 2.0], 1.0, 0.1)
+        integrate_flow(ev.at_float, [1.0, 2.0], 1.0, 0.1)
     with pytest.raises(TypeError):
         find_equilibrium(ev, np.array([0.2, 0.1]))
 
@@ -305,7 +305,7 @@ def test_find_equilibrium_quadratic():
 def test_find_equilibrium_trig_against_bisection_oracle():
     eps = 0.05
     ev = MeanFieldEvaluator(objective=trig_quadratic_1d(), gain=active_gain(eps), base=RAD)
-    oracle = brentq(ev.evaluate, 0.0, 0.5, xtol=1e-14)
+    oracle = brentq(ev.at_float, 0.0, 0.5, xtol=1e-14)
     report = find_equilibrium(ev, 0.3, tol=1e-10)
     assert abs(report.theta_star - oracle) < 1e-8
     assert report.residual_norm <= 1e-10
@@ -322,7 +322,7 @@ def test_equilibrium_jacobian_is_hurwitz_for_builtins(eps):
 def test_mean_flow_converges_exponentially_to_equilibrium():
     ev = MeanFieldEvaluator(objective=trig_quadratic_1d(), gain=active_gain(0.1), base=RAD)
     report = find_equilibrium(ev, 0.2, tol=1e-10)
-    flow = integrate_flow(ev.evaluate, 8.0, 4.0, 1e-3)
+    flow = integrate_flow(ev.at_float, 8.0, 4.0, 1e-3)
     dist = np.abs(flow.states - report.theta_star)
     sel = dist > 1e-9
     slope = np.polyfit(flow.times[sel][200:], np.log(dist[sel][200:]), 1)[0]

@@ -102,7 +102,7 @@ def test_value_at_a_float_runs_the_batch_formula_on_floats(obj):
     # coordinate; at a float it returns a float equal to the batch value bit
     # for bit (a formula written with x**2 would call libm pow on floats)
     grid = np.linspace(-3.0, 3.0, 20_001)
-    points = [obj.value(x) for x in grid.tolist()]
+    points = [obj.at_float(x) for x in grid.tolist()]
     assert all(type(p) is float for p in points)
     assert np.array_equal(np.asarray(points).view(np.uint64), obj.value_batch(grid[:, None]).view(np.uint64))
 
@@ -112,13 +112,13 @@ def test_value_at_a_float_checks_declared_floor():
     # batch, and an objective without fn_1d takes a 1-row batch at a float
     bad = Objective(dim=1, fn_batch=lambda ts: ts[:, 0], known_floor=10.0, fn_1d=lambda x, lib: x)
     with pytest.raises(ValueError, match="floor"):
-        bad.value(9.0)
-    assert bad.value(12.0) == 12.0
-    assert np.isnan(bad.value(float("nan")))
+        bad.at_float(9.0)
+    assert bad.at_float(12.0) == 12.0
+    assert np.isnan(bad.at_float(float("nan")))
     batch_only = Objective(dim=1, fn_batch=lambda ts: ts[:, 0], known_floor=10.0)
     with pytest.raises(ValueError, match="floor"):
-        batch_only.value(9.0)
-    assert batch_only.value(12.0) == 12.0
+        batch_only.at_float(9.0)
+    assert batch_only.at_float(12.0) == 12.0
     with pytest.raises(ValueError, match="fn_1d"):
         Objective(dim=2, fn_batch=lambda ts: ts[:, 0], fn_1d=lambda x, lib: x)
 

@@ -68,22 +68,23 @@ def test_robbins_monro_partial_sum_trends():
 
 def test_constant_gain_ignores_iterate_and_index():
     g = ConstantGain(0.1)
-    assert g.value(np.array([0.0]), 0) == 0.1
-    assert g.value(np.array([123.0]), 999) == 0.1
+    assert g.value(np.array([[0.0]]), 0).tolist() == [0.1]
+    assert g.value(np.array([[123.0]]), 999).tolist() == [0.1]
 
 
 def test_decaying_gain_values():
     g = DecayingGain(0.1, 0.3)
     # 1024**0.3 == 2**3
-    assert g.value(np.array([0.0]), 1024) == pytest.approx(0.0125, abs=1e-15)
-    assert g.value(np.array([5.0]), 0) == 0.1
-    assert g.value(np.array([5.0]), 1) == 0.1
+    assert g.value(np.array([[0.0]]), 1024)[0] == pytest.approx(0.0125, abs=1e-15)
+    assert g.value(np.array([[5.0]]), 0).tolist() == [0.1]
+    assert g.value(np.array([[5.0]]), 1).tolist() == [0.1]
 
 
 def test_center_active_gain_examples():
     g = CenterActiveGain(0.1, np.array([0.0]), 1.0)
-    assert g.value(np.array([0.0])) == pytest.approx(0.1, abs=1e-15)
-    assert g.value(np.array([np.sqrt(3.0)])) == pytest.approx(0.2, abs=1e-12)
+    got = g.value(np.array([[0.0], [np.sqrt(3.0)]]))
+    assert got[0] == pytest.approx(0.1, abs=1e-15)
+    assert got[1] == pytest.approx(0.2, abs=1e-12)
 
 
 def test_objective_active_gain_matches_center_gain_on_quadratic():
@@ -92,9 +93,8 @@ def test_objective_active_gain_matches_center_gain_on_quadratic():
     obj = quadratic_1d()
     g_obj = ObjectiveActiveGain(0.1, obj, 0.0)
     g_ctr = CenterActiveGain(0.1, np.array([0.0]), 1.0)
-    for theta in np.linspace(-5, 5, 41):
-        t = np.array([theta])
-        assert g_obj.value(t) == pytest.approx(g_ctr.value(t), rel=1e-14)
+    thetas = np.linspace(-5, 5, 41)[:, None]
+    assert g_obj.value(thetas) == pytest.approx(g_ctr.value(thetas), rel=1e-14)
 
 
 def test_active_gains_bounded_below_by_scale():
@@ -124,15 +124,16 @@ def test_gain_batch_shapes():
     ids=["constant", "decaying", "center_active", "objective_active"],
 )
 def test_gain_at_a_float_point_is_a_float_equal_to_the_batch_row(gain):
-    # a float is a 1-d point: the gain runs on Python floats through the
-    # batch row's expression, so the two agree bit for bit on a dense grid
+    # a float is a 1-d point: the gain's float form runs on Python floats
+    # through the batch row's expression, so the two agree bit for bit on a
+    # dense grid, and a 1-row batch gives its row's bits
     grid = np.linspace(-3.0, 3.0, 20_001)
     for n in (0, 7):
         batch = gain.value(grid[:, None], n)
-        points = [gain.value(x, n) for x in grid.tolist()]
+        points = [gain.at_float(x, n) for x in grid.tolist()]
         assert all(type(p) is float for p in points)
         assert np.array_equal(np.asarray(points).view(np.uint64), batch.view(np.uint64))
-        assert gain.value(np.array([grid[123]]), n) == points[123]
+        assert gain.value(grid[123:124, None], n).tolist() == [points[123]]
 
 
 def test_objective_active_gain_floor_violation_identifies_theta():
@@ -140,13 +141,11 @@ def test_objective_active_gain_floor_violation_identifies_theta():
     obj = Objective(dim=1, fn_batch=lambda ts: ts[:, 0] ** 2)
     g = ObjectiveActiveGain(0.1, obj, 1.0)
     with pytest.raises(GainFloorError, match="theta"):
-        g.value(np.array([0.5]))
-    with pytest.raises(GainFloorError, match="theta"):
         g.value(np.array([[0.5]]))
     with pytest.raises(GainFloorError, match="theta"):
-        g.value(0.5)
+        g.at_float(0.5)
     with pytest.raises(GainFloorError, match="theta"):
-        ObjectiveActiveGain(0.1, quadratic_1d(), 1.0).value(0.5)
+        ObjectiveActiveGain(0.1, quadratic_1d(), 1.0).at_float(0.5)
 
 
 @pytest.mark.parametrize(
