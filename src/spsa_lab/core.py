@@ -8,8 +8,9 @@ once every lane has tripped, strided trajectory recording, and an on-the-fly
 window statistic so long ensembles never store full trajectories.
 
 The update rule lives in one function, ``_increment``, written once as an
-element-wise expression.  The engine holds its iterates in one of two
-forms, and both run that expression, the guard and the record:
+element-wise expression that ``ensemble.delta_decompose`` and
+``meanflow.monte_carlo_field`` call too.  The engine holds its iterates in
+one of two forms, and both run that expression, the guard and the record:
 
 - a Python float, for one lane at d = 1 with no window statistic, whose
   objective gives an element-wise ``fn_1d`` and whose gain has one scale.
@@ -24,13 +25,14 @@ The two forms agree bit for bit: each runs the same IEEE operations in
 the same order.  Each 1-d formula is written once and takes its library:
 ``numpy`` on rows, ``math`` at a float, where ``objectives.float_form``
 catches libm's domain errors once and gives NaN as NumPy does; squares
-are written ``x * x`` (see ``objectives``).  The guard at d = 1 is
-``abs(theta) <= threshold``.  Overflow gives inf or NaN in both forms,
-without a warning, and the guard trips on it.  The one exception is a
-gain that has underflowed to 0.0 (a decaying gain far out): rows divide
-by it to inf or NaN, with NumPy's warning, but a float lane raises
-``ZeroDivisionError``.  The CLI rejects such a gain in its config
-(``gain.kappa``).
+are written ``x * x`` (see ``objectives``).  The guard is one element-wise
+test in both forms and at every d, ``abs(theta) <= threshold``, so it
+bounds the largest coordinate (the sup norm) and cannot overflow.
+Overflow gives inf or NaN in both forms, without a warning, and the guard
+trips on it.  The one exception is a gain that has underflowed to 0.0 (a
+decaying gain far out): rows divide by it to inf or NaN, with NumPy's
+warning, but a float lane raises ``ZeroDivisionError``.  The CLI rejects
+such a gain in its config (``gain.kappa``).
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ __all__ = [
     "BatchRunResult",
     "WindowStatistic",
     "run_batch",
-    "sample_theta0",
     "theta0_box",
 ]
 
@@ -62,7 +63,7 @@ ENGINE_CHUNK = 2048
 
 @dataclass(frozen=True)
 class DivergenceGuard:
-    """Freezes a trajectory once its iterate norm exceeds the threshold.
+    """Freezes a trajectory once some coordinate of its iterate exceeds the threshold.
 
     The threshold must sit far above the post-transient scale of
     interest; it is an engineering stand-in for the (uncomputable)
@@ -139,12 +140,6 @@ def theta0_box(box, dim: int) -> np.ndarray:
     return box
 
 
-def sample_theta0(box, rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Uniform draw from a per-coordinate box ([lo, hi] broadcast over dims)."""
-    box = theta0_box(box, dim)
-    return rng.uniform(box[:, 0], box[:, 1])
-
-
 def run_batch(
     objective: Objective,
     schedule: StepSizeSchedule,
@@ -160,30 +155,30 @@ def run_batch(
 ) -> BatchRunResult:
     """Advance ``m`` independent trajectories in lock step.
 
-    Each run owns its probe generator; probe draws are chunked per run,
-    and the result does not depend on the chunk width.  A lane trips the
-    guard at the first index k whose iterate norm is not <= the
-    threshold: a NaN or infinite norm trips, a norm equal to the
-    threshold does not.  ``diverged_at`` holds that k.  A tripped lane's
-    iterate freezes: it makes no further updates or statistic
-    contributions, and its window mean is NaN.  It stays in the
-    working arrays, so the probe draw, gain, objective and statistic
-    still see its row, and in a multi-lane batch each later record holds
-    its frozen iterate.  The engine returns on the step where its last
-    live lane trips, once that step's statistic, gain and record are
-    done, so the records of a batch whose lanes all trip end at the last
-    trip index.  While no lane has tripped, a step adds the increment
-    without masking.  With ``stride`` > 0 the iterate, its objective value,
-    the step size and the gain at every stride-th index (plus index 0 and
-    the final index) are stored.  ``gain`` may
-    carry one scale per lane (``eps_bullet`` of shape (m,)).  With a
-    ``statistic``, ``window_mean`` holds each lane's mean of its function
-    over the window, as an (m, p) array: an (m, 1) column of NaN when no
-    step reaches the window.  The function sees (m, d) rows, since a run
-    with a statistic takes the rows form; with none, a step makes no
-    statistic pass.  The iterate's form (see the module docstring) does not
-    change the result, except that a one-lane float run whose gain reaches
-    0.0 raises ``ZeroDivisionError``.
+    Each run owns its probe generator; probe draws are chunked per run, and
+    the result does not depend on the chunk width.  A lane trips the guard
+    at the first index k where some coordinate of its iterate has a
+    magnitude that is not <= the threshold (the sup norm): a NaN or infinite
+    coordinate trips, a magnitude equal to the threshold does not.
+    ``diverged_at`` holds that k.  A tripped lane's iterate freezes: it
+    makes no further updates or statistic contributions, and its window mean
+    is NaN.  It stays in the working arrays, so the probe draw, gain,
+    objective and statistic still see its row, and in a multi-lane batch
+    each later record holds its frozen iterate.  The engine returns on the
+    step where its last live lane trips, once that step's statistic, gain
+    and record are done, so the records of a batch whose lanes all trip end
+    at the last trip index.  While no lane has tripped, a step adds the
+    increment without masking.  With ``stride`` > 0 the iterate, its
+    objective value, the step size and the gain at every stride-th index
+    (plus index 0 and the final index) are stored.  ``gain`` may carry one
+    scale per lane (``eps_bullet`` of shape (m,)).  With a ``statistic``,
+    ``window_mean`` holds each lane's mean of its function over the window,
+    as an (m, p) array: an (m, 1) column of NaN when no step reaches the
+    window.  The function sees (m, d) rows, since a run with a statistic
+    takes the rows form; with none, a step makes no statistic pass.  The
+    iterate's form (see the module docstring) does not change the result,
+    except that a one-lane float run whose gain reaches 0.0 raises
+    ``ZeroDivisionError``.
     """
     if algorithm not in ("1spsa", "2spsa"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -197,14 +192,14 @@ def run_batch(
         raise ValueError(f"need one probe generator per run: {len(probes)} != {m}")
     threshold = (guard or DivergenceGuard()).threshold
 
-    # the iterate's form: the objective, the gain and the norm in it, and the
+    # the iterate's form: the objective and the gain in it, and the
     # probes of a chunk, one entry per step.  A lane runs on floats when its
     # objective and gain have float formulas and no statistic needs rows; a
     # gain with one scale per lane keeps the rows
     lane = statistic is None and m == 1 and d == 1 and objective.fn_1d is not None and np.ndim(gain.eps_bullet) == 0
     if lane:
         theta = float(theta[0, 0])
-        value, gains, norm = objective.at_float, gain.at_float, abs
+        value, gains = objective.at_float, gain.at_float
 
         def draw(width: int):
             return probes[0].take(width)[:, 0].tolist()
@@ -225,9 +220,6 @@ def run_batch(
 
         def gains(x, n_index: int):
             return np.asarray(gain.value(x, n_index), dtype=float)[:, None]
-
-        def norm(x):
-            return np.abs(x[:, 0]) if d == 1 else np.linalg.norm(x, axis=1)
 
     active = np.ones(m, dtype=bool)
     live = True  # no lane has tripped yet
@@ -288,10 +280,11 @@ def run_batch(
                 else:
                     theta = np.where(active[:, None], theta + incr, theta)
                 # one compare and one count in the common case; "not <=" is
-                # also true for NaN, and a float lane's compare gives True or False
-                within = norm(theta) <= threshold
-                if within is not True and np.count_nonzero(within) < m:
-                    newly = active & ~np.asarray(within)
+                # also true for NaN, and a float lane's compare gives a bool
+                within = abs(theta) <= threshold
+                if within is not True and np.count_nonzero(within) < m * d:
+                    within = np.reshape(within, (m, d)).all(axis=1)
+                    newly = active & ~within
                     if newly.any():
                         diverged_at[newly] = k
                         active &= within

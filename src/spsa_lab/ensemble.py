@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DivergenceGuard, WindowStatistic, run_batch, sample_theta0
+from .core import DivergenceGuard, WindowStatistic, _increment, run_batch, theta0_box
 from .exploration import BaseNoise, ProbeGenerator, derive_seed
 from .objectives import Objective
 from .schedules import ExplorationGain, StepSizeSchedule
@@ -116,7 +116,8 @@ def delta_decompose(theta_star, probes: np.ndarray, objective: Objective, eps: f
 
     ``probes`` has shape (k, d); ``eps`` is the gain value at the frozen
     point; ``sigma_xi`` is the closed-form probe covariance.  The raw noise
-    is centred at zero, the mean field at an equilibrium.
+    is the engine's 1SPSA increment (``core._increment``) at step size 1,
+    centred at zero, the mean field at an equilibrium.
     """
     theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     xi = np.asarray(probes, dtype=float)
@@ -127,8 +128,7 @@ def delta_decompose(theta_star, probes: np.ndarray, objective: Objective, eps: f
 
     level = objective.value(theta_star)
     grad = objective.grad(theta_star)
-    vals = objective.value_batch(theta_star[None, :] + eps * xi)
-    delta = -(xi / eps) * vals[:, None]
+    delta = _increment(lambda pts: objective.value_batch(pts)[:, None], "1spsa", theta_star, xi, eps, 1.0)
     nu = -(level / eps) * xi
     outer = np.einsum("ki,kj->kij", xi, xi)
     omega = np.einsum("kij,j->ki", sigma_xi[None, :, :] - outer, grad)
@@ -171,15 +171,16 @@ def batch_means_cross_covariance(x: np.ndarray, y: np.ndarray, batch_size: int) 
     return batch_size * cov
 
 
-def lane_stream(seed: int, base: BaseNoise, mode: str, varsigma: float, theta0_box=None):
+def lane_stream(seed: int, base: BaseNoise, mode: str, varsigma: float, box: np.ndarray | None = None):
     """Seed one lane: its starting point and its probe generator.
 
     One Philox stream keyed by ``seed`` first draws theta0 uniformly from
-    ``theta0_box`` (no draw when the box is None, and theta0 is None), then
-    feeds the lane's probes.
+    ``box``, a (d, 2) array of [lo, hi] rows already checked by
+    ``core.theta0_box`` (no draw when the box is None, and theta0 is None),
+    then feeds the lane's probes.
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
-    theta0 = None if theta0_box is None else sample_theta0(theta0_box, rng, base.dim)
+    theta0 = None if box is None else rng.uniform(box[:, 0], box[:, 1])
     return theta0, ProbeGenerator(base, mode=mode, varsigma=varsigma, seed=seed, rng=rng)
 
 
@@ -233,7 +234,7 @@ def run_ensemble_matrix(
     m_runs: int,
     n_steps: int,
     n_burn: int,
-    theta0_box,
+    box,
     statistic: Callable[[str, ExplorationGain], Callable[[np.ndarray], np.ndarray]],
     master_seed: int,
     eps_indices: Sequence[int] | None = None,
@@ -245,20 +246,23 @@ def run_ensemble_matrix(
     Cells are keyed by (mode, gain index); the gain indices default to the
     grid positions.  Run i of a cell draws from a stream keyed by (master
     seed, mode, gain index, i), so results are identical however runs are
-    batched.  The lanes, ordered (mode, gain index, run), advance in
-    contiguous blocks of at most ``LANE_BLOCK``, one ``run_batch`` per
-    block: every block pays the engine's per-step cost once for all its
-    cells, and builds its streams just before it runs.  Each lane runs
-    ``gain`` at its cell's scale.  ``statistic(mode, lane_gain)`` returns
-    the row function averaged over iterate indices in [n_burn, n_steps]
-    for the lanes of ``mode``, where ``lane_gain`` holds one scale per
-    such lane of the block.  Adjacent modes whose functions compare equal
-    share one call over their rows, so a function must act row by row.
+    batched; each lane's theta0 is drawn from ``box``, checked once by
+    ``core.theta0_box``.  The lanes, ordered (mode, gain index, run),
+    advance in contiguous blocks of at most ``LANE_BLOCK``, one
+    ``run_batch`` per block: every block pays the engine's per-step cost
+    once for all its cells, and builds its streams just before it runs.
+    Each lane runs ``gain`` at its cell's scale.  ``statistic(mode,
+    lane_gain)`` returns the row function averaged over iterate indices in
+    [n_burn, n_steps] for the lanes of ``mode``, where ``lane_gain`` holds
+    one scale per such lane of the block.  Adjacent modes whose functions
+    compare equal share one call over their rows, so a function must act row
+    by row.
     """
     if m_runs < 2:
         raise ValueError(f"ensemble needs at least 2 runs, got {m_runs}")
     if n_burn >= n_steps:
         raise ValueError(f"burn-in {n_burn} must be below horizon {n_steps}")
+    box = theta0_box(box, objective.dim)
     indices = range(len(eps_grid)) if eps_indices is None else eps_indices
     if len(indices) != len(eps_grid):
         raise ValueError(f"need one gain index per grid value: {len(indices)} != {len(eps_grid)}")
@@ -274,7 +278,7 @@ def run_ensemble_matrix(
         theta0 = np.empty((len(seeds[block]), objective.dim))
         probes: list[ProbeGenerator] = []
         for row, (seed, mode) in enumerate(zip(seeds[block], lane_mode[block])):
-            theta0[row], probe = lane_stream(seed, base, mode, varsigma, theta0_box)
+            theta0[row], probe = lane_stream(seed, base, mode, varsigma, box)
             probes.append(probe)
         block_gain = gain.scaled(lane_eps[block])
         # the statistic of each mode's rows, which are contiguous in the

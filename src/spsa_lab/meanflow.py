@@ -11,8 +11,9 @@ evaluator, its gain rescaled) run on Python floats, through ``at_float``:
 the field at a float, bound once at construction.  They keep no copy of a
 shared numerical rule: the equilibrium's Jacobian is
 ``objectives.central_difference``, its bracket search uses
-``objectives.opposite_signs`` and ``bisect_root``, and the bias sweep's
-slope is ``ensemble.scaling_fit``'s.
+``objectives.opposite_signs`` and ``bisect_root``, the bias sweep's
+slope is ``ensemble.scaling_fit``'s, and ``monte_carlo_field`` samples the
+engine's update rule, ``core._increment``.
 
 The field has two forms, with the same floating-point operations in
 each, so a float's field equals its entry in a column bit for bit:
@@ -46,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _increment
 from .ensemble import scaling_fit
 from .exploration import DEFAULT_VARSIGMA, BaseNoise
 from .objectives import Objective, bisect_root, central_difference, opposite_signs
@@ -206,9 +208,10 @@ def _two_point_field(gain_at, objective: Objective, rule):
 def monte_carlo_field(evaluator: MeanFieldEvaluator, x: float, n_samples: int, rng: np.random.Generator):
     """Sampled mean field at a float ``x`` and its standard error, as two floats.
 
-    The sample mean of the update direction over ``n_samples`` fresh
-    probes from the stationary probe law of ``evaluator``, drawn from
-    ``rng``: an independent reference for the node/weight rules.
+    The sample mean of the update direction (the engine's 1SPSA increment,
+    ``core._increment``, at step size 1) over ``n_samples`` fresh probes
+    from the stationary probe law of ``evaluator``, drawn from ``rng``: an
+    independent reference for the node/weight rules.
     """
     eps = evaluator.gain.at_float(x)
     if evaluator.mode == "iid":
@@ -216,8 +219,7 @@ def monte_carlo_field(evaluator: MeanFieldEvaluator, x: float, n_samples: int, r
     else:
         w = evaluator.base.sample(rng, 2 * n_samples)
         xi = evaluator.varsigma * (w[:n_samples] - w[n_samples:])
-    vals = evaluator.objective.value_batch(x + eps * xi)
-    draws = -(xi / eps) * vals[:, None]
+    draws = _increment(lambda pts: evaluator.objective.value_batch(pts)[:, None], "1spsa", x, xi, eps, 1.0)
     stderr = draws.std(axis=0, ddof=1) / np.sqrt(n_samples)
     return float(draws.mean(axis=0)[0]), float(stderr[0])
 

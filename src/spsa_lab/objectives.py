@@ -65,23 +65,24 @@ def _fd_step(theta: np.ndarray) -> float:
 class Objective:
     """Scalar objective on R^d, evaluated on (m, d) batches of points.
 
-    ``fn_batch`` maps an (m, d) batch to m values and ``grad_batch_fn`` to
-    m gradient rows; ``grad`` falls back to central finite differences
-    when no closed form is given.  A 1-d objective may also give
-    ``fn_1d(x, lib)``, the element-wise formula of its coordinate that
-    ``fn_batch`` applies to ``ts[:, 0]`` with ``lib`` = ``numpy`` (see the
-    module docstring).  ``at_float``, bound at construction, is the
-    objective at a float point: ``fn_1d`` on ``math`` through
-    ``float_form``, with the floor check of ``value_batch``, or a 1-row
-    batch when there is no ``fn_1d``; the fields are frozen, so it cannot
-    go stale.  Metadata fields record a known stationary point and a known
-    lower bound when available.  A value below ``floor_threshold`` raises
+    ``fn_batch`` maps an (m, d) batch to m values and ``grad_batch_fn`` to m
+    gradient rows; ``grad`` falls back to central finite differences when no
+    closed form is given.  A 1-d objective may give ``fn_1d(x, lib)``
+    instead, the element-wise formula of its coordinate; ``fn_batch`` then
+    defaults to ``fn_1d`` applied to ``ts[:, 0]`` with ``lib`` = ``numpy``
+    (see the module docstring), and an objective given neither raises
+    ``ValueError``.  ``at_float``, bound at construction, is the objective
+    at a float point: ``fn_1d`` on ``math`` through ``float_form``, with the
+    floor check of ``value_batch``, or a 1-row batch when there is no
+    ``fn_1d``; the fields are frozen, so it cannot go stale.  Metadata
+    fields record a known stationary point and a known lower bound when
+    available.  A value below ``floor_threshold`` raises
     ``below_floor(theta, value)``, in ``value_batch``, in the float form and
     in the mean field's two-point binding alike.
     """
 
     dim: int
-    fn_batch: Callable[[np.ndarray], np.ndarray]
+    fn_batch: Callable[[np.ndarray], np.ndarray] | None = None
     grad_batch_fn: Callable[[np.ndarray], np.ndarray] | None = None
     known_optimum: np.ndarray | None = None
     known_floor: float | None = None
@@ -91,12 +92,17 @@ class Objective:
     def __post_init__(self):
         # the floor less a rounding allowance, taken once; -inf without a floor
         object.__setattr__(self, "floor_threshold", -math.inf if self.known_floor is None else self.known_floor - 1e-12)
-        if self.fn_1d is None:
+        fn_1d = self.fn_1d
+        if fn_1d is None:
+            if self.fn_batch is None:
+                raise ValueError("an objective needs fn_batch or fn_1d")
             object.__setattr__(self, "at_float", self.value)
             return
         if self.dim != 1:
             raise ValueError(f"fn_1d needs a 1-dimensional objective, got dim {self.dim}")
-        object.__setattr__(self, "at_float", float_form(self.fn_1d, self.floor_threshold, self.below_floor))
+        if self.fn_batch is None:
+            object.__setattr__(self, "fn_batch", lambda ts: fn_1d(ts[:, 0], np))
+        object.__setattr__(self, "at_float", float_form(fn_1d, self.floor_threshold, self.below_floor))
 
     def below_floor(self, theta, val) -> ValueError:
         """The error for ``val`` below the declared floor at ``theta``, a float or a (d,) point."""
@@ -224,11 +230,6 @@ def float_form(formula, floor: float = -math.inf, below=None):
     return at
 
 
-def _on_column(fn_1d):
-    """The batch form of a 1-d formula: ``fn_1d`` applied to ``ts[:, 0]`` with NumPy."""
-    return lambda ts: fn_1d(ts[:, 0], np)
-
-
 def _square(x, lib):
     return x * x
 
@@ -237,7 +238,6 @@ def quadratic_1d() -> Objective:
     """1-d quadratic, value theta^2, minimum 0 at the origin."""
     return Objective(
         dim=1,
-        fn_batch=_on_column(_square),
         grad_batch_fn=lambda ts: 2.0 * ts[:, :1],
         known_optimum=np.array([0.0]),
         known_floor=0.0,
@@ -265,7 +265,6 @@ def trig_quadratic_1d() -> Objective:
     stationary = bisect_root(lambda x: gb(np.array([[x]]))[0, 0], 0.0, 0.5)
     return Objective(
         dim=1,
-        fn_batch=_on_column(f),
         grad_batch_fn=gb,
         known_optimum=np.array([stationary]),
         known_floor=2.8,

@@ -51,7 +51,8 @@ from spsa_lab import (
     scaling_fit,
     trig_quadratic_1d,
 )
-from spsa_lab.core import WindowStatistic, sample_theta0
+from spsa_lab.core import WindowStatistic, theta0_box
+from spsa_lab.ensemble import lane_stream
 from spsa_lab.exploration import derive_seed, regeneration_test
 
 MASTER = 4
@@ -67,12 +68,11 @@ def report(num, name, passed, detail):
 
 def _seeded_runs(label, count, base, mode, box=(-10.0, 10.0)):
     seeds = [derive_seed(MASTER, label, i) for i in range(count)]
-    theta0 = np.empty((count, 1))
+    theta0, box = np.empty((count, 1)), theta0_box(list(box), 1)
     probes = []
     for i, seed in enumerate(seeds):
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        theta0[i] = sample_theta0(list(box), rng, 1)
-        probes.append(ProbeGenerator(base, mode=mode, varsigma=VS, seed=seed, rng=rng))
+        theta0[i], probe = lane_stream(seed, base, mode, VS, box)
+        probes.append(probe)
     return theta0, probes
 
 

@@ -13,7 +13,8 @@ from spsa_lab import (
     run_batch,
     trig_quadratic_1d,
 )
-from spsa_lab.core import sample_theta0
+from spsa_lab.core import theta0_box
+from spsa_lab.ensemble import lane_stream
 from spsa_lab.objectives import Objective
 
 
@@ -253,6 +254,36 @@ def test_guard_trip_rule_nan_inf_and_threshold():
         assert np.array_equal(getattr(full, name)[3:], getattr(alone, name)), name
 
 
+@pytest.mark.parametrize(
+    "q_scale, theta0, threshold, diverged_at",
+    [
+        # (1e200, 0) sits within 1e300; its squared coordinate, 1e400, would
+        # overflow to inf, so a guard that squared coordinates would trip
+        (1e-300, [[1e200, 0.0]], 1e300, [-1]),
+        # (8e5, 8e5) sits within 1e6 though its Euclidean norm is 1.13e6, and
+        # a lane with one coordinate past 1e6 trips at the first step
+        (1e-12, [[8e5, 8e5], [8e5, -1.1e6]], 1e6, [-1, 1]),
+    ],
+    ids=["large_coordinate", "sup_norm"],
+)
+def test_guard_bounds_the_largest_coordinate(q_scale, theta0, threshold, diverged_at):
+    # d = 2 lanes on a flat quadratic, so a lane that does not trip moves
+    # little from its start
+    base = BaseNoise("rademacher", 2)
+    result = run_batch(
+        quadratic_nd(q_scale * np.eye(2)),
+        StepSizeSchedule(0.1, 0.6),
+        ConstantGain(1.0),
+        [ProbeGenerator(base, "iid", seed=s) for s in range(len(theta0))],
+        np.array(theta0),
+        50,
+        guard=DivergenceGuard(threshold),
+    )
+    assert list(result.diverged_at) == diverged_at
+    start = np.array(theta0[0])
+    assert np.max(np.abs(result.theta_final[0] - start)) < 1e-6 * np.max(np.abs(start))
+
+
 def test_noisy_euler_residual_mean_vanishes():
     # increments decompose as alpha * (mean field + residual); over a
     # stationary stretch the residual averages out while its spread stays
@@ -284,13 +315,20 @@ def test_stabilized_runs_stay_bounded():
     assert np.all(np.abs(result.theta_final) <= 1.0)
 
 
-def test_sample_theta0_respects_box():
-    rng = np.random.default_rng(0)
-    draws = np.stack([sample_theta0([-2.0, 3.0], rng, 2) for _ in range(200)])
+def test_lane_stream_draws_theta0_in_box():
+    # each lane's stream draws its theta0 from the checked box, one
+    # coordinate per row, before it feeds the lane's probes
+    base = BaseNoise("rademacher", 2)
+    box = theta0_box([[-2.0, 3.0], [10.0, 11.0]], 2)
+    draws = np.stack([lane_stream(seed, base, "iid", 1.0, box)[0] for seed in range(200)])
     assert draws.shape == (200, 2)
-    assert np.all(draws >= -2.0) and np.all(draws <= 3.0)
+    assert np.all((draws[:, 0] >= -2.0) & (draws[:, 0] <= 3.0))
+    assert np.all((draws[:, 1] >= 10.0) & (draws[:, 1] <= 11.0))
+    assert np.unique(draws[:, 0]).size == 200
+    theta0, _ = lane_stream(7, base, "iid", 1.0)
+    assert theta0 is None
     with pytest.raises(ValueError):
-        sample_theta0([3.0, -2.0], rng, 1)
+        theta0_box([3.0, -2.0], 1)
 
 
 def test_window_statistic_accumulates_expected_mean():

@@ -226,13 +226,11 @@ def test_window_statistic_matches_record_mean_of_grad():
     )[("iid", 0)]
     from spsa_lab import run_batch
     from spsa_lab.exploration import derive_seed
-    from spsa_lab.core import sample_theta0
+    from spsa_lab.core import theta0_box
 
     for i in range(3):
         seed = derive_seed(123, "iid", 0, i)
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        theta0 = sample_theta0([-2, 2], rng, 1)
-        probe = ProbeGenerator(base, "iid", varsigma=VS, seed=seed, rng=rng)
+        theta0, probe = ensemble.lane_stream(seed, base, "iid", VS, theta0_box([-2, 2], 1))
         result = run_batch(obj, sched, gain, [probe], theta0, 400, stride=1)
         assert not result.diverged[0] and result.stride == 1
         expected = obj.grad_batch(result.thetas[0, result.record_indices >= 100]).mean(axis=0)

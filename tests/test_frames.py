@@ -9,8 +9,8 @@ when it has no statistic.  The counts are deterministic; a change that
 puts a helper call back into a float path raises them.
 
 A step on (m, d) rows is counted over the package's own frames only, so
-that NumPy's Python wrappers (``count_nonzero``, ``einsum``,
-``linalg.norm``) do not tie the budgets to a NumPy version.
+that NumPy's Python wrappers (``count_nonzero``, ``einsum``) do not tie
+the budgets to a NumPy version.
 """
 
 import os
@@ -93,16 +93,17 @@ def test_float_lane_step_takes_five_frames():
 
 @pytest.mark.parametrize(
     "dim, grad_statistic, per_step",
-    [(1, True, 11), (1, False, 9), (4, False, 8)],
+    [(1, True, 10), (1, False, 8), (4, False, 7)],
     ids=["d1_grad_statistic", "d1", "d4"],
 )
 def test_rows_step_frame_budget(dim, grad_statistic, per_step):
     # six lanes on rows with the center-active gain.  Per step at d = 1: the
     # engine's gain wrapper, the gain's value and formula; the engine's
-    # objective wrapper, value_batch, the batch form and the formula; the
-    # increment; the norm; and, with the grad statistic, grad_batch and its
-    # closed form.  At d = 4 the gain calls _squared_norms in place of its
-    # formula, and the batch form is one einsum with no 1-d formula
+    # objective wrapper, value_batch, the batch form and the formula; and
+    # the increment (the guard is inline); with the grad statistic,
+    # grad_batch and its closed form.  At d = 4 the gain calls
+    # _squared_norms in place of its formula, and the batch form is one
+    # einsum with no 1-d formula
     n_steps, m = 1000, 6
     objective = trig_quadratic_1d() if dim == 1 else quadratic_nd(np.eye(dim))
     schedule, gain = StepSizeSchedule(0.01, 0.6), CenterActiveGain(0.1, np.zeros(dim), 1.0)

@@ -15,7 +15,9 @@ config rule: it raises ``ConfigError`` at one site, the ``--workers`` check
 in ``cmd_experiment``, and ``config.py`` raises every other.  Each callable
 takes one input form: ``value`` and ``evaluate`` take arrays and a float
 goes through ``at_float``, so no method named ``value`` or ``evaluate``
-tests for a float.
+tests for a float.  The divergence guard is one element-wise test,
+``abs(theta) <= threshold``, in every iterate form and dimension, so
+``core.py`` never calls ``np.linalg.norm``.
 """
 
 import ast
@@ -235,3 +237,17 @@ def test_array_methods_take_no_float(stem):
         if _tests_for_float(node)
     ]
     assert not bad, f"{stem}.py tests for a float in {bad}; a float goes through at_float"
+
+
+# the guard bounds each coordinate's magnitude, in one expression for a float
+# and for (m, d) rows at every d; a norm over the rows would be a second rule
+# for d > 1, and the Euclidean one squares coordinates and overflows
+def test_guard_takes_no_linalg_norm():
+    tree = ast.parse((SRC / "core.py").read_text(encoding="utf-8"))
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "norm" and getattr(node.value, "attr", None) == "linalg":
+            bad.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            bad += [node.lineno for a in node.names if a.name in ("norm", "*")]
+    assert not bad, f"core.py calls np.linalg.norm at lines {bad}; the guard is abs(theta) <= threshold"

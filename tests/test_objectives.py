@@ -121,6 +121,8 @@ def test_value_at_a_float_checks_declared_floor():
     assert batch_only.at_float(12.0) == 12.0
     with pytest.raises(ValueError, match="fn_1d"):
         Objective(dim=2, fn_batch=lambda ts: ts[:, 0], fn_1d=lambda x, lib: x)
+    with pytest.raises(ValueError, match="fn_batch or fn_1d"):
+        Objective(dim=1)
 
 
 def test_value_batch_checks_declared_floor():
