@@ -10,9 +10,11 @@ null.
 
 Exit codes: 0 success, 2 invalid configuration, 3 divergence-guard trip,
 4 solver non-convergence.  ``main`` maps the exceptions to codes for
-every command: a configuration error or a missing file gives 2, a solver
-error 4.  Each is raised before the output directory is made, so such a
-failure makes no directory and writes one ``error:`` line to stderr.
+every command: a configuration error gives 2, a solver error 4.  A
+``--config`` that cannot be read as UTF-8 JSON, and an ``--out`` or
+``output.dir`` that cannot be a directory, are configuration errors.
+Each is raised before the output directory is made, so such a failure
+makes no directory and writes one ``error:`` line to stderr.
 The commands hold no config rule: each has ``config.validate_config``
 check its config, then builds its objects, runs and writes.
 
@@ -30,11 +32,25 @@ but it is ignored; there is no worker environment variable or config key.
 The ``stderr`` column is always 0: both node rules are deterministic.
 The column stays because the header is the published output format,
 which the benchmark's output checks assert.
+
+Importing this module registers ``gc.freeze`` to run at exit.  A command's
+process frees the objects that importing NumPy and the package made only
+on its way out, and the interpreter's last collections would walk all of
+them; frozen, they are skipped, which cuts most of the process's exit time
+(CHANGES.md has the figures).  The freeze relies on two things: every
+output is written and closed in a ``with`` block before ``main`` returns,
+and no output is written by a finalizer (Python does not promise to run
+``__del__`` for objects still alive at exit).  It is registered here and
+not in ``spsa_lab``, so that importing the package as a library leaves its
+host's exit alone, and not when ``main`` starts, so that a process that
+calls ``main`` more than once still collects its own garbage.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import sys
@@ -54,6 +70,7 @@ from .config import (
     config_hash,
     get_varsigma,
     load_config,
+    output_dir,
     setting,
     validate_config,
 )
@@ -61,6 +78,8 @@ from .core import DivergenceGuard, run_batch
 from .ensemble import lane_stream, run_ensemble_matrix, scaling_fit
 from .exploration import ProbeGenerator, derive_seed, regeneration_test
 from .meanflow import MeanFieldEvaluator, SolverError, bias_sweep, find_equilibrium, integrate_flow
+
+atexit.register(gc.freeze)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -130,8 +149,7 @@ def _prepare(args, command: str):
     if args.seed is not None:
         cfg["seed.master"] = args.seed
     validate_config(cfg, command)
-    out = Path(args.out) if args.out else Path(setting(cfg, "output.dir"))
-    return cfg, out
+    return cfg, output_dir(cfg, args.out)
 
 
 def cmd_run(args) -> int:
@@ -379,7 +397,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

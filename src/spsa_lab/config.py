@@ -5,7 +5,9 @@ A config file is a single JSON object whose keys are flat dotted paths
 ``validate_config`` checks all but three before a command builds anything.
 The three need a built object, so the builders check them: ``objective.Q``
 symmetric positive definite, a theta0 box of the objective's shape, and
-``gain.obj_floor`` not above the objective's floor.  The canonical form
+``gain.obj_floor`` not above the objective's floor.  The two paths a
+command is given are checked here too: ``load_config`` reads ``--config``,
+and ``output_dir`` checks ``--out`` or ``output.dir``.  The canonical form
 (sorted keys, no whitespace) is hashed into the run manifest.  The checks
 and the commands read an optional key through ``setting``: left out, it
 takes its ``DEFAULTS`` entry.
@@ -16,7 +18,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -37,6 +41,7 @@ __all__ = [
     "ConfigError",
     "load_config",
     "validate_config",
+    "output_dir",
     "config_hash",
     "build_objective",
     "build_theta0_box",
@@ -191,12 +196,14 @@ _GAIN_KEY_DEPS = {
 
 
 def load_config(path) -> dict:
-    """Read a flat dotted-key JSON config file (no validation)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """Read the flat dotted-key JSON config file ``--config`` names (no validation)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"--config {str(path)!r} cannot be read as UTF-8 text: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object of dotted keys")
     return cfg
@@ -334,6 +341,26 @@ def _check_derived(cfg: dict, command: str) -> None:
     for key in points:
         if key in cfg and len(cfg[key]) != dim:
             raise ConfigError(f"config key {key!r} has dimension {len(cfg[key])}, objective has {dim}")
+
+
+def output_dir(cfg: dict, out: str | None) -> Path:
+    """The output directory: ``out`` (the ``--out`` option) if given, else ``output.dir``.
+
+    The commands make it with ``mkdir(parents=True, exist_ok=True)`` after
+    their work, so it must be a directory, or a path whose nearest existing
+    part is one.  That is checked here, creating nothing.
+    """
+    name, given = ("--out", out) if out is not None else ("config key 'output.dir'", setting(cfg, "output.dir"))
+    if not given:
+        raise ConfigError(f"{name} must be a nonempty path")
+    path = Path(given)
+    for part in (path, *path.parents):
+        if part.is_dir():
+            break
+        # an existing file, or a link to nothing, where a directory must be
+        if os.path.lexists(part):
+            raise ConfigError(f"{name} is {str(path)!r}, but {str(part)!r} exists and is not a directory")
+    return path
 
 
 def config_hash(cfg: dict) -> str:

@@ -83,7 +83,8 @@ def scaling_fit(eps_values, scaled_vars) -> ScalingFit:
         raise ValueError("grid and variance lengths differ")
     if not np.all((eps_values > 0) & (eps_values < np.inf) & (scaled_vars > 0) & (scaled_vars < np.inf)):
         raise ValueError("power-law fit needs finite positive grid and variances")
-    distinct = np.unique(eps_values).size
+    # a set, not np.unique: np.unique imports numpy.ma on its first call
+    distinct = len(set(eps_values.tolist()))
     if distinct < 3:
         raise ValueError(f"power-law fit needs at least 3 distinct grid values, got {distinct}")
     lx, ly = np.log(eps_values), np.log(scaled_vars)

@@ -220,6 +220,47 @@ def test_cli_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("kind", ["directory", "latin1"])
+def test_cli_unreadable_config_exits_2_naming_it(tmp_path, capsys, kind):
+    cfg_path = tmp_path / "cfg.json"
+    if kind == "directory":
+        cfg_path.mkdir()
+    else:
+        # its e-acute is the byte 0xe9, which UTF-8 rejects
+        cfg_path.write_bytes(json.dumps(run_cfg(**{"output.dir": "caf\u00e9"}), ensure_ascii=False).encode("latin-1"))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "--config" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# where the output directory would go: an existing file, or a path under one
+OUT_PATHS = {"file": ("taken",), "under_file": ("taken", "sub", "out")}
+
+
+@pytest.mark.parametrize("where", sorted(OUT_PATHS))
+@pytest.mark.parametrize("via", ["--out", "output.dir"])
+def test_cli_output_path_that_cannot_be_a_directory_exits_2(tmp_path, capsys, via, where):
+    (tmp_path / "taken").write_text("not a directory", encoding="utf-8")
+    out = str(tmp_path.joinpath(*OUT_PATHS[where]))
+    cfg = run_cfg(**({"output.dir": out} if via == "output.dir" else {}))
+    cfg_path = write_cfg(tmp_path, cfg)
+    argv = ["run", "--config", str(cfg_path)] + (["--out", out] if via == "--out" else [])
+    assert main(argv) == 2
+    assert via in capsys.readouterr().err
+    # nothing was made, and the file is untouched
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
+    assert (tmp_path / "taken").read_text(encoding="utf-8") == "not a directory"
+
+
+def test_cli_empty_out_exits_2(tmp_path, monkeypatch, capsys):
+    # an empty --out is not the default directory
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_cfg(tmp_path, run_cfg())
+    assert main(["run", "--config", str(cfg_path), "--out", ""]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 DECAYING = {"gain.kind": "decaying", "gain.kappa": 0.6}
 # 2 probe modes x 5 gains x M lanes = 1000 lanes
 FIG2_FULL_SHAPE = {"ensemble.M": 100, "ensemble.eps_grid": [0.05, 0.0707, 0.1, 0.1414, 0.2]}
@@ -622,6 +663,21 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     code = "import sys, spsa_lab.cli; print('scipy.stats' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+# atexit runs its handlers last in, first out: a probe registered before the
+# import runs after every handler the import registers
+FREEZE_PROBE = "import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count())); import {module}"
+
+
+@pytest.mark.parametrize("module, frozen", [("spsa_lab", False), ("spsa_lab.cli", True)])
+def test_exit_freeze_is_registered_by_the_cli_only(module, frozen):
+    # the command line freezes the heap at exit so that the interpreter's
+    # last collections skip it; the package imported as a library leaves
+    # its host's exit alone
+    code = FREEZE_PROBE.format(module=module)
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True)
+    assert (int(proc.stdout) > 0) == frozen
 
 
 def test_cli_experiment_rerun_is_bit_identical(tmp_path):

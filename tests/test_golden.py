@@ -26,6 +26,7 @@ import hashlib
 import io
 import json
 import platform
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -36,6 +37,7 @@ import pytest
 import scipy
 
 from spsa_lab.cli import main
+from test_config_cli import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -214,6 +216,27 @@ def test_outputs_match_golden_digests(golden, name, tmp_path):
     moved = [k for k in ("stdout", "stderr") if got[k] != want[k]]
     moved += [f for f in want["files"] if got["files"][f] != want["files"][f]]
     assert not moved, f"outputs moved: {moved}{note}"
+
+
+# one case of each command that does work, run in a fresh interpreter that
+# then exits: what a command writes must not depend on the interpreter's
+# teardown, which the command line shortens by freezing the heap at exit
+FRESH_PROCESS_CASES = ("run_fig1_divergence", "experiment_grad", "meanflow_trig")
+FRESH_PROCESS_MAIN = "import sys; from spsa_lab.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("name", FRESH_PROCESS_CASES)
+def test_fresh_process_outputs_match_golden_digests(golden, name, tmp_path):
+    command, cfg = CASES[name]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [sys.executable, "-c", FRESH_PROCESS_MAIN, command, "--config", str(cfg_path), "--out", str(out)]
+    proc = subprocess.run(argv, env=child_env(), capture_output=True)
+    want = golden["cases"][name]
+    assert proc.returncode == want["exit"], proc.stderr.decode("utf-8", "replace")
+    got = {p.relative_to(out).as_posix(): _sha256(p.read_bytes()) for p in out.rglob("*") if p.is_file()}
+    assert got == want["files"]
 
 
 def regenerate() -> None:

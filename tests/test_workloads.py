@@ -9,12 +9,14 @@ from its file and only read: no bytecode is written next to it.
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from spsa_lab.cli import main
+from test_config_cli import child_env
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
@@ -50,3 +52,27 @@ def test_benchmark_workload_runs_through_the_cli(tmp_path, name):
     out = tmp_path / "out"
     assert main([workload.command, "--config", str(cfg_path), "--out", str(out), "--workers", "1"]) == 0
     assert {p.name for p in out.iterdir()} == OUTPUTS[workload.command] | {"manifest.json"}
+
+
+# a child that runs each config through cli.main, then lists the modules it loaded
+LOADED_AFTER = """
+import sys
+from spsa_lab.cli import main
+for command, cfg, out in zip(*[iter(sys.argv[1:])] * 3):
+    assert main([command, "--config", cfg, "--out", out]) == 0
+print(" ".join(name for name in ("numpy.ma", "scipy") if name in sys.modules))
+"""
+
+
+def test_experiment_and_meanflow_leave_numpy_ma_and_scipy_unloaded(tmp_path):
+    # neither command needs numpy.ma (np.unique loads it) or scipy, and a
+    # command's process pays for every module it imports
+    args = []
+    for name in ("ensemble_desk", "meanflow_sweep"):
+        workload = workloads.make(name, 0, tiny=True)
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(workload.config), encoding="utf-8")
+        args += [workload.command, str(cfg_path), str(tmp_path / name)]
+    proc = subprocess.run([sys.executable, "-c", LOADED_AFTER, *args], env=child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
