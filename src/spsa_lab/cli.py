@@ -24,9 +24,10 @@ the gain of the one evaluator, and its zero-gain reference is the
 objective's known optimum, where the equilibrium search starts unless
 ``meanflow.theta_init`` is set.
 
-``experiment`` runs the whole matrix as lane batches in one thread.  The
-``--workers`` option is still parsed and must be at least 1 (else exit 2),
-but it is ignored; there is no worker environment variable or config key.
+``experiment`` runs the whole matrix as lane batches in one thread.  Every
+command still parses the ``--workers`` option and checks that it is at
+least 1 (else exit 2, before the output directory is made), but ignores
+it; there is no worker environment variable or config key.
 
 ``meanflow`` writes ``fbar_grid.csv`` with the header ``theta,fbar,stderr``.
 The ``stderr`` column is always 0: both node rules are deterministic.
@@ -149,7 +150,10 @@ def _prepare(args, command: str):
     if args.seed is not None:
         cfg["seed.master"] = args.seed
     validate_config(cfg, command)
-    return cfg, output_dir(cfg, args.out)
+    out = output_dir(cfg, args.out)
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    return cfg, out
 
 
 def cmd_run(args) -> int:
@@ -212,15 +216,12 @@ def cmd_experiment(args) -> int:
     guard = DivergenceGuard(setting(cfg, "run.guard_threshold"))
     algorithm = setting(cfg, "run.algorithm")
     eps_grid = [float(e) for e in cfg["ensemble.eps_grid"]]
-    master = cfg["seed.master"]
-    if args.workers is not None and args.workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
 
     def statistic(mode: str, lane_gain):
         if cfg["ensemble.statistic"] == "grad":
             return objective.grad_batch
         ev = MeanFieldEvaluator(objective, lane_gain, base, mode, varsigma)
-        return lambda theta: ev.evaluate(theta[:, 0])
+        return lambda theta: ev.evaluate(theta[:, 0])[:, None]
 
     cells = run_ensemble_matrix(
         objective,
@@ -235,7 +236,7 @@ def cmd_experiment(args) -> int:
         cfg["ensemble.N0"],
         build_theta0_box(cfg, "ensemble.theta0_box", objective.dim),
         statistic,
-        master,
+        cfg["seed.master"],
         guard=guard,
         algorithm=algorithm,
     )
@@ -248,15 +249,12 @@ def cmd_experiment(args) -> int:
         eps_ok, var_ok = [], []
         for i, eps in enumerate(eps_grid):
             cell = cells[(mode, i)]
-            if cell.m_effective >= 2:
-                sv, bias = cell.scaled_var_trace, cell.mean_bias_norm
-            else:
-                sv = bias = float("nan")
+            sv = cell.scaled_var_trace
             table["eps_bullet"].append(eps)
             table["mode"].append(mode)
             table["M_effective"].append(cell.m_effective)
             table["scaled_var_trace"].append(sv)
-            table["mean_bias_norm"].append(bias)
+            table["mean_bias_norm"].append(cell.mean_bias_norm)
             seeds.setdefault(mode, {})[format(eps, ".17g")] = cell.seeds
             if cell.m_effective == cell.m_total:
                 eps_ok.append(eps)

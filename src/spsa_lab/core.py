@@ -96,9 +96,9 @@ def _increment(f, algorithm: str, theta, xi, eps, alpha):
 class WindowStatistic:
     """On-the-fly average of ``fn(theta)`` over iterates with index >= start.
 
-    ``fn`` maps the (m, d) rows of iterates to an (m, p) or (m,) array; the
-    engine accumulates its sum over the window without storing
-    trajectories.
+    ``fn`` maps the (m, d) rows of iterates to (m, p) float rows, one row
+    per lane; the engine accumulates their sum over the window without
+    storing trajectories.
     """
 
     start: int
@@ -112,7 +112,6 @@ class BatchRunResult:
     theta_final: np.ndarray  # (m, d)
     diverged_at: np.ndarray  # (m,), -1 where the guard never fired
     n_steps: int
-    stride: int
     record_indices: np.ndarray | None = None  # (k,)
     thetas: np.ndarray | None = None  # (m, k, d)
     objective_trace: np.ndarray | None = None  # (m, k)
@@ -173,12 +172,12 @@ def run_batch(
     (plus index 0 and the final index) are stored.  ``gain`` may carry one
     scale per lane (``eps_bullet`` of shape (m,)).  With a ``statistic``,
     ``window_mean`` holds each lane's mean of its function over the window,
-    as an (m, p) array: an (m, 1) column of NaN when no step reaches the
-    window.  The function sees (m, d) rows, since a run with a statistic
-    takes the rows form; with none, a step makes no statistic pass.  The
-    iterate's form (see the module docstring) does not change the result,
-    except that a one-lane float run whose gain reaches 0.0 raises
-    ``ZeroDivisionError``.
+    in the (m, p) form the function returns: an (m, 1) column of NaN when no
+    step reaches the window.  The function sees (m, d) rows, since a run
+    with a statistic takes the rows form; with none, a step makes no
+    statistic pass.  The iterate's form (see the module docstring) does not
+    change the result, except that a one-lane float run whose gain reaches
+    0.0 raises ``ZeroDivisionError``.
     """
     if algorithm not in ("1spsa", "2spsa"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -228,8 +227,8 @@ def run_batch(
     # the statistic's sum and count over the indices >= start that the run
     # reaches.  The sum starts as a fresh zero array: ``fn`` may return
     # ``theta`` itself, which the sum must not alias, and a -0.0 first value
-    # sums to +0.0.  A frozen lane's
-    # mean is replaced by NaN at the end, so its sum needs no mask
+    # sums to +0.0.  A frozen lane's mean is replaced by NaN at the end, so
+    # its sum needs no mask
     start = n_steps + 1 if statistic is None else statistic.start
     window_sum, window_count = None, 0
 
@@ -262,7 +261,7 @@ def run_batch(
             rec_obj = np.empty((n_rec,) + np.shape(eps))
             record(0, theta, schedule(0), eps)
         if start <= 0:
-            vals = np.asarray(statistic.fn(theta), dtype=float)
+            vals = statistic.fn(theta)
             window_sum, window_count = np.zeros_like(vals) + vals, 1
 
         n = 0
@@ -291,7 +290,7 @@ def run_batch(
                         live = False
                         stop = not active.any()
                 if k >= start:
-                    vals = np.asarray(statistic.fn(theta), dtype=float)
+                    vals = statistic.fn(theta)
                     if window_sum is None:
                         window_sum = np.zeros_like(vals)
                     window_sum += vals
@@ -309,7 +308,6 @@ def run_batch(
         theta_final=np.reshape(theta, (m, d)),
         diverged_at=diverged_at,
         n_steps=n_steps,
-        stride=stride,
     )
     if stride > 0:
         k = n_recorded
@@ -319,7 +317,7 @@ def run_batch(
         result.gain_trace = rec_gain[:k].reshape(k, m).T
         result.objective_trace = rec_obj[:k].reshape(k, m).T
     if statistic is not None:
-        mean = np.full((m, 1), np.nan) if window_sum is None else (window_sum / window_count).reshape(m, -1)
+        mean = np.full((m, 1), np.nan) if window_sum is None else window_sum / window_count
         # a frozen lane's window is cut short, so it has no window average
         mean[result.diverged] = np.nan
         result.window_mean = mean

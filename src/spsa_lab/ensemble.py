@@ -46,12 +46,9 @@ LANE_BLOCK = 4096
 def scaled_covariance(values: np.ndarray, window: int) -> float:
     """Window length times the trace of the sample covariance across runs.
 
-    ``values`` holds one statistic vector per run, shape (m, p) or (m,);
-    the covariance across runs is the unbiased estimator.
+    ``values`` holds one statistic row per run, as (m, p) float rows; the
+    covariance across runs is the unbiased estimator.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
     m = values.shape[0]
     if m < 2:
         raise ValueError(f"covariance across runs needs at least 2 runs, got {m}")
@@ -64,8 +61,6 @@ def scaled_covariance(values: np.ndarray, window: int) -> float:
 class ScalingFit:
     """Least-squares power-law fit of scaled variance against gain scale."""
 
-    eps_values: np.ndarray
-    scaled_vars: np.ndarray
     loglog_slope: float
     loglog_intercept: float
     r_squared: float
@@ -92,7 +87,7 @@ def scaling_fit(eps_values, scaled_vars) -> ScalingFit:
     resid = ly - (slope * lx + intercept)
     total = ly - ly.mean()
     r2 = 1.0 - float(resid @ resid) / float(total @ total) if float(total @ total) > 0 else 1.0
-    return ScalingFit(eps_values, scaled_vars, float(slope), float(intercept), r2)
+    return ScalingFit(float(slope), float(intercept), r2)
 
 
 @dataclass
@@ -187,9 +182,13 @@ def lane_stream(seed: int, base: BaseNoise, mode: str, varsigma: float, box: np.
 
 @dataclass
 class EnsembleCell:
-    """One (probe mode, gain scale) cell of an ensemble experiment."""
+    """One (probe mode, gain scale) cell of an ensemble experiment.
 
-    mode: str
+    ``run_ensemble_matrix`` keys each cell by (mode, gain index).  Its
+    statistics are taken over the runs that did not diverge, and each is NaN
+    when fewer than 2 runs survive: an across-run variance needs two.
+    """
+
     eps_bullet: float
     bias_values: np.ndarray  # (m, p) window averages per run
     diverged: np.ndarray  # (m,) bool
@@ -213,15 +212,13 @@ class EnsembleCell:
         finite-horizon excess shrinks with alpha_N but grows as eps
         shrinks, so at small gains it can hide the O(eps^2) zigzag law.
         """
-        return scaled_covariance(self.bias_values[~self.diverged], self.window)
-
-    @property
-    def mean_bias(self) -> np.ndarray:
-        return self.bias_values[~self.diverged].mean(axis=0)
+        rows = self.bias_values[~self.diverged]
+        return scaled_covariance(rows, self.window) if len(rows) >= 2 else np.nan
 
     @property
     def mean_bias_norm(self) -> float:
-        return float(np.linalg.norm(self.mean_bias))
+        rows = self.bias_values[~self.diverged]
+        return float(np.linalg.norm(rows.mean(axis=0))) if len(rows) >= 2 else np.nan
 
 
 def run_ensemble_matrix(
@@ -255,9 +252,10 @@ def run_ensemble_matrix(
     Each lane runs ``gain`` at its cell's scale.  ``statistic(mode,
     lane_gain)`` returns the row function averaged over iterate indices in
     [n_burn, n_steps] for the lanes of ``mode``, where ``lane_gain`` holds
-    one scale per such lane of the block.  Adjacent modes whose functions
-    compare equal share one call over their rows, so a function must act row
-    by row.
+    one scale per such lane of the block; like every window statistic
+    (``core.WindowStatistic``), it maps (m, d) rows to (m, p) float rows.
+    Adjacent modes whose functions compare equal share one call over their
+    rows, so a function must act row by row.
     """
     if m_runs < 2:
         raise ValueError(f"ensemble needs at least 2 runs, got {m_runs}")
@@ -298,8 +296,7 @@ def run_ensemble_matrix(
         else:
 
             def block_statistic(theta: np.ndarray) -> np.ndarray:
-                rows = [np.asarray(fn(theta[seg]), dtype=float) for seg, fn in parts]
-                return np.concatenate([r.reshape(r.shape[0], -1) for r in rows])
+                return np.concatenate([fn(theta[seg]) for seg, fn in parts])
 
         result = run_batch(
             objective,
@@ -323,7 +320,6 @@ def run_ensemble_matrix(
     for c, (mode, k, eps) in enumerate(cells):
         rows = slice(c * m_runs, (c + 1) * m_runs)
         out[(mode, k)] = EnsembleCell(
-            mode=mode,
             eps_bullet=eps,
             bias_values=values[rows],
             diverged=diverged[rows],

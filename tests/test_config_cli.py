@@ -320,6 +320,24 @@ def test_cli_experiment_rejects_bad_worker_counts(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, name",
+    [
+        ("run", "fig1_active.json"),
+        ("experiment", "fig2_desk.json"),
+        ("meanflow", "meanflow_trig.json"),
+        ("equilibrium", "meanflow_trig.json"),
+        ("probe-check", "probe_check_zigzag.json"),
+    ],
+)
+def test_cli_workers_below_one_exits_2_for_every_command(tmp_path, capsys, command, name):
+    # every command checks --workers before any work, like a config key
+    out = tmp_path / "out"
+    assert main([command, "--config", str(CONFIGS / name), "--out", str(out), "--workers", "0"]) == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command, cfg, key",
     [
         (

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,23 @@ def test_omega_asymptotic_covariance_bound():
     assert bm <= 3.0 * instantaneous * 1.2  # 20% statistical headroom
 
 
+@pytest.mark.parametrize("survivors", [0, 1, 2])
+def test_ensemble_cell_statistics_need_two_surviving_runs(survivors):
+    # a diverged run's window average is NaN; the survivors hold +-0.5
+    diverged = np.arange(4) >= survivors
+    values = np.where(diverged, np.nan, [0.5, -0.5, 0.5, -0.5])[:, None]
+    cell = ensemble.EnsembleCell(eps_bullet=0.1, bias_values=values, diverged=diverged, m_total=4, window=100)
+    assert cell.m_effective == survivors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled_var, bias = cell.scaled_var_trace, cell.mean_bias_norm
+    if survivors < 2:
+        assert np.isnan(scaled_var) and np.isnan(bias)
+    else:
+        # unbiased variance of {+0.5, -0.5} is 0.5, and their mean is 0
+        assert scaled_var == pytest.approx(100 * 0.5) and bias == 0.0
+
+
 def test_one_cell_matrix_accounting_and_determinism():
     obj = quadratic_1d()
     args = (obj, StepSizeSchedule(0.1, 0.6), BaseNoise("rademacher", 1), ["iid"], VS,
@@ -232,7 +251,7 @@ def test_window_statistic_matches_record_mean_of_grad():
         seed = derive_seed(123, "iid", 0, i)
         theta0, probe = ensemble.lane_stream(seed, base, "iid", VS, theta0_box([-2, 2], 1))
         result = run_batch(obj, sched, gain, [probe], theta0, 400, stride=1)
-        assert not result.diverged[0] and result.stride == 1
+        assert not result.diverged[0]
         expected = obj.grad_batch(result.thetas[0, result.record_indices >= 100]).mean(axis=0)
         assert np.allclose(cell.bias_values[i], expected, atol=1e-12)
 
@@ -252,7 +271,7 @@ def test_ensemble_matrix_cells_equal_single_cells(monkeypatch, statistic):
         if statistic == "grad":
             return obj.grad_batch
         ev = MeanFieldEvaluator(obj, gain, base, mode=mode, varsigma=VS)
-        return lambda theta: ev.evaluate(theta[:, 0])
+        return lambda theta: ev.evaluate(theta[:, 0])[:, None]
 
     def gain_at(eps):
         return CenterActiveGain(eps, np.array([0.0]), 1.0)
