@@ -221,7 +221,7 @@ def cmd_experiment(args) -> int:
         if cfg["ensemble.statistic"] == "grad":
             return objective.grad_batch
         ev = MeanFieldEvaluator(objective, lane_gain, base, mode, varsigma)
-        return lambda theta: ev.evaluate(theta[:, 0])[:, None]
+        return lambda theta: ev.evaluate(theta[..., 0])[..., None]
 
     cells = run_ensemble_matrix(
         objective,

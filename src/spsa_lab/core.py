@@ -5,7 +5,11 @@ a one-lane batch.  The engine advances many independent trajectories in
 lock step (vectorized across runs), with per-run probe streams, a
 divergence guard that freezes runs whose iterates escape and ends the run
 once every lane has tripped, strided trajectory recording, and an on-the-fly
-window statistic so long ensembles never store full trajectories.
+window statistic so long ensembles never store full trajectories.  Beyond
+the (m, d) arrays of one step, work memory is bounded in bytes, whatever
+m and d: the probe chunk holds at most ``PROBE_BYTES`` and the window
+statistic's stack of iterates at most ``STACK_BYTES``, so the statistic
+runs once per stack of steps, not once per step.
 
 The update rule lives in one function, ``_increment``, written once as an
 element-wise expression that ``ensemble.delta_decompose`` and
@@ -56,9 +60,12 @@ __all__ = [
 ]
 
 DEFAULT_GUARD_THRESHOLD = 1e6
-# steps of probes drawn per lane at a time; a batch holds m * ENGINE_CHUNK * d
-# doubles of probes
+# steps of probes drawn per lane at a time, at most PROBE_BYTES of probes
+# (m * chunk * d doubles) per batch: 64 MiB is a full 4,096-lane block at d = 1
 ENGINE_CHUNK = 2048
+PROBE_BYTES = 2**26
+# bytes of iterates stacked for one window-statistic call
+STACK_BYTES = 2**17
 
 
 @dataclass(frozen=True)
@@ -86,18 +93,24 @@ def _increment(f, algorithm: str, theta, xi, eps, alpha):
     ``f`` is the objective in the iterate's form: a float at a float, and
     an (m, 1) column on (m, d) rows, where ``eps`` is an (m, 1) column too.
     """
+    # the sign sits on the step size: IEEE division is sign-symmetric, so the
+    # bits are those of -(alpha / eps), with one operation fewer on rows
     y = f(theta + eps * xi)
     if algorithm == "1spsa":
-        return -(alpha / eps) * xi * y
-    return -(alpha / (2.0 * eps)) * xi * (y - f(theta - eps * xi))
+        return (-alpha / eps) * xi * y
+    return (-alpha / (2.0 * eps)) * xi * (y - f(theta - eps * xi))
 
 
 @dataclass(frozen=True)
 class WindowStatistic:
     """On-the-fly average of ``fn(theta)`` over iterates with index >= start.
 
-    ``fn`` maps the (m, d) rows of iterates to (m, p) float rows, one row
-    per lane; the engine accumulates their sum over the window without
+    ``fn`` maps an (s, m, d) stack of iterates, s steps of m lanes, to an
+    (s, m, p) stack of float rows, one row per lane and step, and must act
+    on each step as it would on that step's (m, d) rows alone.  The engine
+    copies the window's iterates into a stack of at most ``STACK_BYTES``,
+    calls ``fn`` once per full stack and once at the end, and adds the
+    rows to the window sum one step at a time, in index order, without
     storing trajectories.
     """
 
@@ -172,12 +185,16 @@ def run_batch(
     (plus index 0 and the final index) are stored.  ``gain`` may carry one
     scale per lane (``eps_bullet`` of shape (m,)).  With a ``statistic``,
     ``window_mean`` holds each lane's mean of its function over the window,
-    in the (m, p) form the function returns: an (m, 1) column of NaN when no
-    step reaches the window.  The function sees (m, d) rows, since a run
-    with a statistic takes the rows form; with none, a step makes no
-    statistic pass.  The iterate's form (see the module docstring) does not
-    change the result, except that a one-lane float run whose gain reaches
-    0.0 raises ``ZeroDivisionError``.
+    in the (m, p) form of the function's rows: an (m, 1) column of NaN when
+    no step reaches the window.  The function sees (s, m, d) stacks of
+    iterates (see ``WindowStatistic``) of at most
+    max(1, STACK_BYTES // (8 m d)) steps, so it runs once per full stack
+    and once for the steps left when the run ends; with no statistic, a
+    step makes no statistic pass.  Both stack lengths, this one and the
+    probe chunk's max(1, min(chunk, PROBE_BYTES // (8 m d))) steps, come
+    from m d alone, and neither changes the result.  The iterate's form
+    (see the module docstring) does not change the result, except that a
+    one-lane float run whose gain reaches 0.0 raises ``ZeroDivisionError``.
     """
     if algorithm not in ("1spsa", "2spsa"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -189,6 +206,7 @@ def run_batch(
     m, d = theta.shape
     if len(probes) != m:
         raise ValueError(f"need one probe generator per run: {len(probes)} != {m}")
+    chunk = max(1, min(chunk, PROBE_BYTES // (8 * m * d)))
     threshold = (guard or DivergenceGuard()).threshold
 
     # the iterate's form: the objective and the gain in it, and the
@@ -225,12 +243,23 @@ def run_batch(
     diverged_at = np.full(m, -1, dtype=int)
 
     # the statistic's sum and count over the indices >= start that the run
-    # reaches.  The sum starts as a fresh zero array: ``fn`` may return
-    # ``theta`` itself, which the sum must not alias, and a -0.0 first value
-    # sums to +0.0.  A frozen lane's mean is replaced by NaN at the end, so
-    # its sum needs no mask
+    # reaches.  Each such iterate is copied into the stack; a full stack, and
+    # the last one, goes through ``fn`` in one call, and its rows are added
+    # one step at a time, in index order, so the sum has the bits of a sum
+    # taken step by step.  The sum starts at 0.0, so its first addition
+    # makes a fresh array: ``fn`` may return its input itself, which the sum
+    # must not alias, and a -0.0 first value sums to +0.0.  A frozen lane's
+    # mean is replaced by NaN at the end, so its sum needs no mask
     start = n_steps + 1 if statistic is None else statistic.start
-    window_sum, window_count = None, 0
+    window_sum, window_count, n_stacked = 0.0, 0, 0
+    stack = None if statistic is None else np.empty((max(1, STACK_BYTES // (8 * m * d)), m, d))
+
+    def flush():
+        nonlocal window_sum, window_count, n_stacked
+        for row in statistic.fn(stack[:n_stacked]):
+            window_sum += row
+        window_count += n_stacked
+        n_stacked = 0
 
     # index 0, every stride-th index and the last index; fewer when every
     # lane trips before the end
@@ -261,8 +290,8 @@ def run_batch(
             rec_obj = np.empty((n_rec,) + np.shape(eps))
             record(0, theta, schedule(0), eps)
         if start <= 0:
-            vals = statistic.fn(theta)
-            window_sum, window_count = np.zeros_like(vals) + vals, 1
+            stack[0] = theta
+            n_stacked = 1
 
         n = 0
         stop = False  # set on the step where the last live lane trips
@@ -290,11 +319,10 @@ def run_batch(
                         live = False
                         stop = not active.any()
                 if k >= start:
-                    vals = statistic.fn(theta)
-                    if window_sum is None:
-                        window_sum = np.zeros_like(vals)
-                    window_sum += vals
-                    window_count += 1
+                    if n_stacked == len(stack):
+                        flush()
+                    stack[n_stacked] = theta
+                    n_stacked += 1
                 recorded = stride > 0 and (k % stride == 0 or k == n_steps)
                 if k < n_steps or recorded:
                     eps = gains(theta, k)
@@ -303,6 +331,8 @@ def run_batch(
                 if stop:
                     break
             n += width
+        if n_stacked:
+            flush()
 
     result = BatchRunResult(
         theta_final=np.reshape(theta, (m, d)),
@@ -317,7 +347,7 @@ def run_batch(
         result.gain_trace = rec_gain[:k].reshape(k, m).T
         result.objective_trace = rec_obj[:k].reshape(k, m).T
     if statistic is not None:
-        mean = np.full((m, 1), np.nan) if window_sum is None else window_sum / window_count
+        mean = np.full((m, 1), np.nan) if window_count == 0 else window_sum / window_count
         # a frozen lane's window is cut short, so it has no window average
         mean[result.diverged] = np.nan
         result.window_mean = mean

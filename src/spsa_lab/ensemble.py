@@ -36,10 +36,11 @@ __all__ = [
 ]
 
 # lanes per run_batch call in run_ensemble_matrix.  Each step of a block pays
-# the engine's fixed cost, and one call of each distinct statistic function,
-# once for all its cells.  A block's streams and its probe chunk
-# (LANE_BLOCK x ENGINE_CHUNK x d doubles) bound its memory.  Tripped lanes
-# stay in the block's arrays until every lane of the block has tripped.
+# the engine's fixed cost once for all its cells, and each stack of window
+# steps (core.STACK_BYTES of iterates) one call of each distinct statistic
+# function.  A block's streams and its probe chunk (at most core.PROBE_BYTES)
+# bound its memory.  Tripped lanes stay in the block's arrays until every
+# lane of the block has tripped.
 LANE_BLOCK = 4096
 
 
@@ -253,9 +254,10 @@ def run_ensemble_matrix(
     lane_gain)`` returns the row function averaged over iterate indices in
     [n_burn, n_steps] for the lanes of ``mode``, where ``lane_gain`` holds
     one scale per such lane of the block; like every window statistic
-    (``core.WindowStatistic``), it maps (m, d) rows to (m, p) float rows.
-    Adjacent modes whose functions compare equal share one call over their
-    rows, so a function must act row by row.
+    (``core.WindowStatistic``), it maps an (s, m, d) stack of iterates to
+    an (s, m, p) stack of float rows.  Adjacent modes whose functions
+    compare equal share one call over their lanes, so a function must act
+    row by row.
     """
     if m_runs < 2:
         raise ValueError(f"ensemble needs at least 2 runs, got {m_runs}")
@@ -296,7 +298,7 @@ def run_ensemble_matrix(
         else:
 
             def block_statistic(theta: np.ndarray) -> np.ndarray:
-                return np.concatenate([fn(theta[seg]) for seg, fn in parts])
+                return np.concatenate([fn(theta[..., seg, :]) for seg, fn in parts], axis=-2)
 
         result = run_batch(
             objective,

@@ -154,6 +154,9 @@ class MeanFieldEvaluator:
     def evaluate(self, x):
         """Mean field on an (m,) column ``x``, as an (m,) array, under an ``np.errstate`` entered here.
 
+        An (s, m) stack of columns, as a window statistic passes, gives an
+        (s, m) array, each column as it would alone.
+
         A float goes through ``at_float``; a loop over floats holds one
         ``np.errstate`` of its own, as the flow and the equilibrium search do.
         """
@@ -161,9 +164,9 @@ class MeanFieldEvaluator:
             return self._field(x)
 
     def _field(self, x):
-        """The field on an (m,) column."""
-        eps = self.gain.value(x[:, None])
-        pts = x[:, None] + eps[:, None] * self._nodes
+        """The field on an (m,) column, or on an (s, m) stack of columns."""
+        eps = self.gain.value(x[..., None])
+        pts = x[..., None] + eps[..., None] * self._nodes
         values = self.objective.value_batch(pts.reshape(-1, 1)).reshape(pts.shape)
         return -np.add.reduce(values * self._weighted_nodes, axis=-1) / eps
 

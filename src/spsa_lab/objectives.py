@@ -69,9 +69,13 @@ class Objective:
     gradient rows; ``grad`` falls back to central finite differences when no
     closed form is given.  A 1-d objective may give ``fn_1d(x, lib)``
     instead, the element-wise formula of its coordinate; ``fn_batch`` then
-    defaults to ``fn_1d`` applied to ``ts[:, 0]`` with ``lib`` = ``numpy``
+    defaults to ``fn_1d`` applied to ``ts[..., 0]`` with ``lib`` = ``numpy``
     (see the module docstring), and an objective given neither raises
-    ``ValueError``.  ``at_float``, bound at construction, is the objective
+    ``ValueError``.  ``value_batch`` and ``grad_batch`` also take an
+    (s, m, d) stack of batches, a window statistic's input
+    (``core.WindowStatistic``): the built-in forms and the default
+    ``fn_batch`` index the last axis, and the finite-difference fallback
+    walks the rows.  ``at_float``, bound at construction, is the objective
     at a float point: ``fn_1d`` on ``math`` through ``float_form``, with the
     floor check of ``value_batch``, or a 1-row batch when there is no
     ``fn_1d``; the fields are frozen, so it cannot go stale.  Metadata
@@ -101,7 +105,7 @@ class Objective:
         if self.dim != 1:
             raise ValueError(f"fn_1d needs a 1-dimensional objective, got dim {self.dim}")
         if self.fn_batch is None:
-            object.__setattr__(self, "fn_batch", lambda ts: fn_1d(ts[:, 0], np))
+            object.__setattr__(self, "fn_batch", lambda ts: fn_1d(ts[..., 0], np))
         object.__setattr__(self, "at_float", float_form(fn_1d, self.floor_threshold, self.below_floor))
 
     def below_floor(self, theta, val) -> ValueError:
@@ -116,14 +120,14 @@ class Objective:
         return float(self.value_batch(theta[None, :])[0])
 
     def value_batch(self, thetas: np.ndarray) -> np.ndarray:
-        """Objective on an (m, d) batch; a value below the declared floor raises (NaN rows are skipped)."""
+        """Objective on an (m, d) batch, or an (s, m, d) stack; a value below the declared floor raises (NaN rows are skipped)."""
         thetas = np.asarray(thetas, dtype=float)
         vals = self.fn_batch(thetas)
         # a float64 array, the usual result, needs no coercion
         if vals.__class__ is not np.ndarray or vals.dtype is not _FLOAT64:
             vals = np.asarray(vals, dtype=float)
         if self.known_floor is not None:
-            low = np.fmin.reduce(vals, initial=np.inf)
+            low = np.fmin.reduce(vals, axis=None, initial=np.inf)
             if low < self.floor_threshold:
                 raise self.below_floor(thetas[vals == low][0], low)
         return vals
@@ -142,7 +146,8 @@ class Objective:
             if out.__class__ is not np.ndarray or out.dtype is not _FLOAT64:
                 out = np.asarray(out, dtype=float)
             return out
-        return np.stack([self.grad(row) for row in thetas])
+        rows = thetas.reshape(-1, thetas.shape[-1])
+        return np.stack([self.grad(row) for row in rows]).reshape(thetas.shape)
 
 
 def central_difference(fn_batch, theta, h: float) -> np.ndarray:
@@ -238,7 +243,7 @@ def quadratic_1d() -> Objective:
     """1-d quadratic, value theta^2, minimum 0 at the origin."""
     return Objective(
         dim=1,
-        grad_batch_fn=lambda ts: 2.0 * ts[:, :1],
+        grad_batch_fn=lambda ts: 2.0 * ts[..., :1],
         known_optimum=np.array([0.0]),
         known_floor=0.0,
         name="quadratic1d",
@@ -259,8 +264,8 @@ def trig_quadratic_1d() -> Objective:
         return x * x - lib.cos(x) - lib.sin(5.0 * x) / 5.0 + 4.0
 
     def gb(ts):
-        x = ts[:, 0]
-        return (2.0 * x + np.sin(x) - np.cos(5.0 * x))[:, None]
+        x = ts[..., 0]
+        return (2.0 * x + np.sin(x) - np.cos(5.0 * x))[..., None]
 
     stationary = bisect_root(lambda x: gb(np.array([[x]]))[0, 0], 0.0, 0.5)
     return Objective(
@@ -286,7 +291,7 @@ def quadratic_nd(q: np.ndarray) -> Objective:
     d = q.shape[0]
     return Objective(
         dim=d,
-        fn_batch=lambda ts: 0.5 * np.einsum("mi,ij,mj->m", ts, q, ts),
+        fn_batch=lambda ts: 0.5 * np.einsum("...i,ij,...j->...", ts, q, ts),
         grad_batch_fn=lambda ts: ts @ q.T,
         known_optimum=np.zeros(d),
         known_floor=0.0,

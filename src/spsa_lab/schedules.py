@@ -6,9 +6,11 @@ active (functions of the current iterate, bounded below by ``eps_bullet``,
 which is the stabilization mechanism).
 
 Every gain has two forms.  ``value(theta, n)`` takes an (m, d) batch and
-gives (m,) row gains; ``at_float(x, n)`` takes a 1-d point as a Python
-float and gives a float.  The float form is bound once at construction
-and equals the gain of a batch row bit for bit.  An active gain states
+gives (m,) row gains, or an (s, m, d) stack of batches (the mean field on
+a window statistic's stack) and gives (s, m) gains; ``at_float(x, n)``
+takes a 1-d point as a Python float and gives a float.  The float form is
+bound once at construction and equals the gain of a batch row bit for
+bit.  An active gain states
 its square root once, as a formula that takes its library
 (``eps * lib.sqrt(...)``, see ``objectives``): on NumPy arrays for a
 batch, and on ``math`` at a float through ``objectives.float_form``,
@@ -73,8 +75,8 @@ def _squared_norms(theta: np.ndarray):
 
 
 def _oblivious(theta, eps):
-    """An oblivious gain ``eps`` for each row of an (m, d) batch."""
-    return np.full(len(theta), eps)
+    """An oblivious gain ``eps`` for each row of an (m, d) batch or an (s, m, d) stack."""
+    return np.full(np.shape(theta)[:-1], eps)
 
 
 def _check_scale(gain) -> None:

@@ -410,6 +410,28 @@ def test_run_batch_is_independent_of_chunk_width(chunk):
                     assert ref_calls == evals_per_step * last + last + 1, case
 
 
+def test_run_batch_probe_chunk_is_bounded_in_bytes():
+    # 600 lanes at d = 16 over 2,048 steps: an uncut chunk of 2,048 steps
+    # would hold 150 MiB of probes.  The chunk is cut to PROBE_BYTES, and
+    # the rest of the peak is per-step (m, d) arrays and one chunk's draws
+    import tracemalloc
+
+    from spsa_lab.core import PROBE_BYTES
+
+    m, d, n_steps = 600, 16, 2048
+    probes = [ProbeGenerator(BaseNoise("rademacher", d), "iid", seed=i) for i in range(m)]
+    tracemalloc.start()
+    try:
+        result = run_batch(quadratic_nd(np.eye(d)), StepSizeSchedule(0.001, 0.6), ConstantGain(1.0), probes,
+                           np.zeros((m, d)), n_steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not result.diverged.any()
+    assert PROBE_BYTES < 8 * m * n_steps * d
+    assert peak <= PROBE_BYTES + 32 * (8 * m * d)
+
+
 def test_window_statistic_is_nan_for_diverged_lanes():
     from spsa_lab.core import WindowStatistic
 

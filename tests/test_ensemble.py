@@ -271,7 +271,7 @@ def test_ensemble_matrix_cells_equal_single_cells(monkeypatch, statistic):
         if statistic == "grad":
             return obj.grad_batch
         ev = MeanFieldEvaluator(obj, gain, base, mode=mode, varsigma=VS)
-        return lambda theta: ev.evaluate(theta[:, 0])[:, None]
+        return lambda theta: ev.evaluate(theta[..., 0])[..., None]
 
     def gain_at(eps):
         return CenterActiveGain(eps, np.array([0.0]), 1.0)
@@ -298,29 +298,35 @@ def test_ensemble_matrix_cells_equal_single_cells(monkeypatch, statistic):
         assert np.isfinite(got.bias_values[~got.diverged]).all()
 
 
-def test_ensemble_matrix_grad_statistic_is_one_call_per_window_step():
+def test_ensemble_matrix_grad_statistic_is_one_call_per_stack(monkeypatch):
     # both modes' lanes share a block; the bound methods obj.grad_batch
     # handed out per mode compare equal, so the block makes one call per
-    # iterate index in [n_burn, n_steps], over all its lanes
+    # stack of the iterate indices in [n_burn, n_steps], over all its lanes.
+    # The default stack holds 682 steps of 24 lanes at d = 1, so the 251
+    # window steps take one call; a stack of 100 steps takes three
     import dataclasses
 
+    from spsa_lab import core
+
     trig = trig_quadratic_1d()
-    rows = []
-
-    def grad_batch_fn(ts):
-        rows.append(ts.shape[0])
-        return trig.grad_batch_fn(ts)
-
-    obj = dataclasses.replace(trig, grad_batch_fn=grad_batch_fn)
     n_steps, n_burn, grid, m = 400, 150, [0.05, 0.1, 0.2], 4
-    cells = run_ensemble_matrix(
-        obj, StepSizeSchedule(0.1, 0.6), BaseNoise("uniform", 1), ("iid", "zigzag"), VS,
-        CenterActiveGain(1.0, np.array([0.0]), 1.0), grid, m, n_steps, n_burn, [-2, 2],
-        lambda mode, gain: obj.grad_batch, 11,
-    )
-    assert len(rows) == n_steps - n_burn + 1
-    assert set(rows) == {2 * len(grid) * m}
-    assert not any(cell.diverged.any() for cell in cells.values())
+    lanes = 2 * len(grid) * m
+    for stack_bytes, calls in [(core.STACK_BYTES, [251]), (8 * lanes * 100, [100, 100, 51])]:
+        monkeypatch.setattr(core, "STACK_BYTES", stack_bytes)
+        shapes = []
+
+        def grad_batch_fn(ts):
+            shapes.append(ts.shape)
+            return trig.grad_batch_fn(ts)
+
+        obj = dataclasses.replace(trig, grad_batch_fn=grad_batch_fn)
+        cells = run_ensemble_matrix(
+            obj, StepSizeSchedule(0.1, 0.6), BaseNoise("uniform", 1), ("iid", "zigzag"), VS,
+            CenterActiveGain(1.0, np.array([0.0]), 1.0), grid, m, n_steps, n_burn, [-2, 2],
+            lambda mode, gain: obj.grad_batch, 11,
+        )
+        assert shapes == [(s, lanes, 1) for s in calls]
+        assert not any(cell.diverged.any() for cell in cells.values())
 
 
 def test_ensemble_matrix_validation():

@@ -10,7 +10,8 @@ puts a helper call back into a float path raises them.
 
 A step on (m, d) rows is counted over the package's own frames only, so
 that NumPy's Python wrappers (``count_nonzero``, ``einsum``) do not tie
-the budgets to a NumPy version.
+the budgets to a NumPy version.  A window statistic runs once per stack
+of steps, so it adds no frame per step.
 """
 
 import os
@@ -93,17 +94,17 @@ def test_float_lane_step_takes_five_frames():
 
 @pytest.mark.parametrize(
     "dim, grad_statistic, per_step",
-    [(1, True, 10), (1, False, 8), (4, False, 7)],
-    ids=["d1_grad_statistic", "d1", "d4"],
+    [(1, True, 8), (1, False, 8), (4, True, 7), (4, False, 7)],
+    ids=["d1_grad_statistic", "d1", "d4_grad_statistic", "d4"],
 )
 def test_rows_step_frame_budget(dim, grad_statistic, per_step):
     # six lanes on rows with the center-active gain.  Per step at d = 1: the
     # engine's gain wrapper, the gain's value and formula; the engine's
     # objective wrapper, value_batch, the batch form and the formula; and
-    # the increment (the guard is inline); with the grad statistic,
-    # grad_batch and its closed form.  At d = 4 the gain calls
-    # _squared_norms in place of its formula, and the batch form is one
-    # einsum with no 1-d formula
+    # the increment (the guard is inline).  The grad statistic adds no frame
+    # per step: its stack of iterates goes through grad_batch and its closed
+    # form once per stack.  At d = 4 the gain calls _squared_norms in place
+    # of its formula, and the batch form is one einsum with no 1-d formula
     n_steps, m = 1000, 6
     objective = trig_quadratic_1d() if dim == 1 else quadratic_nd(np.eye(dim))
     schedule, gain = StepSizeSchedule(0.01, 0.6), CenterActiveGain(0.1, np.zeros(dim), 1.0)

@@ -17,7 +17,9 @@ takes one input form: ``value`` and ``evaluate`` take arrays and a float
 goes through ``at_float``, so no method named ``value`` or ``evaluate``
 tests for a float.  The divergence guard is one element-wise test,
 ``abs(theta) <= threshold``, in every iterate form and dimension, so
-``core.py`` never calls ``np.linalg.norm``.  The package stays within a
+``core.py`` never calls ``np.linalg.norm``.  The engine calls the window
+statistic at one site, the flush of its stack of iterates, so the
+statistic cannot come back to a call per step.  The package stays within a
 budget of code lines, counted without blank lines, comment lines and
 docstrings; a change that adds code raises the budget in its own diff.
 """
@@ -259,10 +261,26 @@ def test_guard_takes_no_linalg_norm():
     assert not bad, f"core.py calls np.linalg.norm at lines {bad}; the guard is abs(theta) <= threshold"
 
 
+# the window statistic runs once per stack of iterates: one call site in
+# core.py, the stack's flush.  A second site is a per-step call come back
+def test_window_statistic_called_at_the_stack_flush_only():
+    tree = ast.parse((SRC / "core.py").read_text(encoding="utf-8"))
+    calls, flushes = [], []
+    for node in ast.walk(tree):
+        f = getattr(node, "func", None)
+        if isinstance(f, ast.Attribute) and f.attr == "fn" and getattr(f.value, "id", None) == "statistic":
+            calls.append(node.lineno)
+        elif isinstance(node, ast.FunctionDef) and node.name == "flush":
+            flushes.append(range(node.lineno, node.end_lineno + 1))
+    assert len(calls) == 1 and any(calls[0] in lines for lines in flushes), (
+        f"core.py calls statistic.fn at lines {calls}; the one site is the stack's flush"
+    )
+
+
 # code-only lines of src/spsa_lab: no blank line, no comment line, and no
 # module, class or function docstring.  A change that adds code raises the
 # budget in its own diff and says why, as with the frame budgets
-CODE_LINE_BUDGET = 1710
+CODE_LINE_BUDGET = 1722
 
 
 def _code_lines(path: Path) -> int:
