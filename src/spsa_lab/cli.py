@@ -197,7 +197,7 @@ def cmd_run(args) -> int:
     ]
     _write_csv(out / "trajectory.csv", header, columns)
     summary = {
-        "n_steps": result.n_steps,
+        "n_steps": cfg["run.N"],
         "diverged_at": diverged_at if diverged_at >= 0 else None,
         "theta_final": [float(x) for x in result.theta_final[0]],
         "seed": seed,

@@ -124,7 +124,6 @@ class BatchRunResult:
 
     theta_final: np.ndarray  # (m, d)
     diverged_at: np.ndarray  # (m,), -1 where the guard never fired
-    n_steps: int
     record_indices: np.ndarray | None = None  # (k,)
     thetas: np.ndarray | None = None  # (m, k, d)
     objective_trace: np.ndarray | None = None  # (m, k)
@@ -337,7 +336,6 @@ def run_batch(
     result = BatchRunResult(
         theta_final=np.reshape(theta, (m, d)),
         diverged_at=diverged_at,
-        n_steps=n_steps,
     )
     if stride > 0:
         k = n_recorded

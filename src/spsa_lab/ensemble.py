@@ -190,7 +190,6 @@ class EnsembleCell:
     when fewer than 2 runs survive: an across-run variance needs two.
     """
 
-    eps_bullet: float
     bias_values: np.ndarray  # (m, p) window averages per run
     diverged: np.ndarray  # (m,) bool
     m_total: int
@@ -319,10 +318,9 @@ def run_ensemble_matrix(
     values = np.concatenate([np.broadcast_to(b, (b.shape[0], p)) for b in bias_blocks])
     diverged = np.concatenate(diverged_blocks)
     out = {}
-    for c, (mode, k, eps) in enumerate(cells):
+    for c, (mode, k, _) in enumerate(cells):
         rows = slice(c * m_runs, (c + 1) * m_runs)
         out[(mode, k)] = EnsembleCell(
-            eps_bullet=eps,
             bias_values=values[rows],
             diverged=diverged[rows],
             m_total=m_runs,

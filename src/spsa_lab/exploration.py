@@ -20,7 +20,6 @@ __all__ = [
     "ProbeGenerator",
     "ProbeMomentReport",
     "derive_seed",
-    "probe_covariance",
     "regeneration_test",
 ]
 
@@ -79,12 +78,6 @@ class BaseNoise:
     def bound(self) -> float:
         """Sup-norm bound on a single draw."""
         return 1.0 if self.kind == "rademacher" else self.support
-
-
-def probe_covariance(base: BaseNoise, mode: str, varsigma: float) -> np.ndarray:
-    """Closed-form stationary probe covariance: the base covariance, times 2 varsigma^2 for zigzag probes."""
-    cov = base.covariance()
-    return cov if mode == "iid" else 2.0 * varsigma**2 * cov
 
 
 @dataclass
@@ -152,8 +145,9 @@ class ProbeGenerator:
         return self.varsigma * np.diff(stacked, axis=0)
 
     def probe_covariance(self) -> np.ndarray:
-        """Closed-form stationary covariance of the probe stream."""
-        return probe_covariance(self.base, self.mode, self.varsigma)
+        """Closed-form stationary probe covariance: the base covariance, times 2 varsigma^2 for zigzag probes."""
+        cov = self.base.covariance()
+        return cov if self.mode == "iid" else 2.0 * self.varsigma**2 * cov
 
     @property
     def probe_bound(self) -> float:

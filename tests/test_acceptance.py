@@ -30,30 +30,19 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from spsa_lab import (
-    BaseNoise,
-    CenterActiveGain,
-    ConstantGain,
-    DivergenceGuard,
+from spsa_lab.core import DivergenceGuard, WindowStatistic, run_batch, theta0_box
+from spsa_lab.ensemble import batch_means_covariance, delta_decompose, lane_stream, run_ensemble_matrix, scaling_fit
+from spsa_lab.exploration import BaseNoise, ProbeGenerator, derive_seed, regeneration_test
+from spsa_lab.meanflow import (
     MeanFieldEvaluator,
-    ProbeGenerator,
-    StepSizeSchedule,
-    batch_means_covariance,
     bias_sweep,
-    delta_decompose,
     find_equilibrium,
     gradient_flow_field,
     integrate_flow,
     monte_carlo_field,
-    quadratic_1d,
-    run_batch,
-    run_ensemble_matrix,
-    scaling_fit,
-    trig_quadratic_1d,
 )
-from spsa_lab.core import WindowStatistic, theta0_box
-from spsa_lab.ensemble import lane_stream
-from spsa_lab.exploration import derive_seed, regeneration_test
+from spsa_lab.objectives import quadratic_1d, trig_quadratic_1d
+from spsa_lab.schedules import CenterActiveGain, ConstantGain, StepSizeSchedule
 
 MASTER = 4
 VS = 1.0 / np.sqrt(2.0)

@@ -148,15 +148,10 @@ def test_cli_run_round_trips_doubles(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
     rows = read_csv(out / "trajectory.csv")[1:]
-    from spsa_lab import (
-        CenterActiveGain,
-        ProbeGenerator,
-        BaseNoise,
-        StepSizeSchedule,
-        quadratic_1d,
-        run_batch,
-    )
-    from spsa_lab.exploration import derive_seed
+    from spsa_lab.core import run_batch
+    from spsa_lab.exploration import BaseNoise, ProbeGenerator, derive_seed
+    from spsa_lab.objectives import quadratic_1d
+    from spsa_lab.schedules import CenterActiveGain, StepSizeSchedule
 
     seed = derive_seed(7, "run", 0)
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -1,21 +1,11 @@
 import numpy as np
 import pytest
 
-from spsa_lab import (
-    BaseNoise,
-    CenterActiveGain,
-    ConstantGain,
-    DivergenceGuard,
-    ProbeGenerator,
-    StepSizeSchedule,
-    quadratic_1d,
-    quadratic_nd,
-    run_batch,
-    trig_quadratic_1d,
-)
-from spsa_lab.core import theta0_box
+from spsa_lab.core import DivergenceGuard, run_batch, theta0_box
 from spsa_lab.ensemble import lane_stream
-from spsa_lab.objectives import Objective
+from spsa_lab.exploration import BaseNoise, ProbeGenerator
+from spsa_lab.objectives import Objective, quadratic_1d, quadratic_nd, trig_quadratic_1d
+from spsa_lab.schedules import CenterActiveGain, ConstantGain, StepSizeSchedule
 
 
 class FixedProbe:
@@ -123,7 +113,6 @@ def test_run_zero_steps_records_initial_point_only():
     obj = quadratic_1d()
     probe = ProbeGenerator(BaseNoise("rademacher", 1), "iid", seed=3)
     result = run_batch(obj, StepSizeSchedule(0.5, 0.6), ConstantGain(0.1), [probe], np.array([[2.0]]), 0, stride=1)
-    assert result.n_steps == 0
     assert list(result.diverged_at) == [-1]
     assert list(result.record_indices) == [0]
     assert result.thetas[0, 0, 0] == 2.0

@@ -3,24 +3,20 @@ import warnings
 import numpy as np
 import pytest
 
-from spsa_lab import (
-    BaseNoise,
-    CenterActiveGain,
-    ConstantGain,
-    DivergenceGuard,
-    MeanFieldEvaluator,
-    ProbeGenerator,
-    StepSizeSchedule,
+from spsa_lab import ensemble
+from spsa_lab.core import DivergenceGuard
+from spsa_lab.ensemble import (
     batch_means_covariance,
     batch_means_cross_covariance,
     delta_decompose,
-    quadratic_1d,
     run_ensemble_matrix,
     scaled_covariance,
     scaling_fit,
-    trig_quadratic_1d,
 )
-from spsa_lab import ensemble
+from spsa_lab.exploration import BaseNoise, ProbeGenerator
+from spsa_lab.meanflow import MeanFieldEvaluator
+from spsa_lab.objectives import quadratic_1d, trig_quadratic_1d
+from spsa_lab.schedules import CenterActiveGain, ConstantGain, StepSizeSchedule
 
 VS = 1.0 / np.sqrt(2.0)
 
@@ -192,7 +188,7 @@ def test_ensemble_cell_statistics_need_two_surviving_runs(survivors):
     # a diverged run's window average is NaN; the survivors hold +-0.5
     diverged = np.arange(4) >= survivors
     values = np.where(diverged, np.nan, [0.5, -0.5, 0.5, -0.5])[:, None]
-    cell = ensemble.EnsembleCell(eps_bullet=0.1, bias_values=values, diverged=diverged, m_total=4, window=100)
+    cell = ensemble.EnsembleCell(bias_values=values, diverged=diverged, m_total=4, window=100)
     assert cell.m_effective == survivors
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -243,9 +239,8 @@ def test_window_statistic_matches_record_mean_of_grad():
     cell = run_ensemble_matrix(
         obj, sched, base, ["iid"], VS, gain, [0.1], 3, 400, 100, [-2, 2], lambda mode, g: obj.grad_batch, 123
     )[("iid", 0)]
-    from spsa_lab import run_batch
+    from spsa_lab.core import run_batch, theta0_box
     from spsa_lab.exploration import derive_seed
-    from spsa_lab.core import theta0_box
 
     for i in range(3):
         seed = derive_seed(123, "iid", 0, i)
@@ -290,7 +285,7 @@ def test_ensemble_matrix_cells_equal_single_cells(monkeypatch, statistic):
             obj, sched, base, [mode], VS, gain_at(grid[k]), [grid[k]], 6, 600, 200, [-10, 10],
             lambda mode, gain: stat, 3, eps_indices=[k], guard=guard,
         )[(mode, k)]
-        assert got.eps_bullet == want.eps_bullet and got.m_total == want.m_total and got.window == want.window
+        assert got.m_total == want.m_total and got.window == want.window
         assert np.array_equal(got.bias_values, want.bias_values, equal_nan=True)
         assert np.array_equal(got.diverged, want.diverged)
         assert got.seeds == want.seeds
@@ -340,7 +335,7 @@ def test_ensemble_matrix_validation():
                             lambda mode, gain: obj.grad_batch, 0)
 
 
-def test_run_ensemble_cell_validation():
+def test_run_ensemble_matrix_validation():
     # one-cell matrix calls: a single run, and burn-in at the horizon
     obj = quadratic_1d()
     args = (obj, StepSizeSchedule(0.1, 0.6), BaseNoise("rademacher", 1), ["iid"], VS, ConstantGain(0.1), [0.1])

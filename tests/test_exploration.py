@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from spsa_lab import BaseNoise, ProbeGenerator, derive_seed, regeneration_test
 from spsa_lab.ensemble import batch_means_covariance
+from spsa_lab.exploration import BaseNoise, ProbeGenerator, derive_seed, regeneration_test
 
 VS = 1.0 / np.sqrt(2.0)
 

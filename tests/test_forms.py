@@ -21,25 +21,20 @@ import platform
 import numpy as np
 import pytest
 
-from spsa_lab import (
-    BaseNoise,
+from spsa_lab.cli import _write_csv
+from spsa_lab.core import DivergenceGuard, run_batch
+from spsa_lab.exploration import BaseNoise, ProbeGenerator
+from spsa_lab.meanflow import MeanFieldEvaluator, integrate_flow
+from spsa_lab.objectives import Objective, quadratic_1d, trig_quadratic_1d
+from spsa_lab.schedules import (
     CenterActiveGain,
     ConstantGain,
     DecayingGain,
-    DivergenceGuard,
     ExplorationGain,
     GainFloorError,
-    MeanFieldEvaluator,
-    Objective,
     ObjectiveActiveGain,
-    ProbeGenerator,
     StepSizeSchedule,
-    integrate_flow,
-    quadratic_1d,
-    run_batch,
-    trig_quadratic_1d,
 )
-from spsa_lab.cli import _write_csv
 
 VERSIONS = f"Python {platform.python_version()}, NumPy {np.__version__}"
 

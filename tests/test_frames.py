@@ -21,18 +21,11 @@ import numpy as np
 import pytest
 
 import spsa_lab
-from spsa_lab import (
-    BaseNoise,
-    CenterActiveGain,
-    MeanFieldEvaluator,
-    ProbeGenerator,
-    StepSizeSchedule,
-    integrate_flow,
-    quadratic_nd,
-    run_batch,
-    trig_quadratic_1d,
-)
-from spsa_lab.core import WindowStatistic
+from spsa_lab.core import WindowStatistic, run_batch
+from spsa_lab.exploration import BaseNoise, ProbeGenerator
+from spsa_lab.meanflow import MeanFieldEvaluator, integrate_flow
+from spsa_lab.objectives import quadratic_nd, trig_quadratic_1d
+from spsa_lab.schedules import CenterActiveGain, StepSizeSchedule
 
 PACKAGE = os.path.dirname(spsa_lab.__file__) + os.sep
 

@@ -5,24 +5,18 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from spsa_lab import (
-    BaseNoise,
-    CenterActiveGain,
-    ConstantGain,
-    DecayingGain,
+from spsa_lab.exploration import BaseNoise, ProbeGenerator, derive_seed
+from spsa_lab.meanflow import (
     MeanFieldEvaluator,
-    ObjectiveActiveGain,
     SolverError,
     bias_sweep,
     find_equilibrium,
     gradient_flow_field,
     integrate_flow,
     monte_carlo_field,
-    quadratic_1d,
-    trig_quadratic_1d,
 )
-from spsa_lab.exploration import derive_seed, probe_covariance
-from spsa_lab.objectives import Objective
+from spsa_lab.objectives import Objective, quadratic_1d, trig_quadratic_1d
+from spsa_lab.schedules import CenterActiveGain, ConstantGain, DecayingGain, ObjectiveActiveGain
 
 RAD = BaseNoise("rademacher", 1)
 UNI = BaseNoise("uniform", 1, 1.0)
@@ -35,7 +29,7 @@ def active_gain(eps):
 
 def taylor_gap(ev, theta):
     # distance between the mean field and its leading term -Sigma_xi grad f
-    lead = probe_covariance(ev.base, ev.mode, ev.varsigma) @ ev.objective.grad(theta)
+    lead = ProbeGenerator(ev.base, ev.mode, ev.varsigma).probe_covariance() @ ev.objective.grad(theta)
     return abs(ev.at_float(theta) + float(lead[0]))
 
 

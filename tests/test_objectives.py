@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from spsa_lab import builtin_objective, grad_check, quadratic_1d, quadratic_nd, trig_quadratic_1d
-from spsa_lab.objectives import Objective, bisect_root
+from spsa_lab.objectives import (
+    Objective,
+    bisect_root,
+    builtin_objective,
+    grad_check,
+    quadratic_1d,
+    quadratic_nd,
+    trig_quadratic_1d,
+)
 
 
 def test_quadratic_values_and_grad():

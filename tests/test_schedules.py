@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
-from spsa_lab import (
+from spsa_lab.objectives import Objective, quadratic_1d, trig_quadratic_1d
+from spsa_lab.schedules import (
     CenterActiveGain,
     ConstantGain,
     DecayingGain,
     GainFloorError,
     ObjectiveActiveGain,
     StepSizeSchedule,
-    quadratic_1d,
-    trig_quadratic_1d,
+    _squared_norms,
 )
-from spsa_lab.objectives import Objective
-from spsa_lab.schedules import _squared_norms
 
 
 def test_step_size_clamps_at_small_n():

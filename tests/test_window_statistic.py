@@ -19,11 +19,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spsa_lab import BaseNoise, CenterActiveGain, ConstantGain, DecayingGain, DivergenceGuard, MeanFieldEvaluator
-from spsa_lab import ObjectiveActiveGain, ProbeGenerator, StepSizeSchedule, core, quadratic_1d, quadratic_nd, run_batch
-from spsa_lab import trig_quadratic_1d
-from spsa_lab.core import WindowStatistic
-from spsa_lab.objectives import Objective
+from spsa_lab import core
+from spsa_lab.core import DivergenceGuard, WindowStatistic, run_batch
+from spsa_lab.exploration import BaseNoise, ProbeGenerator
+from spsa_lab.meanflow import MeanFieldEvaluator
+from spsa_lab.objectives import Objective, quadratic_1d, quadratic_nd, trig_quadratic_1d
+from spsa_lab.schedules import CenterActiveGain, ConstantGain, DecayingGain, ObjectiveActiveGain, StepSizeSchedule
 
 Q4 = np.eye(4) + 0.25 * np.ones((4, 4))
 
